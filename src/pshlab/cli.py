@@ -47,9 +47,8 @@ _COMMANDS = ("envelope", "flow", "geodesic", "foliate", "verify")
 _KEY_TYPES = {
     "command": str, "backend": str, "n": int, "resolution": int,
     "radius": float, "style": str, "lambda": float, "lambdas": str,
-    "lambda_count": int, "c": float, "tol": float, "max_iters": int,
-    "k_max": int, "out": str, "threads": int, "t_count": int,
-    "lambda_nodes": int, "leaf_anchors": str, "anchor_rings": int,
+    "c": float, "tol": float, "max_iters": int, "k_max": int, "out": str,
+    "t_count": int, "lambda_nodes": int, "anchor_rings": int,
     "anchor_angles": int, "quick": int,
 }
 
@@ -64,13 +63,11 @@ class RunConfig:
     style: str = "cartesian"
     lam: float = 0.25
     lambdas: list = field(default_factory=list)
-    lambda_count: int = 16
     c: float | None = None
     tol: float = 1e-10
     max_iters: int = 500_000
     k_max: int = 4
     out: str = "pshlab_out"
-    threads: int = 1
     t_count: int = 96
     lambda_nodes: int = 64
     anchor_rings: int = 4
@@ -101,10 +98,9 @@ class RunConfig:
              "resolution": self.resolution, "radius": self.radius,
              "style": self.style, "lambda": self.lam,
              "lambdas": ",".join(f"{v:g}" for v in self.lambdas),
-             "lambda_count": self.lambda_count, "c": self.cutoff(),
-             "tol": self.tol, "max_iters": self.max_iters,
-             "k_max": self.k_max, "threads": self.threads,
-             "t_count": self.t_count, "lambda_nodes": self.lambda_nodes,
+             "c": self.cutoff(), "tol": self.tol, "max_iters": self.max_iters,
+             "k_max": self.k_max, "t_count": self.t_count,
+             "lambda_nodes": self.lambda_nodes,
              "defaults_used": ",".join(self.defaults_used)}
         return d
 
@@ -163,8 +159,7 @@ def parse_config(text: str) -> RunConfig:
         elif key == "quick":
             cfg.quick = bool(parsed)
         else:
-            attr = {"lambda_count": "lambda_count"}.get(key, key)
-            setattr(cfg, attr, parsed)
+            setattr(cfg, key, parsed)
 
     if not term_lines:
         raise ConfigError("missing [potential] section")
@@ -432,9 +427,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="key = value config "
                         "file with a [potential] section")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint recorded in metadata (solvers are "
-                        "deterministic and vectorized; no thread pool)")
     parser.add_argument("--quick", action="store_true",
                         help="verify: reduced resolutions (tolerances "
                         "unchanged; full-size criteria may fail)")
@@ -448,8 +440,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         cfg.command = args.command
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.quick:
             cfg.quick = True
     except ConfigError as exc:

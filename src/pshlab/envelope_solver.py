@@ -612,23 +612,3 @@ def lelong_check(result: EnvelopeResult, tol: float = 1e-2,
     return LelongReport(slope=slope, intercept=intercept,
                         passed=slope >= result.lam - tol,
                         n_nodes=int(ring.sum()))
-
-
-def pole_intercept(result: EnvelopeResult, annulus=(2.0, 6.0)) -> float:
-    """Robin-style intercept b with a ~ lam*ln|z|^2 + b near the pole,
-    drift-corrected by the known smooth part of the weight."""
-    grid = result.grid
-    rho = grid.rho()
-    h = grid.h
-    lo, hi = annulus
-    ring = result.deficit.mask & (rho > (lo * h) ** 2) & (rho < (hi * h) ** 2)
-    if ring.sum() < 8:
-        raise ValueError("annulus too thin: raise the resolution")
-    z = grid.nodes()
-    phi0 = float(result.potential.value(np.zeros((), dtype=complex)))
-    corr = result.potential.value(z[ring]) - phi0
-    x = np.log(rho[ring])
-    y = result.deficit.values[ring] + corr
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(sol[1])

@@ -31,6 +31,7 @@ from .geodesic_legendre import (GeodesicRay, plateau_threshold,
                                 smooth_hamiltonian)
 from .geometry import (chain_segments, ensure_ccw, marching_squares,
                        polyline_is_simple, resample_closed)
+from .ma_measure import boundary_mass
 
 
 @dataclass
@@ -519,22 +520,9 @@ def disc_area(leaf: Leaf, p) -> float:
     poly = leaf_boundary(leaf, p)
     if len(poly) == 0:
         raise LeafExit("leaf boundary is empty")
-    area = _dc_circulation(p, poly)
+    area = boundary_mass(p, poly)
     leaf.area = area
     return area
-
-
-def _dc_circulation(p, poly: np.ndarray) -> float:
-    """Line integral of d^c(p) = (1/4pi)(p_x dy - p_y dx), midpoint rule."""
-    pts = np.asarray(poly, dtype=float)
-    nxt = np.roll(pts, -1, axis=0)
-    mid = 0.5 * (pts + nxt)
-    dx = nxt[:, 0] - pts[:, 0]
-    dy = nxt[:, 1] - pts[:, 1]
-    zmid = mid[:, 0] + 1j * mid[:, 1]
-    gz = p.grad(zmid)
-    fx, fy = 2.0 * gz.real, -2.0 * gz.imag
-    return float(np.sum(fx * dy - fy * dx) / (4.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -11,28 +11,30 @@ three constructions the rest of the toolkit leans on:
   the unit disc through the barrier (1+s)|z|^2 - 2w, transition radius
   sigma = 3 sqrt(w/s).
 
-Potentials are term lists, not just samples, so transition radii, scale
-factors and equality regions are exact.  All evaluators are vectorized
+Potentials are sparse polynomials in (z, zbar), not just samples, so
+derivatives, transition radii, scale factors and equality regions are
+exact.  All evaluators are vectorized
 over complex coordinate arrays and pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .field_grid import GridSpec, ScalarField
+from .field_grid import GridSpec, ScalarField, ddc_component, erode_mask
 
 _KINDS = ("const", "polyrad", "ball", "reharm", "perturb", "herm")
 
 
 @dataclass(frozen=True)
 class Term:
-    """One closed-form building block of a potential.
+    """One closed-form building block of a potential: a front end that
+    expands into monomials z^a zbar^b.
 
     kind      meaning (n = 1 or 2 complex variables)
     -------   ----------------------------------------------
@@ -53,26 +55,165 @@ class Term:
             raise ValueError(f"unknown term kind {self.kind!r}")
 
 
-def _rho(Z):
-    if isinstance(Z, tuple):
-        return sum((z * z.conj()).real for z in Z)
-    return (Z * Z.conj()).real
+# ---------------------------------------------------------------------------
+# monomial maps {(a, b): c} standing for sum c z^a zbar^b
+# ---------------------------------------------------------------------------
+
+def _unit(n: int, i: int) -> tuple:
+    return tuple(int(k == i) for k in range(n))
 
 
-def _zpow(z, m):
-    if m == 0:
-        return np.ones_like(z)
-    return z ** m
+def _tadd(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _accumulate(out: dict, key, c):
+    out[key] = out.get(key, 0.0) + c
+
+
+def _norm_power(n: int, k: int):
+    """(|z1|^2 + ... + |zn|^2)^k as [(e, multinomial coefficient)]."""
+    if n == 1:
+        return [((k,), 1)]
+    return [((j, k - j), math.comb(k, j)) for j in range(k + 1)]
+
+
+def _expand(t: Term, n: int, out: dict):
+    """Add the monomials of one term to `out`."""
+    c = complex(t.coeff)
+    zero = (0,) * n
+    if t.kind == "const":
+        _accumulate(out, (zero, zero), c.real)
+    elif t.kind == "polyrad":
+        e = tuple(t.exps) + (0,) * (n - len(t.exps))
+        _accumulate(out, (e, e), c.real)
+    elif t.kind == "ball":
+        for e, mult in _norm_power(n, t.exps[0]):
+            _accumulate(out, (e, e), c.real * mult)
+    elif t.kind in ("reharm", "perturb"):
+        # Re(c z^m) (sum |z_i|^2)^k = sum mult (c/2) z^(m+e) zbar^e + conj
+        m, k = (t.exps, 0) if t.kind == "reharm" else (t.exps[:-1], t.exps[-1])
+        for e, mult in _norm_power(n, k):
+            _accumulate(out, (_tadd(m, e), e), 0.5 * mult * c)
+            _accumulate(out, (e, _tadd(m, e)), 0.5 * mult * c.conjugate())
+    else:                                               # herm
+        ei, ej = (_unit(n, i) for i in t.exps)
+        _accumulate(out, (ei, ej), 0.5 * c.real)
+        _accumulate(out, (ej, ei), 0.5 * c.real)
+
+
+def _wirtinger(coeffs: dict, i: int, holomorphic: bool) -> dict:
+    """d/dz_i z^a = a_i z^(a - e_i)  or  d/dzbar_i zbar^b = b_i zbar^(b - e_i)."""
+    out = {}
+    for (a, b), c in coeffs.items():
+        e = a if holomorphic else b
+        if e[i]:
+            lowered = e[:i] + (e[i] - 1,) + e[i + 1:]
+            key = (lowered, b) if holomorphic else (a, lowered)
+            _accumulate(out, key, c * e[i])
+    return out
+
+
+def _mul(f: dict, g: dict) -> dict:
+    out = {}
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            _accumulate(out, (_tadd(a1, a2), _tadd(b1, b2)), c1 * c2)
+    return out
+
+
+def _substitute(coeffs: dict, P: np.ndarray) -> dict:
+    """Monomial map of f(Pz), w = Pz a linear change of coordinates."""
+    n = P.shape[0]
+    zero = (0,) * n
+    w = [{(_unit(n, k), zero): complex(P[i, k]) for k in range(n)}
+         for i in range(n)]
+    wbar = [{(zero, _unit(n, k)): complex(P[i, k]).conjugate()
+             for k in range(n)} for i in range(n)]
+    out = {}
+    for (a, b), c in coeffs.items():
+        image = {(zero, zero): c}
+        for i in range(n):
+            for _ in range(a[i]):
+                image = _mul(image, w[i])
+            for _ in range(b[i]):
+                image = _mul(image, wbar[i])
+        for key, v in image.items():
+            _accumulate(out, key, v)
+    return out
+
+
+def _plan(coeffs: dict, real: bool):
+    """Evaluation plan of a monomial map: (real, entries), each entry
+    (c, factors, a != b) with factors (i, d, m) standing for
+    z_i^d |z_i|^(2m) (conj(z_i)^-d when d < 0).  A real-valued
+    (conjugate-symmetric) map keeps one monomial of each conjugate pair
+    with a doubled coefficient, so that pair is evaluated once, as 2 Re."""
+    entries = []
+    for (a, b), c in coeffs.items():
+        if real:
+            if a < b:
+                continue
+            c = c.real if a == b else 2.0 * c
+        factors = tuple((i, ai - bi, min(ai, bi))
+                        for i, (ai, bi) in enumerate(zip(a, b)) if ai or bi)
+        entries.append((c, factors, a != b))
+    return real, tuple(entries)
+
+
+def _factor(Zt, key, cache):
+    v = cache.get(key)
+    if v is None:
+        i, d, m = key
+        z = Zt[i]
+        if d == 0:
+            v = (z * z.conj()).real if m == 1 else _factor(Zt, (i, 0, 1), cache) ** m
+        else:
+            v = z if d > 0 else z.conj()
+            if abs(d) > 1:
+                v = v ** abs(d)
+            if m:
+                v = v * _factor(Zt, (i, 0, m), cache)
+        cache[key] = v
+    return v
+
+
+def _evaluate(plan, Zt, cache: dict):
+    """Sum of a planned monomial map at the points Zt (tuple of arrays);
+    `cache` shares powers between plans evaluated at the same points."""
+    real, entries = plan
+    total = pairs = None
+    for c, factors, off_diagonal in entries:
+        term = None
+        for key in factors:
+            v = _factor(Zt, key, cache)
+            term = v if term is None else term * v
+        term = c if term is None else (term if c == 1 else c * term)
+        if real and off_diagonal:
+            pairs = term if pairs is None else pairs + term
+        else:
+            total = term if total is None else total + term
+    if pairs is not None:
+        total = pairs.real if total is None else total + pairs.real
+    shape = Zt[0].shape if len(Zt) == 1 else np.broadcast(*Zt).shape
+    dtype = float if real else complex
+    if total is None or np.shape(total) != shape or np.result_type(total) != dtype:
+        return np.zeros(shape, dtype) + (0.0 if total is None else total)
+    return total.copy() if any(total is z for z in Zt) else total
 
 
 class Potential:
-    """A strictly psh weight given as a term list over C^n (n = 1 or 2).
+    """A weight over C^n (n = 1 or 2) stored as one conjugate-symmetric
+    map {(a, b): c} over monomials z^a zbar^b (`coeffs`).
 
-    Provides exact values, Wirtinger gradients, the complex Hessian and
-    the holomorphic second derivatives, a radial profile chi with
-    phi(z) = chi(ln|z|^2) when all terms are radial, and sampling onto
-    grids.  Symmetry is inferred from the terms: 'radial' (function of
-    |z|^2), 'reinhardt' (function of (|z_1|^2, |z_2|^2)), else 'general'.
+    Built from a `Term` list, or from monomials directly.  `value`,
+    `grad` (Wirtinger d/dz_i), `hessian` (d^2/dz_i dzbar_j) and `holo2`
+    (d^2/dz_i dz_j) evaluate derivative maps built once by the Wirtinger
+    rules d/dz_i z^a = a_i z^(a - e_i), d/dzbar_j zbar^b = b_j zbar^(b - e_j).
+    Symmetry is read off the monomials: 'reinhardt' when every monomial has
+    a = b (a function of (|z_1|^2, |z_2|^2)), 'radial' when in addition the
+    degree-k part is c_k (|z_1|^2 + |z_2|^2)^k (always, for n = 1), else
+    'general'.  A radial weight has the profile chi, phi(z) = chi(ln|z|^2).
     """
 
     def __init__(self, n: int, terms, name: str = ""):
@@ -80,9 +221,59 @@ class Potential:
             raise ValueError("n must be 1 or 2")
         self.n = n
         self.terms = [t if isinstance(t, Term) else Term(*t) for t in terms]
-        self.name = name
+        coeffs = {}
         for t in self.terms:
             self._check_term(t)
+            _expand(t, n, coeffs)
+        self._build(n, coeffs, name)
+
+    @classmethod
+    def from_monomials(cls, n: int, coeffs: dict, name: str = "") -> "Potential":
+        """Potential of a map {(a, b): c}; the conjugate pairs (a, b), (b, a)
+        are averaged into an exactly conjugate-symmetric (real) weight.
+        Such a potential has no term list."""
+        if n not in (1, 2):
+            raise ValueError("n must be 1 or 2")
+        p = cls.__new__(cls)
+        p.terms = None
+        p._build(n, coeffs, name)
+        return p
+
+    def _build(self, n: int, coeffs: dict, name: str):
+        self.n = n
+        self.name = name
+        sym = {}
+        for (a, b), c in coeffs.items():
+            c = 0.5 * (complex(c) + complex(coeffs.get((b, a), 0.0)).conjugate())
+            if c != 0:
+                sym[(a, b)] = c
+        self.coeffs = sym
+        pairs = ((0, 0),) if n == 1 else ((0, 0), (0, 1), (1, 1))
+        dz = [_wirtinger(sym, i, True) for i in range(n)]
+        self._value_plan = _plan(sym, True)
+        self._grad_plans = tuple(_plan(d, False) for d in dz)
+        self._hess_plans = tuple(_plan(_wirtinger(dz[i], j, False), i == j)
+                                 for i, j in pairs)
+        self._holo2_plans = tuple(_plan(_wirtinger(dz[i], j, True), False)
+                                  for i, j in pairs)
+
+        self._profile = tuple((a, c.real) for (a, b), c in sym.items())
+        radial = {a[0]: c.real for (a, b), c in sym.items() if not any(a[1:])}
+        norm_powers = {e: c * mult for k, c in radial.items()
+                       for e, mult in _norm_power(n, k)}
+        if any(a != b for a, b in sym):
+            self.symmetry = "general"
+        elif norm_powers.keys() == {a for a, b in sym} and all(
+                math.isclose(sym[(e, e)].real, c, rel_tol=1e-14)
+                for e, c in norm_powers.items()):
+            self.symmetry = "radial"
+        else:
+            self.symmetry = "reinhardt"
+        # chi^(j)(t) = sum c k^j e^(kt): coefficient tables built once
+        powers = sorted(radial.items()) or [(0, 0.0)]
+        self._chi = (tuple(powers), tuple((k, c * k) for k, c in powers),
+                     tuple((k, c * k * k) for k, c in powers)) \
+            if self.symmetry == "radial" else None
 
     def _check_term(self, t: Term):
         if t.kind == "polyrad":
@@ -100,48 +291,30 @@ class Potential:
         elif t.kind == "perturb":
             if len(t.exps) != self.n + 1:
                 raise ValueError("perturb needs monomial exponents plus a radial power")
+            if any(e < 0 for e in t.exps):
+                raise ValueError(f"bad perturb exponents {t.exps}")
         elif t.kind == "herm":
             if self.n != 2 or tuple(sorted(t.exps)) != (0, 1):
                 raise ValueError("herm term requires n=2 and indices (0,1)")
 
-    # -- symmetry ------------------------------------------------------
-
-    @property
-    def symmetry(self) -> str:
-        kinds = {t.kind for t in self.terms}
-        if self.n == 1:
-            return "radial" if kinds <= {"const", "polyrad", "ball"} else "general"
-        if kinds <= {"const", "ball"}:
-            return "radial"
-        if kinds <= {"const", "ball", "polyrad"}:
-            return "reinhardt"
-        return "general"
-
     # -- radial profile chi(t), phi = chi(ln rho) ----------------------
 
-    def _radial_powers(self):
-        out = {}
-        for t in self.terms:
-            if t.kind == "const":
-                out[0] = out.get(0, 0.0) + t.coeff.real
-            elif t.kind == "ball" or (t.kind == "polyrad" and self.n == 1):
-                k = t.exps[0]
-                out[k] = out.get(k, 0.0) + t.coeff.real
-            else:
-                raise ValueError("potential is not radial; no chi profile")
-        return sorted(out.items())
+    def _chi_table(self, j: int):
+        if self._chi is None:
+            raise ValueError("potential is not radial; no chi profile")
+        return self._chi[j]
 
     def chi(self, t):
         t = np.asarray(t, dtype=float)
-        return sum(c * np.exp(k * t) for k, c in self._radial_powers())
+        return sum(c * np.exp(k * t) for k, c in self._chi_table(0))
 
     def chi_prime(self, t):
         t = np.asarray(t, dtype=float)
-        return sum(c * k * np.exp(k * t) for k, c in self._radial_powers())
+        return sum(c * np.exp(k * t) for k, c in self._chi_table(1))
 
     def chi_second(self, t):
         t = np.asarray(t, dtype=float)
-        return sum(c * k * k * np.exp(k * t) for k, c in self._radial_powers())
+        return sum(c * np.exp(k * t) for k, c in self._chi_table(2))
 
     def log_profile(self, t1, t2):
         """Reinhardt profile chi(t1, t2) with phi = chi(ln|z1|^2, ln|z2|^2)."""
@@ -150,14 +323,8 @@ class Potential:
         t1 = np.asarray(t1, dtype=float)
         t2 = np.asarray(t2, dtype=float)
         out = np.zeros(np.broadcast(t1, t2).shape)
-        for t in self.terms:
-            if t.kind == "const":
-                out = out + t.coeff.real
-            elif t.kind == "ball":
-                out = out + t.coeff.real * (np.exp(t1) + np.exp(t2)) ** t.exps[0]
-            else:
-                e1, e2 = (t.exps if len(t.exps) == 2 else (t.exps[0], 0))
-                out = out + t.coeff.real * np.exp(e1 * t1 + e2 * t2)
+        for (e1, e2), c in self._profile:
+            out = out + c * np.exp(e1 * t1 + e2 * t2)
         return out
 
     # -- pointwise calculus --------------------------------------------
@@ -169,303 +336,34 @@ class Potential:
         return (np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
 
     def value(self, Z):
-        Zt = self._as_tuple(Z)
-        rho = _rho(Zt if self.n == 2 else Zt[0])
-        out = np.zeros(rho.shape if rho.ndim else ())
-        for t in self.terms:
-            out = out + self._term_value(t, Zt, rho)
-        return out
+        return _evaluate(self._value_plan, self._as_tuple(Z), {})
 
     def __call__(self, Z):
         return self.value(Z)
 
-    def _term_value(self, t, Zt, rho):
-        c = t.coeff
-        if t.kind == "const":
-            return np.full_like(rho, c.real)
-        if t.kind == "ball":
-            return c.real * rho ** t.exps[0]
-        if t.kind == "polyrad":
-            exps = t.exps if len(t.exps) == self.n else t.exps + (0,)
-            out = c.real
-            for z, e in zip(Zt, exps):
-                if e:
-                    out = out * ((z * z.conj()).real ** e)
-            return out * np.ones_like(rho)
-        if t.kind == "reharm":
-            mono = np.ones_like(Zt[0])
-            for z, m in zip(Zt, t.exps):
-                mono = mono * _zpow(z, m)
-            return (c * mono).real
-        if t.kind == "perturb":
-            *ms, k = t.exps
-            mono = np.ones_like(Zt[0])
-            for z, m in zip(Zt, ms):
-                mono = mono * _zpow(z, m)
-            return (c * mono).real * rho ** k
-        if t.kind == "herm":
-            i, j = t.exps
-            return c.real * (Zt[i] * Zt[j].conj()).real
-        raise AssertionError
-
     def grad(self, Z):
         """Wirtinger gradient (d/dz_1, ..., d/dz_n); f real so f_zbar = conj."""
-        Zt = self._as_tuple(Z)
-        rho = _rho(Zt if self.n == 2 else Zt[0])
-        out = [np.zeros_like(Zt[0]) for _ in range(self.n)]
-        for t in self.terms:
-            for i in range(self.n):
-                out[i] = out[i] + self._term_dz(t, Zt, rho, i)
-        return out[0] if self.n == 1 else tuple(out)
-
-    def _term_dz(self, t, Zt, rho, i):
-        c = t.coeff
-        z = Zt[i]
-        if t.kind == "const":
-            return np.zeros_like(z)
-        if t.kind == "ball":
-            k = t.exps[0]
-            return c.real * k * rho ** (k - 1) * z.conj()
-        if t.kind == "polyrad":
-            exps = t.exps if len(t.exps) == self.n else t.exps + (0,)
-            e = exps[i]
-            if e == 0:
-                return np.zeros_like(z)
-            out = c.real * e * ((z * z.conj()).real ** (e - 1)) * z.conj()
-            for jj, (zj, ej) in enumerate(zip(Zt, exps)):
-                if jj != i and ej:
-                    out = out * ((zj * zj.conj()).real ** ej)
-            return out
-        if t.kind == "reharm":
-            m = t.exps[i]
-            if m == 0:
-                return np.zeros_like(z)
-            out = 0.5 * c * m * _zpow(z, m - 1)
-            for jj, (zj, mj) in enumerate(zip(Zt, t.exps)):
-                if jj != i:
-                    out = out * _zpow(zj, mj)
-            return out
-        if t.kind == "perturb":
-            *ms, k = t.exps
-            mono = np.ones_like(Zt[0])
-            for zj, mj in zip(Zt, ms):
-                mono = mono * _zpow(zj, mj)
-            u = 0.5 * (c * mono)          # u + conj(u) = Re part
-            uz = np.zeros_like(z)
-            if ms[i]:
-                uz = 0.5 * c * ms[i] * _zpow(z, ms[i] - 1)
-                for jj, (zj, mj) in enumerate(zip(Zt, ms)):
-                    if jj != i:
-                        uz = uz * _zpow(zj, mj)
-            v = rho ** k
-            vz = k * rho ** (k - 1) * z.conj() if k else np.zeros_like(z)
-            return uz * v + 2.0 * u.real * vz
-        if t.kind == "herm":
-            a, bidx = t.exps
-            if i == a:
-                return 0.5 * c.real * Zt[bidx].conj()
-            if i == bidx:
-                return 0.5 * c.real * Zt[a].conj()
-            return np.zeros_like(z)
-        raise AssertionError
+        Zt, cache = self._as_tuple(Z), {}
+        out = tuple(_evaluate(plan, Zt, cache) for plan in self._grad_plans)
+        return out[0] if self.n == 1 else out
 
     def hessian(self, Z):
         """Complex Hessian d^2 f / dz_i dzbar_j.
 
         n=1: one real array.  n=2: (h11, h12, h22) with h12 complex.
         """
-        Zt = self._as_tuple(Z)
-        rho = _rho(Zt if self.n == 2 else Zt[0])
-        if self.n == 1:
-            out = np.zeros_like(rho)
-            for t in self.terms:
-                out = out + self._term_hess(t, Zt, rho, 0, 0).real
-            return out
-        h11 = np.zeros_like(rho)
-        h22 = np.zeros_like(rho)
-        h12 = np.zeros_like(Zt[0])
-        for t in self.terms:
-            h11 = h11 + self._term_hess(t, Zt, rho, 0, 0).real
-            h22 = h22 + self._term_hess(t, Zt, rho, 1, 1).real
-            h12 = h12 + self._term_hess(t, Zt, rho, 0, 1)
-        return h11, h12, h22
-
-    def _term_hess(self, t, Zt, rho, i, j):
-        """d^2 term / dz_i dzbar_j."""
-        c = t.coeff
-        zi, zj = Zt[i], Zt[j]
-        zeros = np.zeros_like(zi)
-        if t.kind in ("const", "reharm"):
-            return zeros
-        if t.kind == "ball":
-            k = t.exps[0]
-            out = (k * rho ** (k - 1)) if i == j else zeros
-            if k >= 2:
-                out = out + k * (k - 1) * rho ** (k - 2) * zj * zi.conj()
-            return out + 0j
-        if t.kind == "polyrad":
-            exps = t.exps if len(t.exps) == self.n else t.exps + (0,)
-            if i == j:
-                e = exps[i]
-                if e == 0:
-                    return zeros
-                out = c.real * e * e * ((zi * zi.conj()).real ** (e - 1))
-                for kk, (zk, ek) in enumerate(zip(Zt, exps)):
-                    if kk != i and ek:
-                        out = out * ((zk * zk.conj()).real ** ek)
-                return out + 0j
-            ei, ej = exps[i], exps[j]
-            if ei == 0 or ej == 0:
-                return zeros
-            out = c.real * ei * ej \
-                * ((zi * zi.conj()).real ** (ei - 1)) * zi.conj() \
-                * ((zj * zj.conj()).real ** (ej - 1)) * zj
-            return out
-        if t.kind == "perturb":
-            *ms, k = t.exps
-            mono = np.ones_like(Zt[0])
-            for zk, mk in zip(Zt, ms):
-                mono = mono * _zpow(zk, mk)
-            hol = c * mono                       # f = Re(hol) * rho^k
-            # u = Re(hol): u_{z_i} = (c/2) d mono/dz_i ; u_{zbar_j} = conj at j
-            def dmono(idx):
-                if ms[idx] == 0:
-                    return zeros
-                out = ms[idx] * _zpow(Zt[idx], ms[idx] - 1)
-                for kk, (zk, mk) in enumerate(zip(Zt, ms)):
-                    if kk != idx:
-                        out = out * _zpow(zk, mk)
-                return out
-            u_zi = 0.5 * c * dmono(i)
-            u_zbarj = (0.5 * c * dmono(j)).conj()
-            v = rho ** k
-            v_zi = k * rho ** (k - 1) * zi.conj() if k else zeros
-            v_zbarj = k * rho ** (k - 1) * zj if k else zeros
-            v_hess = (k * rho ** (k - 1) if (i == j and k) else zeros)
-            if k >= 2:
-                v_hess = v_hess + k * (k - 1) * rho ** (k - 2) * zj * zi.conj()
-            return u_zi * v_zbarj + u_zbarj * v_zi + hol.real * v_hess
-        if t.kind == "herm":
-            a, bidx = t.exps
-            if (i, j) == (a, bidx) or (i, j) == (bidx, a):
-                return 0.5 * c.real + zeros
-            return zeros
-        raise AssertionError
+        Zt, cache = self._as_tuple(Z), {}
+        out = tuple(_evaluate(plan, Zt, cache) for plan in self._hess_plans)
+        return out[0] if self.n == 1 else out
 
     def holo2(self, Z):
         """Holomorphic second derivatives d^2 f / dz_i dz_j.
 
         n=1: one complex array; n=2: (f_11, f_12, f_22).
         """
-        Zt = self._as_tuple(Z)
-        rho = _rho(Zt if self.n == 2 else Zt[0])
-        if self.n == 1:
-            out = np.zeros_like(Zt[0])
-            for t in self.terms:
-                out = out + self._term_holo2(t, Zt, rho, 0, 0)
-            return out
-        pairs = [(0, 0), (0, 1), (1, 1)]
-        outs = [np.zeros_like(Zt[0]) for _ in pairs]
-        for t in self.terms:
-            for kk, (i, j) in enumerate(pairs):
-                outs[kk] = outs[kk] + self._term_holo2(t, Zt, rho, i, j)
-        return tuple(outs)
-
-    def _term_holo2(self, t, Zt, rho, i, j):
-        c = t.coeff
-        zi, zj = Zt[i], Zt[j]
-        zeros = np.zeros_like(zi)
-        if t.kind in ("const", "herm"):
-            return zeros
-        if t.kind == "ball":
-            k = t.exps[0]
-            if k < 2:
-                return zeros
-            return c.real * k * (k - 1) * rho ** (k - 2) * zi.conj() * zj.conj()
-        if t.kind == "polyrad":
-            exps = t.exps if len(t.exps) == self.n else t.exps + (0,)
-            if i == j:
-                e = exps[i]
-                if e < 2:
-                    return zeros
-                out = c.real * e * (e - 1) * ((zi * zi.conj()).real ** (e - 2)) \
-                    * zi.conj() ** 2
-            else:
-                ei, ej = exps[i], exps[j]
-                if ei == 0 or ej == 0:
-                    return zeros
-                out = c.real * ei * ej \
-                    * ((zi * zi.conj()).real ** (ei - 1)) * zi.conj() \
-                    * ((zj * zj.conj()).real ** (ej - 1)) * zj.conj()
-            for kk, (zk, ek) in enumerate(zip(Zt, exps)):
-                if kk not in (i, j) and ek:
-                    out = out * ((zk * zk.conj()).real ** ek)
-            return out
-        if t.kind == "reharm":
-            ms = t.exps
-            if i == j:
-                if ms[i] < 2:
-                    return zeros
-                out = 0.5 * c * ms[i] * (ms[i] - 1) * _zpow(zi, ms[i] - 2)
-                for kk, (zk, mk) in enumerate(zip(Zt, ms)):
-                    if kk != i:
-                        out = out * _zpow(zk, mk)
-                return out
-            if ms[i] == 0 or ms[j] == 0:
-                return zeros
-            out = 0.5 * c * ms[i] * ms[j] * _zpow(zi, ms[i] - 1) * _zpow(zj, ms[j] - 1)
-            for kk, (zk, mk) in enumerate(zip(Zt, ms)):
-                if kk not in (i, j):
-                    out = out * _zpow(zk, mk)
-            return out
-        if t.kind == "perturb":
-            *ms, k = t.exps
-            mono = np.ones_like(Zt[0])
-            for zk, mk in zip(Zt, ms):
-                mono = mono * _zpow(zk, mk)
-            def dmono(idx):
-                if ms[idx] == 0:
-                    return zeros
-                out = ms[idx] * _zpow(Zt[idx], ms[idx] - 1)
-                for kk, (zk, mk) in enumerate(zip(Zt, ms)):
-                    if kk != idx:
-                        out = out * _zpow(zk, mk)
-                return out
-            def d2mono(ii, jj):
-                mss = list(ms)
-                if ii == jj:
-                    if mss[ii] < 2:
-                        return zeros
-                    out = mss[ii] * (mss[ii] - 1) * _zpow(Zt[ii], mss[ii] - 2)
-                else:
-                    if mss[ii] == 0 or mss[jj] == 0:
-                        return zeros
-                    out = mss[ii] * mss[jj] * _zpow(Zt[ii], mss[ii] - 1) \
-                        * _zpow(Zt[jj], mss[jj] - 1)
-                for kk in range(len(mss)):
-                    if kk not in (ii, jj):
-                        out = out * _zpow(Zt[kk], mss[kk])
-                return out
-            u = 0.5 * c * mono                    # holomorphic half; Re部 = u+conj
-            u_i, u_j = 0.5 * c * dmono(i), 0.5 * c * dmono(j)
-            u_ij = 0.5 * c * d2mono(i, j)
-            v = rho ** k
-            v_i = k * rho ** (k - 1) * zi.conj() if k else zeros
-            v_j = k * rho ** (k - 1) * zj.conj() if k else zeros
-            v_ij = (k * (k - 1) * rho ** (k - 2) * zi.conj() * zj.conj()
-                    if k >= 2 else zeros)
-            re_u = (u + u.conj()).real
-            return u_ij * v + u_i * v_j + u_j * v_i + re_u * v_ij
-        raise AssertionError
-
-    # -- real-coordinate derivatives (n=1 convenience) ------------------
-
-    def grad_real(self, Z):
-        """(f_x, f_y) for n=1: f_x = 2 Re f_z, f_y = -2 Im f_z."""
-        if self.n != 1:
-            raise ValueError("grad_real is n=1 only")
-        fz = self.grad(Z)
-        return 2.0 * fz.real, -2.0 * fz.imag
+        Zt, cache = self._as_tuple(Z), {}
+        out = tuple(_evaluate(plan, Zt, cache) for plan in self._holo2_plans)
+        return out[0] if self.n == 1 else out
 
     def density(self, Z):
         """dd^c density w.r.t. Lebesgue area (n=1): f_{z zbar} / pi."""
@@ -494,6 +392,8 @@ class Potential:
     # -- serialization ----------------------------------------------------
 
     def to_lines(self):
+        if self.terms is None:
+            raise ValueError("a potential built from monomials has no term list")
         out = []
         for t in self.terms:
             if t.coeff.imag == 0:
@@ -592,7 +492,6 @@ def validate_strict_psh(p, grid: GridSpec) -> PshCertificate:
 
 def field_min_density(f: ScalarField):
     """FD strict-subharmonicity certificate for a sampled n=1 field."""
-    from .field_grid import ddc_component
     dens = ddc_component(f)
     vals = np.where(dens.mask, dens.values, np.inf)
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
@@ -603,67 +502,11 @@ def field_min_density(f: ScalarField):
 # chart normalization
 # ---------------------------------------------------------------------------
 
-class TransformedPotential:
-    """q(z) = base(Pz) - h(Pz) for an n=2 linear change of coordinates.
-
-    The chain rule for a holomorphic linear map w = Pz:
-    q_z = P^T g_w,  q_{z zbar} = P^T H_g conj(P),  q_{zz} = P^T (g_ww) P.
-    """
-
-    def __init__(self, base: Potential, h: Potential, P: np.ndarray):
-        self.base = base
-        self.h = h
-        self.P = np.asarray(P, dtype=complex)
-        self.n = base.n
-        self.name = base.name + "~normalized"
-
-    @property
-    def symmetry(self):
-        return "general"
-
-    def _map(self, Z):
-        z1 = np.asarray(Z[0], dtype=complex)
-        z2 = np.asarray(Z[1], dtype=complex)
-        w1 = self.P[0, 0] * z1 + self.P[0, 1] * z2
-        w2 = self.P[1, 0] * z1 + self.P[1, 1] * z2
-        return (w1, w2)
-
-    def value(self, Z):
-        W = self._map(Z)
-        return self.base.value(W) - self.h.value(W)
-
-    def __call__(self, Z):
-        return self.value(Z)
-
-    def grad(self, Z):
-        W = self._map(Z)
-        g1, g2 = self.base.grad(W)
-        e1, e2 = self.h.grad(W)
-        g1, g2 = g1 - e1, g2 - e2
-        return (self.P[0, 0] * g1 + self.P[1, 0] * g2,
-                self.P[0, 1] * g1 + self.P[1, 1] * g2)
-
-    def hessian(self, Z):
-        W = self._map(Z)
-        b11, b12, b22 = self.base.hessian(W)
-        c11, c12, c22 = self.h.hessian(W)
-        H = [[b11 - c11, b12 - c12], [(b12 - c12).conj(), b22 - c22]]
-        P = self.P
-        out = {}
-        for a in range(2):
-            for b in range(2):
-                acc = 0
-                for i in range(2):
-                    for j in range(2):
-                        acc = acc + P[i, a] * np.conj(P[j, b]) * H[i][j]
-                out[(a, b)] = acc
-        return out[(0, 0)].real, out[(0, 1)], out[(1, 1)].real
-
-    def sample(self, grid: GridSpec) -> ScalarField:
-        if grid.style != "cartesian" or grid.n != 2:
-            raise ValueError("transformed potentials sample on cartesian n=2 grids")
-        vals = self.value(grid.nodes())
-        return ScalarField(grid, vals)
+def _gamma(p: Potential) -> np.ndarray:
+    """Complex Hessian at the origin: the coefficients of z_i zbar_j."""
+    e = [_unit(p.n, i) for i in range(p.n)]
+    return np.array([[p.coeffs.get((ei, ej), 0.0) for ej in e] for ei in e],
+                    dtype=complex)
 
 
 @dataclass
@@ -676,18 +519,12 @@ class NormalizedChart:
     original: Potential
     h: Potential
     P: np.ndarray
-    normalized: object
+    normalized: Potential
     normal_dims: int
     chart_radius: float = 1.0
 
     def hessian_at_zero(self):
-        zero = (np.zeros(()) + 0j,) * self.original.n
-        q = self.normalized
-        if self.original.n == 1:
-            return np.atleast_2d(q.hessian(zero[0]))
-        h11, h12, h22 = q.hessian(zero)
-        return np.array([[complex(h11), complex(h12)],
-                         [complex(np.conj(h12)), complex(h22)]])
+        return _gamma(self.normalized)
 
 
 def _gamma_gram_schmidt(Gamma: np.ndarray, r: int) -> np.ndarray:
@@ -716,82 +553,30 @@ def normalize_chart(p: Potential, normal_dims: int | None = None,
     """Split p into a pluriharmonic part h (constant + Re-linear + Re-holo-
     quadratic) plus a weight with identity complex Hessian at the origin.
 
-    Returns the change of coordinates P with P^* Gamma P = I (Gamma the
-    complex Hessian of p at 0), chosen block-lower-triangular so the
-    subspace spanned by the last n - normal_dims coordinates is preserved.
-    The normalized weight is p(Pz) - h(Pz) = |z|^2 + O(|z|^3).
+    Gamma (the complex Hessian of p at 0) and h (the monomials free of z or
+    of zbar, of degree <= 2) are read off the coefficients.  Returns the
+    change of coordinates P with P^* Gamma P = I, chosen block-lower-
+    triangular so the subspace spanned by the last n - normal_dims
+    coordinates is preserved.  The normalized weight is the polynomial
+    p(Pz) - h(Pz) = |z|^2 + O(|z|^3).
     """
     n = p.n
     r = n if normal_dims is None else normal_dims
     if not (1 <= r <= n):
         raise ValueError("normal_dims out of range")
-    zero = np.zeros((), dtype=complex) if n == 1 else (np.zeros((), complex),) * 2
-
-    alpha = float(p.value(zero))
-    g = p.grad(zero)
-    grads = [complex(g)] if n == 1 else [complex(g[0]), complex(g[1])]
-    h2 = p.holo2(zero)
-    if n == 1:
-        Gamma = np.array([[complex(p.hessian(zero))]])
-        betas = {(0, 0): complex(h2)}
-    else:
-        h11, h12, h22 = p.hessian(zero)
-        Gamma = np.array([[complex(h11), complex(h12)],
-                          [complex(np.conj(h12)), complex(h22)]])
-        b11, b12, b22 = h2
-        betas = {(0, 0): complex(b11), (0, 1): complex(b12), (1, 1): complex(b22)}
-
-    eigs = np.linalg.eigvalsh(Gamma)
-    if eigs.min() <= 0:
+    Gamma = _gamma(p)
+    if np.linalg.eigvalsh(Gamma).min() <= 0:
         raise ValueError("not strictly psh at origin (degenerate Hessian)")
 
-    # pluriharmonic part through order two
-    h_terms = []
-    if alpha != 0.0:
-        h_terms.append(Term("const", alpha))
-    for i, gi in enumerate(grads):
-        if gi != 0:
-            m = tuple(1 if k == i else 0 for k in range(n))
-            h_terms.append(Term("reharm", 2.0 * gi, m))
-    for (i, j), b in betas.items():
-        if b != 0:
-            m = tuple((2 if k == i else 0) if i == j else (1 if k in (i, j) else 0)
-                      for k in range(n))
-            coeff = b if i == j else 2.0 * b
-            h_terms.append(Term("reharm", coeff, m))
-    h_pot = Potential(n, h_terms) if h_terms else Potential(n, [Term("const", 0.0)])
-
-    if n == 1:
-        P = np.array([[1.0 / math.sqrt(Gamma[0, 0].real)]], dtype=complex)
-        scale = P[0, 0]
-        new_terms = []
-        for t in p.terms + [Term(t.kind, -t.coeff, t.exps) for t in h_pot.terms]:
-            if t.kind == "const":
-                c = t.coeff
-            elif t.kind == "polyrad" or t.kind == "ball":
-                c = t.coeff * abs(scale) ** (2 * t.exps[0])
-            elif t.kind == "reharm":
-                c = t.coeff * scale ** t.exps[0]
-            elif t.kind == "perturb":
-                m, k = t.exps
-                c = t.coeff * scale ** m * abs(scale) ** (2 * k)
-            else:
-                raise AssertionError
-            new_terms.append(Term(t.kind, c, t.exps))
-        merged = {}
-        for t in new_terms:
-            key = (t.kind, t.exps)
-            merged[key] = merged.get(key, 0.0) + t.coeff
-        terms = [Term(k[0], c, k[1]) for k, c in merged.items()
-                 if abs(c) > 1e-300]
-        normalized = Potential(1, terms or [Term("const", 0.0)],
-                               name=p.name + "~normalized")
-    else:
-        P = _gamma_gram_schmidt(Gamma, r)
-        normalized = TransformedPotential(p, h_pot, P)
-
-    chart = NormalizedChart(original=p, h=h_pot, P=P, normalized=normalized,
-                            normal_dims=r, chart_radius=chart_radius)
+    h = {(a, b): c for (a, b), c in p.coeffs.items()
+         if min(sum(a), sum(b)) == 0 and sum(a) + sum(b) <= 2}
+    rest = {key: c for key, c in p.coeffs.items() if key not in h}
+    P = _gamma_gram_schmidt(Gamma, r)
+    normalized = Potential.from_monomials(n, _substitute(rest, P),
+                                          name=p.name + "~normalized")
+    chart = NormalizedChart(original=p, h=Potential.from_monomials(n, h), P=P,
+                            normalized=normalized, normal_dims=r,
+                            chart_radius=chart_radius)
     H0 = chart.hessian_at_zero()
     if np.max(np.abs(H0 - np.eye(n))) > 1e-10:
         raise AssertionError("normalization failed to reach identity Hessian")
@@ -897,7 +682,7 @@ def regularized_max(a: ScalarField, b: ScalarField, bump_width: float) -> Scalar
             f"hypothesis a(0) > b(0) + bump_width fails at the origin: "
             f"{a0:.6g} <= {b0:.6g} + {bump_width:.6g}")
     mask = a.mask & b.mask
-    rim = mask & ~erode_rim(mask)
+    rim = mask & ~erode_mask(mask)
     d = a.values - b.values
     if rim.any():
         worst = float(np.max(d[rim]))
@@ -910,11 +695,6 @@ def regularized_max(a: ScalarField, b: ScalarField, bump_width: float) -> Scalar
     u = np.where(d >= bump_width, a.values, np.where(d <= -bump_width,
                                                      b.values, u))
     return ScalarField(grid, np.where(mask, u, 0.0), mask)
-
-
-def erode_rim(mask):
-    from .field_grid import erode_mask
-    return erode_mask(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,19 @@ def test_parse_unknown_key_line_numbered():
                      "[potential]\nbuiltin flat\n")
 
 
+@pytest.mark.parametrize("key", ["threads", "lambda_count", "leaf_anchors"])
+def test_parse_removed_keys_rejected(key):
+    with pytest.raises(ConfigError, match=f"line 2: unknown key {key!r}"):
+        parse_config(f"command = envelope\n{key} = 2\n[potential]\nbuiltin flat\n")
+
+
+def test_threads_flag_removed(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE)
+    with pytest.raises(SystemExit):
+        main(["envelope", "--config", str(cfg), "--threads", "2"])
+
+
 def test_parse_lambda_exceeds_cutoff():
     text = ("command = geodesic\nlambda = 0.9\nc = 0.5\n"
             "[potential]\nbuiltin flat\n")

@@ -29,6 +29,7 @@ def _fd_hessian(p, z, h=1e-5):
     [Term("reharm", 0.3 + 0.1j, (3,))],
     [Term("perturb", 0.2, (2, 1))],
     [Term("polyrad", 1.0, (1,)), Term("perturb", -0.1, (3, 2))],
+    [Term("ball", 0.7, (3,))],
 ])
 def test_term_hessian_matches_fd(terms):
     p = Potential(1, terms)
@@ -62,6 +63,43 @@ def test_n2_hessian_matches_fd():
               + val(z[0] - 1j * h, z[1]) - 4 * val(*z)) / (4 * h * h)
     h11, h12, h22 = p.hessian((np.asarray(z[0]), np.asarray(z[1])))
     assert float(h11) == pytest.approx(h11_fd, abs=1e-5)
+
+
+def test_n2_ball_hessian_scales_with_coefficient():
+    # 2 (|z1|^2 + |z2|^2): the complex Hessian is 2 I everywhere
+    p = Potential(2, [Term("ball", 2.0, (1,))])
+    z = (0.3 + 0.2j, -0.4 + 0.1j)
+    h = 1e-5
+
+    def val(x):
+        z1 = complex(x[0], x[1])
+        z2 = complex(x[2], x[3])
+        return float(p.value((np.asarray(z1), np.asarray(z2))))
+
+    x0 = np.array([z[0].real, z[0].imag, z[1].real, z[1].imag])
+
+    def d2(i, j):
+        ei, ej = np.eye(4)[i] * h, np.eye(4)[j] * h
+        return (val(x0 + ei + ej) - val(x0 + ei - ej) - val(x0 - ei + ej)
+                + val(x0 - ei - ej)) / (4 * h * h)
+
+    # f_{z_i zbar_j} = (f_{x_i x_j} + f_{y_i y_j} + i(f_{x_i y_j} - f_{y_i x_j})) / 4
+    fd = {(i, j): 0.25 * (d2(2 * i, 2 * j) + d2(2 * i + 1, 2 * j + 1)
+                          + 1j * (d2(2 * i, 2 * j + 1) - d2(2 * i + 1, 2 * j)))
+          for i in range(2) for j in range(2)}
+    h11, h12, h22 = p.hessian((np.asarray(z[0]), np.asarray(z[1])))
+    assert float(h11) == pytest.approx(fd[(0, 0)].real, abs=1e-5)
+    assert float(h22) == pytest.approx(fd[(1, 1)].real, abs=1e-5)
+    assert complex(h12) == pytest.approx(fd[(0, 1)], abs=1e-5)
+    assert float(h11) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_validate_ball_coefficient(n):
+    p = Potential(n, [Term("ball", 2.0, (1,))])
+    cert = validate_strict_psh(p, build_grid(n, 64 if n == 1 else 16, 1.0))
+    assert cert.valid
+    assert cert.min_eig == 2.0
 
 
 def test_radial_profile_consistency(quartic):
