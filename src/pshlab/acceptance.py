@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .field_grid import ScalarField, build_grid, c2_norm
+from .field_grid import ScalarField, build_grid, c2_norm, erode_mask
 from .potential_kit import (Potential, Term, builtin_potential,
                             field_min_density, glue_to_ball, normalize_chart,
                             regularized_max, validate_strict_psh)
@@ -256,21 +256,13 @@ def _level_set_bands(ray, slices):
         if not diff.any():
             continue
         # one-node band: every differing node touches the boundary of m1
-        edge = m1 ^ _erode(m1)
+        edge = m1 ^ erode_mask(m1)
         edge = _dilate(edge)
         if (diff & ~edge).any():
             worst = max(worst, 2)
         else:
             worst = max(worst, 1)
     return worst
-
-
-def _erode(m):
-    out = m.copy()
-    out[1:-1, 1:-1] = (m[1:-1, 1:-1] & m[2:, 1:-1] & m[:-2, 1:-1]
-                       & m[1:-1, 2:] & m[1:-1, :-2])
-    out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = False
-    return out
 
 
 def _dilate(m):

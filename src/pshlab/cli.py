@@ -33,7 +33,7 @@ from .envelope_solver import (EnvelopeResult, extract_equilibrium,
 from .geodesic_legendre import (assemble_geodesic, certified_lambda,
                                 grid_slices, hamiltonian, hmae_residual,
                                 oracle_slices, weak_solution)
-from .ma_measure import boundary_mass, ma_mass, reproducing_check
+from .ma_measure import boundary_mass, ma_mass
 from .foliation_tube import (build_tubular_map, disc_area, polar_anchor_net,
                              trace_leaf)
 
@@ -47,7 +47,7 @@ _COMMANDS = ("envelope", "flow", "geodesic", "foliate", "verify")
 _KEY_TYPES = {
     "command": str, "backend": str, "n": int, "resolution": int,
     "radius": float, "style": str, "lambda": float, "lambdas": str,
-    "c": float, "tol": float, "max_iters": int, "k_max": int, "out": str,
+    "c": float, "tol": float, "max_iters": int, "out": str,
     "t_count": int, "lambda_nodes": int, "anchor_rings": int,
     "anchor_angles": int, "quick": int,
 }
@@ -66,7 +66,6 @@ class RunConfig:
     c: float | None = None
     tol: float = 1e-10
     max_iters: int = 500_000
-    k_max: int = 4
     out: str = "pshlab_out"
     t_count: int = 96
     lambda_nodes: int = 64
@@ -99,7 +98,7 @@ class RunConfig:
              "style": self.style, "lambda": self.lam,
              "lambdas": ",".join(f"{v:g}" for v in self.lambdas),
              "c": self.cutoff(), "tol": self.tol, "max_iters": self.max_iters,
-             "k_max": self.k_max, "t_count": self.t_count,
+             "t_count": self.t_count,
              "lambda_nodes": self.lambda_nodes,
              "defaults_used": ",".join(self.defaults_used)}
         return d

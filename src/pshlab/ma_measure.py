@@ -4,9 +4,11 @@ check on equilibrium complements.
 With dd^c normalised so that dd^c ln|z|^2 is the unit Dirac mass, the
 measure of a weight phi on a region of the plane is the integral of the
 density phi_{z zbar} / pi.  Masses are integrated cell by cell: cells cut
-by the region's boundary polyline contribute the exact clipped fraction
-of their area, evaluated at the clipped centroid, otherwise moment errors
-at the free boundary would dominate the targets.  Sums run through
+by the region's boundary polyline contribute the exact area of their
+overlap with the polygon, evaluated at the overlap's exact centroid
+(both from edge line integrals over all cut cells in one vectorized
+pass, `geometry.cell_coverage`), otherwise moment errors at the free
+boundary would dominate the targets.  Sums run through
 math.fsum in a fixed raster order: exact rounding makes symmetric
 contributions cancel to machine precision and keeps outputs bitwise
 deterministic.
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope_solver import EnvelopeResult, extract_equilibrium
-from .geometry import (clip_polygon_to_rect, points_in_polygon, polygon_area,
-                       polygon_centroid)
+from .geometry import cell_coverage, expand_ranges, points_in_polygon
 
 
 @dataclass
@@ -49,32 +50,36 @@ class MeasureReport:
 
 
 def _cells_near_polyline(grid, poly):
-    """Raster indices of cells within one cell of a polyline segment."""
+    """Raster mask of cells within one cell of a polyline segment: every
+    segment is sampled at spacing <= h/2 (as np.linspace would) and the
+    sampled cells are dilated by one cell in 3x3."""
     ax = grid.axis()
     h = grid.h
     n = grid.resolution
+    pts = np.asarray(poly, dtype=float)
+    d = np.roll(pts, -1, axis=0) - pts
+    steps = np.maximum(2, (np.hypot(d[:, 0], d[:, 1]) / (0.5 * h)).astype(int) + 2)
+    seg, k = expand_ranges(np.zeros_like(steps), steps)
+    ts = k * (1.0 / (steps[seg] - 1))
+    ts[k == steps[seg] - 1] = 1.0
+    samples = pts[seg] + ts[:, None] * d[seg]
+    ii, jj = np.clip(np.round((samples - ax[0]) / h).astype(int), 0, n - 1).T
     hot = np.zeros((n, n), dtype=bool)
-    pts = np.asarray(poly)
-    nxt = np.roll(pts, -1, axis=0)
-    for (x0, y0), (x1, y1) in zip(pts, nxt):
-        steps = max(2, int(np.hypot(x1 - x0, y1 - y0) / (0.5 * h)) + 2)
-        ts = np.linspace(0.0, 1.0, steps)
-        xs = x0 + ts * (x1 - x0)
-        ys = y0 + ts * (y1 - y0)
-        ii = np.clip(np.round((xs - ax[0]) / h).astype(int), 0, n - 1)
-        jj = np.clip(np.round((ys - ax[0]) / h).astype(int), 0, n - 1)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                hot[np.clip(ii + di, 0, n - 1), np.clip(jj + dj, 0, n - 1)] = True
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            hot[np.clip(ii + di, 0, n - 1), np.clip(jj + dj, 0, n - 1)] = True
     return hot
 
 
-def _region_cells(p, grid, mask, poly, k_max):
-    """Per-cell contributions (area-weighted densities times z^k)."""
+def _region_cells(grid, mask, poly):
+    """Cell evaluation points and area weights of a region: full cells at
+    their centre with area h^2, cut cells at the exact centroid of their
+    overlap with the polygon, with its exact area."""
     ax = grid.axis()
     h = grid.h
     cell_area = h * h
-    if poly is not None and len(poly) >= 3:
+    cut = poly is not None and len(poly) >= 3
+    if cut:
         hot = _cells_near_polyline(grid, poly)
         x, y = np.meshgrid(ax, ax, indexing="ij")
         inside = points_in_polygon(x, y, poly)
@@ -91,28 +96,14 @@ def _region_cells(p, grid, mask, poly, k_max):
         raise ValueError("region touches the masked-out boundary layer of "
                          "the grid")
 
-    zs = []
-    areas = []
-    # full cells: centre evaluation, exact cell area
     xi, yi = np.nonzero(full)
-    zs.append(ax[xi] + 1j * ax[yi])
-    areas.append(np.full(len(xi), cell_area))
-    # cut cells: exact polygon clipping, centroid evaluation
-    if poly is not None and len(poly) >= 3:
-        for i, j in zip(*np.nonzero(hot)):
-            x0, y0 = ax[i] - 0.5 * h, ax[j] - 0.5 * h
-            clipped = clip_polygon_to_rect(np.asarray(poly), x0, x0 + h,
-                                           y0, y0 + h)
-            if len(clipped) < 3:
-                continue
-            a = abs(polygon_area(clipped))
-            if a <= 0.0:
-                continue
-            cx, cy = polygon_centroid(clipped)
-            zs.append(np.array([cx + 1j * cy]))
-            areas.append(np.array([a]))
-    z = np.concatenate(zs) if zs else np.zeros(0, complex)
-    w = np.concatenate(areas) if areas else np.zeros(0)
+    z = ax[xi] + 1j * ax[yi]
+    w = np.full(len(xi), cell_area)
+    if cut:
+        area, cx, cy = cell_coverage(poly, ax - 0.5 * h, h, *np.nonzero(hot))
+        covered = area > 0.0
+        z = np.concatenate([z, cx[covered] + 1j * cy[covered]])
+        w = np.concatenate([w, area[covered]])
     return z, w
 
 
@@ -122,7 +113,7 @@ def ma_mass(p, region_mask=None, grid=None, polyline=None,
 
     Radial weights with a disc region {|z| <= radius}: exact, the
     enclosed mass is chi'(ln radius^2).  Otherwise (n=1): cell sums of
-    the closed-form density with polygon clipping along `polyline`; the
+    the closed-form density with exact cut cells along `polyline`; the
     region is `region_mask` or the polyline interior.  Regions touching
     the grid's masked-out rim are an error.
     """
@@ -134,7 +125,7 @@ def ma_mass(p, region_mask=None, grid=None, polyline=None,
         raise ValueError("grid masses are n=1 only")
     if grid is None:
         raise ValueError("grid required for sampled regions")
-    z, w = _region_cells(p, grid, region_mask, polyline, 0)
+    z, w = _region_cells(grid, region_mask, polyline)
     dens = p.density(z)
     return float(math.fsum((dens * w).tolist()))
 
@@ -142,7 +133,7 @@ def ma_mass(p, region_mask=None, grid=None, polyline=None,
 def region_moments(p, grid, region_mask, polyline, k_max: int):
     """Moments M_k = integral of z^k against the MA measure, k = 0..k_max,
     compensated fixed-order summation."""
-    z, w = _region_cells(p, grid, region_mask, polyline, k_max)
+    z, w = _region_cells(grid, region_mask, polyline)
     dens = p.density(z)
     base = dens * w
     moments = np.empty(k_max + 1, dtype=complex)

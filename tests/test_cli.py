@@ -35,7 +35,8 @@ def test_parse_unknown_key_line_numbered():
                      "[potential]\nbuiltin flat\n")
 
 
-@pytest.mark.parametrize("key", ["threads", "lambda_count", "leaf_anchors"])
+@pytest.mark.parametrize("key", ["threads", "lambda_count", "leaf_anchors",
+                                 "k_max"])
 def test_parse_removed_keys_rejected(key):
     with pytest.raises(ConfigError, match=f"line 2: unknown key {key!r}"):
         parse_config(f"command = envelope\n{key} = 2\n[potential]\nbuiltin flat\n")

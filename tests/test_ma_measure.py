@@ -7,8 +7,8 @@ from pshlab.field_grid import build_grid
 from pshlab.potential_kit import Potential, Term, builtin_potential
 from pshlab.envelope_solver import (extract_equilibrium, grid_envelope,
                                     radial_envelope)
-from pshlab.ma_measure import (boundary_mass, ma_mass, region_moments,
-                               reproducing_check)
+from pshlab.ma_measure import (_cells_near_polyline, boundary_mass, ma_mass,
+                               region_moments, reproducing_check)
 
 
 def _circle(r, n=1024):
@@ -118,3 +118,35 @@ def test_moments_deterministic(grid128, perturbed):
     m1, a1 = region_moments(perturbed, grid128, comp, poly, 3)
     m2, a2 = region_moments(perturbed, grid128, comp, poly, 3)
     assert np.array_equal(m1, m2) and a1 == a2
+
+
+def test_mass_deterministic_on_refined_boundary(grid128, perturbed):
+    res = grid_envelope(perturbed, 0.2, grid128, tol=1e-9)
+    mask, poly = extract_equilibrium(res, refine=True)
+    comp = ~mask & res.envelope.mask
+    m1 = ma_mass(perturbed, region_mask=comp, grid=grid128, polyline=poly)
+    m2 = ma_mass(perturbed, region_mask=comp, grid=grid128, polyline=poly)
+    assert m1 == m2
+
+
+def _cells_near_polyline_loop(grid, poly):
+    """Per-segment reference for the hot-cell raster."""
+    ax, h, n = grid.axis(), grid.h, grid.resolution
+    hot = np.zeros((n, n), dtype=bool)
+    for (x0, y0), (x1, y1) in zip(poly, np.roll(poly, -1, axis=0)):
+        steps = max(2, int(np.hypot(x1 - x0, y1 - y0) / (0.5 * h)) + 2)
+        ts = np.linspace(0.0, 1.0, steps)
+        ii = np.clip(np.round((x0 + ts * (x1 - x0) - ax[0]) / h).astype(int), 0, n - 1)
+        jj = np.clip(np.round((y0 + ts * (y1 - y0) - ax[0]) / h).astype(int), 0, n - 1)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                hot[np.clip(ii + di, 0, n - 1), np.clip(jj + dj, 0, n - 1)] = True
+    return hot
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hot_cells_match_per_segment_sampling(grid128, seed):
+    rng = np.random.default_rng(seed)
+    poly = rng.uniform(-1.1, 1.1, size=(int(rng.integers(3, 60)), 2))
+    assert np.array_equal(_cells_near_polyline(grid128, poly),
+                          _cells_near_polyline_loop(grid128, poly))
