@@ -7,14 +7,15 @@ Times `ma_measure.region_moments` (k_max = 4) on the equilibrium
 complement of the `perturbed` builtin weight at lam = 0.2, the C6
 configuration, at each resolution; the obstacle solve and the boundary
 extraction run once per resolution, outside the timed region.  Per
-resolution it records the median wall time over the repeats, the hot-cell
-count (cells within one cell of the refined boundary) and the number of
-(edge, cell) pairs the cut cells are integrated over: every edge with
-every hot cell of each grid column it spans, or, for a tree that still
-clips cell by cell (`geometry.clip_polygon_to_rect`), every edge with
-every hot cell.  The moments are stored in full so that two trees can be
-compared for equal results.  Results merge into the JSON file under
-`--label`, with the machine they ran on; run both trees on one machine.
+resolution it records the median wall time over REPEATS calls, the
+hot-cell count (cells within one cell of the refined boundary) and the
+number of (edge, cell) pairs the cut cells are integrated over, as
+`geometry.edge_cell_pairs` forms them.  A tree without that function
+(the one before it) clipped every hot cell against the whole boundary,
+so its count is hot cells x boundary edges.  The moments are stored in
+full so that two trees can be compared for equal results.  Results merge
+into BENCH_cut_cells.json under `--label`, with the machine they ran on;
+run both trees on one machine.
 """
 
 import argparse
@@ -32,19 +33,17 @@ HERE = Path(__file__).resolve().parent
 RESOLUTIONS = (128, 256, 512)
 LAM = 0.2
 K_MAX = 4
+REPEATS = 3
+OUT = HERE.parent / "BENCH_cut_cells.json"
 
 
 def pair_count(geometry, poly, lo, h, hot) -> int:
-    if hasattr(geometry, "clip_polygon_to_rect"):
+    if not hasattr(geometry, "edge_cell_pairs"):
         return int(hot.sum()) * len(poly)
-    x, xn = poly[:, 0], np.roll(poly[:, 0], -1)
-    c_first = np.searchsorted(lo + h, np.minimum(x, xn), side="right")
-    c_end = np.searchsorted(lo, np.maximum(x, xn), side="left")
-    cum = np.concatenate([[0], np.cumsum(hot.sum(axis=1))])
-    return int(np.sum(cum[c_end] - cum[c_first]))
+    return len(geometry.edge_cell_pairs(poly, lo, h, np.nonzero(hot)[0])[0])
 
 
-def measure(n: int, repeats: int) -> dict:
+def measure(n: int) -> dict:
     from pshlab import geometry
     from pshlab.envelope_solver import extract_equilibrium, grid_envelope
     from pshlab.field_grid import build_grid
@@ -57,7 +56,7 @@ def measure(n: int, repeats: int) -> dict:
     mask, poly = extract_equilibrium(res, refine=True)
     comp = ~mask & res.envelope.mask
     walls = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         moments, area = region_moments(p, grid, comp, poly, K_MAX)
         walls.append(time.perf_counter() - t0)
@@ -82,17 +81,14 @@ def main():
                     help="directory holding the pshlab package to measure")
     ap.add_argument("--label", required=True,
                     help="key of this tree's results, e.g. parent or change")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", type=Path,
-                    default=HERE.parent / "BENCH_cut_cells.json")
     args = ap.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
-    results = {str(n): measure(n, args.repeats) for n in RESOLUTIONS}
+    results = {str(n): measure(n) for n in RESOLUTIONS}
     for n, r in results.items():
         print(f"{args.label} {n}: {r['wall_s_median']:.3f} s, "
               f"{r['hot_cells']} hot cells, {r['edge_cell_pairs']} pairs, "
               f"mass {r['mass']!r}")
-    report = json.loads(args.out.read_text()) if args.out.exists() else {}
+    report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["workload"] = (f"region_moments, k_max {K_MAX}, builtin perturbed, "
                           f"lam {LAM}, refined boundary, grid radius 1")
     report.setdefault("runs", {})[args.label] = {
@@ -101,7 +97,7 @@ def main():
                     "platform": platform.platform()},
         "resolutions": results,
     }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    OUT.write_text(json.dumps(report, indent=1) + "\n")
 
 
 if __name__ == "__main__":

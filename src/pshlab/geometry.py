@@ -124,6 +124,20 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray):
     return owner, np.asarray(starts)[owner] + offset
 
 
+def edge_cell_pairs(poly: np.ndarray, lo: np.ndarray, h: float, ci):
+    """(edge, cell) index pairs: edge e (poly[e] to poly[e + 1]) with
+    every listed cell whose column [lo[ci], lo[ci] + h] meets its x-range."""
+    xa, xb = poly[:, 0], np.roll(poly[:, 0], -1)
+    c_first = np.searchsorted(lo + h, np.minimum(xa, xb), side="right")
+    c_end = np.searchsorted(lo, np.maximum(xa, xb), side="left")
+    e, col = expand_ranges(c_first, c_end - c_first)
+    order = np.argsort(ci, kind="stable")
+    first = np.searchsorted(ci[order], col, side="left")
+    last = np.searchsorted(ci[order], col, side="right")
+    pair, k = expand_ranges(first, last - first)
+    return e[pair], order[k]
+
+
 def cell_coverage(poly: np.ndarray, lo: np.ndarray, h: float, ci, cj):
     """Area and centroid of the overlap of a closed polygon (either
     orientation) with each cell [lo[ci], lo[ci] + h] x [lo[cj], lo[cj] + h].
@@ -132,12 +146,11 @@ def cell_coverage(poly: np.ndarray, lo: np.ndarray, h: float, ci, cj):
     conservative remapping, Dukowicz & Kodis 1987).  By Green's theorem
     the area is -sum_e integral over e, x in [X0, X1], of
     (clamp(y, Y0, Y1) - Y0) dx, and the first moments use x (clamp - Y0)
-    and (clamp^2 - Y0^2) / 2.  Every edge is paired with every listed
-    cell in each column its x-range meets (edges wholly above a cell add
-    the full column height), cut to the column and where y crosses Y0 and
-    Y1: the clamp is linear on the three pieces, so Simpson's rule is
-    exact.  All of it runs in cell-local coordinates.  Returns (area, cx,
-    cy): the absolute area and the centroid (moments over the signed
+    and (clamp^2 - Y0^2) / 2.  Each `edge_cell_pairs` pair (edges wholly
+    above a cell add the full column height) is cut to the column and
+    where y crosses Y0 and Y1: the clamp is linear on the three pieces, so
+    Simpson's rule is exact, in cell-local coordinates.  Returns (area,
+    cx, cy): the absolute area and the centroid (moments over the signed
     area, clamped into the cell against rounding in nearly empty cells;
     the cell centre where the area is 0).
     """
@@ -145,17 +158,7 @@ def cell_coverage(poly: np.ndarray, lo: np.ndarray, h: float, ci, cj):
     ci, cj = np.asarray(ci, dtype=np.intp), np.asarray(cj, dtype=np.intp)
     a = np.asarray(poly, dtype=float)
     b = np.roll(a, -1, axis=0)
-    # (edge, column) pairs: columns whose [lo, lo + h] meets the x-range
-    c_first = np.searchsorted(lo + h, np.minimum(a[:, 0], b[:, 0]), side="right")
-    c_end = np.searchsorted(lo, np.maximum(a[:, 0], b[:, 0]), side="left")
-    e, col = expand_ranges(c_first, c_end - c_first)
-    # (edge, cell) pairs: every listed cell of the column
-    order = np.argsort(ci, kind="stable")
-    first = np.searchsorted(ci[order], col, side="left")
-    last = np.searchsorted(ci[order], col, side="right")
-    pair, k = expand_ranges(first, last - first)
-    e, cell = e[pair], order[k]
-
+    e, cell = edge_cell_pairs(a, lo, h, ci)
     x0, y0 = lo[ci[cell]], lo[cj[cell]]
     ua, ub, va, vb = a[e, 0] - x0, b[e, 0] - x0, a[e, 1] - y0, b[e, 1] - y0
     keep = ub != ua  # vertical edges add nothing

@@ -53,9 +53,7 @@ def _cells_near_polyline(grid, poly):
     """Raster mask of cells within one cell of a polyline segment: every
     segment is sampled at spacing <= h/2 (as np.linspace would) and the
     sampled cells are dilated by one cell in 3x3."""
-    ax = grid.axis()
-    h = grid.h
-    n = grid.resolution
+    ax, h, n = grid.axis(), grid.h, grid.resolution
     pts = np.asarray(poly, dtype=float)
     d = np.roll(pts, -1, axis=0) - pts
     steps = np.maximum(2, (np.hypot(d[:, 0], d[:, 1]) / (0.5 * h)).astype(int) + 2)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pshlab.geometry import cell_coverage, points_in_polygon, polygon_area
+from pshlab.geometry import (cell_coverage, edge_cell_pairs, points_in_polygon,
+                             polygon_area)
 
 # Per cell, relative to h^2 (area) and h^3 (first moments), for edges up
 # to one cell long: interpolating along an edge rounds in proportion to its
@@ -163,6 +164,21 @@ def test_matches_sutherland_hodgman(case, rnd):
         # first moments about the cell corner: area times centroid
         assert abs(area[k] * (cx[k] - x0) - mx) <= _moment_tol(poly, h, area[k], cx[k])
         assert abs(area[k] * (cy[k] - y0) - my) <= _moment_tol(poly, h, area[k], cy[k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(star_on_grid())
+def test_edge_cell_pairs_are_the_overlapping_columns(case):
+    """Each edge is paired once with each listed cell whose column meets
+    its x-range in an interval of positive length, and with no other."""
+    poly, lo, h = case
+    ci = np.nonzero(_hot_cells(poly, lo, h))[0]
+    e, cell = edge_cell_pairs(poly, lo, h, ci)
+    xa, xb = poly[:, 0], np.roll(poly[:, 0], -1)
+    want = {(i, k) for i in range(len(poly)) for k in range(len(ci))
+            if lo[ci[k]] + h > min(xa[i], xb[i]) and lo[ci[k]] < max(xa[i], xb[i])}
+    got = list(zip(e.tolist(), cell.tolist()))
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 def test_cells_sorted_or_not_give_the_same_result():
