@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,12 +42,11 @@ from scipy.optimize import brentq
 from .field_grid import ScalarField, build_grid, c2_norm, erode_mask
 from .potential_kit import (Potential, Term, builtin_potential,
                             field_min_density, glue_to_ball, normalize_chart,
-                            regularized_max, validate_strict_psh)
+                            regularized_max)
 from .envelope_solver import (extract_equilibrium, grid_envelope,
-                              lelong_check, maximality_residual,
-                              radial_envelope)
+                              maximality_residual, radial_envelope)
 from .geodesic_legendre import (assemble_geodesic, grid_slices, hamiltonian,
-                                hmae_residual, legendre_slices, oracle_slices)
+                                legendre_slices, oracle_slices)
 from .ma_measure import reproducing_check
 from .foliation_tube import (build_tubular_map, check_pullback, disc_area,
                              leaf_boundary, polar_anchor_net, trace_leaf)

@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .field_grid import GridSpec, build_grid, save_field
-from .potential_kit import (BUILTIN_POTENTIALS, Potential, builtin_potential,
-                            validate_strict_psh)
+from .potential_kit import Potential, validate_strict_psh
 from .envelope_solver import (EnvelopeResult, extract_equilibrium,
                               grid_envelope, lelong_check, radial_envelope)
 from .geodesic_legendre import (assemble_geodesic, certified_lambda,

@@ -44,9 +44,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .field_grid import GridSpec, ScalarField, build_grid, erode_mask
-from .geometry import (chain_segments, ensure_ccw, marching_squares,
-                       points_in_polygon, polygon_area)
-from .potential_kit import Potential, validate_strict_psh
+from .geometry import (ensure_ccw, marching_squares, points_in_polygon,
+                       polygon_area)
+from .potential_kit import validate_strict_psh
 
 
 @dataclass
@@ -116,11 +116,6 @@ class EnvelopeResult:
     @property
     def grid(self) -> GridSpec:
         return self.envelope.grid
-
-    def complement_mask(self) -> np.ndarray:
-        """The strict region {a < -tol} (origin included when lam > 0)."""
-        out = ~self.coincidence & self.envelope.mask
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +293,14 @@ def _reinhardt_envelope(p, lam: float, grid: GridSpec | None) -> EnvelopeResult:
     ctol = 1e-9 if lam else 1e-12
     coin = inside & (a >= -ctol)
     a = np.where(coin, 0.0, a)   # the coincidence set is {a = 0}, exactly
-    segs = marching_squares(np.where(inside, a, 0.0), -ctol, t, t)
-    chains = chain_segments(segs, tol=1e-9 * (1 + abs(t[-1])))
-    boundary = max(chains, key=len) if chains else np.zeros((0, 2))
-    if len(boundary):
-        boundary = ensure_ccw(boundary)
-    return EnvelopeResult(lam=lam, potential=p,
-                          envelope=ScalarField(grid, np.where(inside, env, 0.0), inside),
-                          deficit=ScalarField(grid, np.where(inside, a, 0.0), inside),
-                          coincidence=coin, boundary=boundary,
-                          backend="oracle-reinhardt", tol=0.0,
-                          coincidence_tol=ctol)
+    res = EnvelopeResult(lam=lam, potential=p,
+                         envelope=ScalarField(grid, np.where(inside, env, 0.0), inside),
+                         deficit=ScalarField(grid, np.where(inside, a, 0.0), inside),
+                         coincidence=coin, boundary=np.zeros((0, 2)),
+                         backend="oracle-reinhardt", tol=0.0,
+                         coincidence_tol=ctol)
+    res.boundary = extract_equilibrium(res)[1]
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +464,13 @@ def extract_equilibrium(result: EnvelopeResult, tol: float | None = None,
                         refine: bool = False):
     """Coincidence mask {a >= -tol} and its boundary polyline.
 
-    The polyline is the marching-squares level curve a = -tol, chained,
-    counter-clockwise, implicitly closed; with refine=True two deeper
-    level curves are extracted and extrapolated to the zero level using
-    the square-root vanishing of the deficit at the free boundary
-    (useful when the mass/moment integrals need a less biased boundary).
-    Empty complement (lam = 0) yields an empty polyline.
+    The polyline is the marching-squares level curve a = -tol, oriented
+    counter-clockwise: on cartesian grids its largest loop around the pole
+    (implicitly closed), on log-radial grids its longest chain.
+    With refine=True (cartesian only) it is relocated by the square-root
+    vanishing of the deficit at the free boundary, sampled along rays from
+    the pole (useful when the mass/moment integrals need a less biased
+    boundary).  Empty complement (lam = 0) yields an empty polyline.
     """
     tol = result.coincidence_tol if tol is None else tol
     a = result.deficit
@@ -485,30 +478,20 @@ def extract_equilibrium(result: EnvelopeResult, tol: float | None = None,
     mask = result.envelope.mask & ((a.values >= -tol) | ~a.mask)
     if result.lam == 0:
         return mask, np.zeros((0, 2))
-    if grid.style != "cartesian":
-        vals = np.where(a.mask, a.values, 0.0)
-        ax = grid.t_axis()
-        segs = marching_squares(vals, -tol, ax, ax)
-        chains = chain_segments(segs, tol=1e-9 * (1 + abs(ax[-1])))
-        poly = max(chains, key=len) if chains else np.zeros((0, 2))
-        return mask, (ensure_ccw(poly) if len(poly) else poly)
-
+    cartesian = grid.style == "cartesian"
+    ax = grid.axis() if cartesian else grid.t_axis()
     filled = np.where(a.mask, a.values, np.where(result.envelope.mask, -1e30, 0.0))
-    ax = grid.axis()
+    chains = marching_squares(filled, -tol, ax, ax)
+    if not cartesian:
+        return mask, (ensure_ccw(max(chains, key=len)) if chains else np.zeros((0, 2)))
 
-    def level_curve(level):
-        segs = marching_squares(filled, level, ax, ax)
-        chains = chain_segments(segs, tol=1e-9 * grid.radius)
-        loops = [c for c in chains if len(c) >= 8]
-        if not loops:
-            return np.zeros((0, 2))
-        containing = [c for c in loops
-                      if points_in_polygon(np.zeros(1), np.zeros(1), c)[0]]
-        poly = max(containing or loops, key=lambda c: abs(polygon_area(c)))
-        return ensure_ccw(poly)
-
-    poly0 = level_curve(-tol)
-    if not refine or len(poly0) < 8:
+    loops = [c for c in chains if len(c) >= 8]
+    if not loops:
+        return mask, np.zeros((0, 2))
+    containing = [c for c in loops
+                  if points_in_polygon(np.zeros(1), np.zeros(1), c)[0]]
+    poly0 = ensure_ccw(max(containing or loops, key=lambda c: abs(polygon_area(c))))
+    if not refine:
         return mask, poly0
     return mask, _radial_refined_boundary(result, poly0)
 

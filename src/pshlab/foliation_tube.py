@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .field_grid import GridSpec, erode_mask
+from .field_grid import erode_mask
 from .geodesic_legendre import (GeodesicRay, plateau_threshold,
                                 pole_exclusion_radius, rounding_noise,
                                 smooth_hamiltonian)
-from .geometry import (chain_segments, ensure_ccw, marching_squares,
-                       polyline_is_simple, resample_closed)
+from .geometry import polyline_is_simple, resample_closed
 from .ma_measure import boundary_mass
 
 

@@ -30,7 +30,6 @@ the foliation tracer.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np

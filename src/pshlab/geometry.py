@@ -1,7 +1,7 @@
 """Planar geometry plumbing shared by the boundary-extraction and
 mass/moment operations: marching-squares level curves with sub-grid
-linear interpolation, segment chaining into ordered closed polylines,
-the exact area and centroid of a polygon's overlap with many grid cells
+linear interpolation, chained by grid-edge id into ordered polylines, the
+exact area and centroid of a polygon's overlap with many grid cells
 in one vectorized pass of edge line integrals, shoelace areas, and an
 even-odd point-in-polygon test.
 """
@@ -11,96 +11,86 @@ from __future__ import annotations
 import numpy as np
 
 
-def marching_squares(values: np.ndarray, level: float, x_axis, y_axis):
-    """Segments of the `values = level` curve, sub-grid linear interpolation.
+# Oriented segments (from edge, to edge) of each cell case, with the
+# corners below the level on their left.  Bit k of the case is set when
+# corner k is below the level; corners run counter-clockwise from (i, j)
+# and edge k joins corners k and k + 1 (bottom, right, top, left).  The
+# saddles 5 and 10 are split by the cell-centre mean: row 1 when it has
+# the sign of corner 0, cutting off corners 0 and 2, row 0 otherwise,
+# cutting off corners 1 and 3.  -1 pads the cases with one segment.
+_N = (-1, -1)
+_CASES = [(_N, _N), ((0, 3), _N), ((1, 0), _N), ((1, 3), _N),
+          ((2, 1), _N), ((0, 1), (2, 3)), ((2, 0), _N), ((2, 3), _N),
+          ((3, 2), _N), ((0, 2), _N), ((1, 0), (3, 2)), ((1, 2), _N),
+          ((3, 1), _N), ((0, 1), _N), ((3, 0), _N), (_N, _N)]
+_SEGMENTS = np.array([_CASES, _CASES])
+_SEGMENTS[1, 5] = ((0, 3), (2, 1))
+_SEGMENTS[1, 10] = ((3, 0), (1, 2))
 
-    values[i, j] is the sample at (x_axis[i], y_axis[j]).  Cells containing
-    non-finite corners are skipped.  Returns an (n_seg, 2, 2) array.
+
+def marching_squares(values: np.ndarray, level: float, x_axis, y_axis) -> list:
+    """Polylines of the `values = level` curve, chained by grid-edge id.
+
+    values[i, j] is the sample at (x_axis[i], y_axis[j]).  Each crossed
+    grid edge carries one vertex, the linear zero of values - level along
+    it, taken from its lower-index node; cells with a non-finite corner are
+    skipped.  The segments of each cell come from the case table above, so
+    every edge id starts at most one segment and ends at most one, and the
+    chaining follows them exactly.  Returns a list of (k, 2) vertex arrays,
+    the region below the level on their left: closed loops repeat no
+    vertex (closure is implicit), open chains end where the curve leaves
+    the grid or the finite cells.
     """
-    v = values - level
-    segs = []
+    v = np.asarray(values, dtype=float) - level
+    xa = np.asarray(x_axis, dtype=float)
+    ya = np.asarray(y_axis, dtype=float)
     nx, ny = v.shape
-    xa = np.asarray(x_axis)
-    ya = np.asarray(y_axis)
-
-    finite = np.isfinite(v)
-    cell_ok = finite[:-1, :-1] & finite[1:, :-1] & finite[1:, 1:] & finite[:-1, 1:]
     neg = v < 0
-    idx = np.nonzero(cell_ok & ~((neg[:-1, :-1] == neg[1:, :-1])
-                                 & (neg[1:, :-1] == neg[1:, 1:])
-                                 & (neg[1:, 1:] == neg[:-1, 1:])))
-
-    def interp(p1, p2, f1, f2):
-        # clamp off the cell corners: fields that are exactly level-valued
-        # on one side otherwise put crossings from distinct edges at the
-        # same node, which scrambles the segment chaining
-        t = min(max(f1 / (f1 - f2), 1e-3), 1.0 - 1e-3)
-        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-
-    for i, j in zip(*idx):
-        corners = [(xa[i], ya[j]), (xa[i + 1], ya[j]),
-                   (xa[i + 1], ya[j + 1]), (xa[i], ya[j + 1])]
-        fvals = [v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]]
-        pts = []
-        for k in range(4):
-            f1, f2 = fvals[k], fvals[(k + 1) % 4]
-            if (f1 < 0) != (f2 < 0):
-                pts.append(interp(corners[k], corners[(k + 1) % 4], f1, f2))
-        if len(pts) == 2:
-            segs.append((pts[0], pts[1]))
-        elif len(pts) == 4:
-            # saddle cell: split by the cell-centre sign
-            centre = 0.25 * sum(fvals)
-            if (centre < 0) == (fvals[0] < 0):
-                segs.append((pts[0], pts[3]))
-                segs.append((pts[1], pts[2]))
-            else:
-                segs.append((pts[0], pts[1]))
-                segs.append((pts[2], pts[3]))
-    if not segs:
-        return np.zeros((0, 2, 2))
-    return np.asarray(segs)
-
-
-def chain_segments(segments: np.ndarray, tol: float) -> list:
-    """Chain unordered segments into polylines by endpoint matching.
-
-    Returns a list of (k, 2) vertex arrays; closed loops repeat no vertex
-    (closure is implicit).  Greedy matching with tolerance `tol`.
-    """
-    if len(segments) == 0:
+    finite = np.isfinite(v)
+    case = (neg[:-1, :-1] * 1 + neg[1:, :-1] * 2
+            + neg[1:, 1:] * 4 + neg[:-1, 1:] * 8)
+    ok = finite[:-1, :-1] & finite[1:, :-1] & finite[1:, 1:] & finite[:-1, 1:]
+    i, j = np.nonzero(ok & (case != 0) & (case != 15))
+    case = case[i, j]
+    f0, f1, f2, f3 = v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]
+    centre = 0.25 * (((f0 + f1) + f2) + f3)
+    seg = _SEGMENTS[((centre < 0) == (f0 < 0)).astype(np.intp), case]
+    # edge ids: (i, j)-(i + 1, j) is i ny + j, (i, j)-(i, j + 1) follows
+    n_x = (nx - 1) * ny
+    edges = np.stack([i * ny + j, n_x + (i + 1) * (ny - 1) + j,
+                      i * ny + j + 1, n_x + i * (ny - 1) + j], axis=1)
+    cell, slot = np.nonzero(seg[..., 0] >= 0)
+    src, dst = edges[cell, seg[cell, slot, 0]], edges[cell, seg[cell, slot, 1]]
+    if len(src) == 0:
         return []
-    segs = [(tuple(s[0]), tuple(s[1])) for s in segments]
-    unused = set(range(len(segs)))
 
-    def close(p, q):
-        return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
+    ids, compact = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    along_x = ids < n_x
+    ei = np.where(along_x, ids // ny, (ids - n_x) // (ny - 1))
+    ej = np.where(along_x, ids % ny, (ids - n_x) % (ny - 1))
+    ei2, ej2 = ei + along_x, ej + ~along_x
+    g1, g2 = v[ei, ej], v[ei2, ej2]
+    t = g1 / (g1 - g2)
+    pts = np.stack([xa[ei] + t * (xa[ei2] - xa[ei]),
+                    ya[ej] + t * (ya[ej2] - ya[ej])], axis=1)
 
-    polylines = []
-    while unused:
-        i = unused.pop()
-        chain = [segs[i][0], segs[i][1]]
-        extended = True
-        while extended:
-            extended = False
-            for j in list(unused):
-                a, b = segs[j]
-                if close(chain[-1], a):
-                    chain.append(b)
-                elif close(chain[-1], b):
-                    chain.append(a)
-                elif close(chain[0], a):
-                    chain.insert(0, b)
-                elif close(chain[0], b):
-                    chain.insert(0, a)
-                else:
-                    continue
-                unused.discard(j)
-                extended = True
-        if close(chain[0], chain[-1]) and len(chain) > 2:
-            chain = chain[:-1]
-        polylines.append(np.asarray(chain))
-    return polylines
+    succ = np.full(len(ids), -1)
+    succ[compact[:len(src)]] = compact[len(src):]
+    heads = np.ones(len(ids), dtype=bool)
+    heads[compact[len(src):]] = False
+    succ = succ.tolist()
+    seen = [False] * len(ids)
+    chains = []
+    # open chains from their heads, then the closed loops
+    for k in np.nonzero(heads)[0].tolist() + list(range(len(ids))):
+        chain = []
+        while k >= 0 and not seen[k]:
+            seen[k] = True
+            chain.append(k)
+            k = succ[k]
+        if chain:
+            chains.append(pts[chain])
+    return chains
 
 
 def polygon_area(poly: np.ndarray) -> float:
@@ -209,7 +199,7 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.nd
     return inside.reshape(np.asarray(px).shape)
 
 
-def polyline_is_simple(poly: np.ndarray, tol: float = 0.0) -> bool:
+def polyline_is_simple(poly: np.ndarray) -> bool:
     """True when no two non-adjacent edges of the closed polyline intersect."""
     n = len(poly)
     if n < 4:
@@ -231,9 +221,8 @@ def polyline_is_simple(poly: np.ndarray, tol: float = 0.0) -> bool:
         o2 = orient(a[i][None, :], b[i][None, :], b[js])
         o3 = orient(a[js], b[js], np.broadcast_to(a[i], (len(js), 2)))
         o4 = orient(a[js], b[js], np.broadcast_to(b[i], (len(js), 2)))
-        hit = (np.sign(o1) != np.sign(o2)) & (np.sign(o3) != np.sign(o4)) \
-            & (np.abs(o1) > tol) & (np.abs(o2) > tol) \
-            & (np.abs(o3) > tol) & (np.abs(o4) > tol)
+        # strictly opposite signs: touching and collinear edges do not count
+        hit = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
         if hit.any():
             return False
     return True

@@ -165,16 +165,13 @@ def reproducing_check(p, e: EnvelopeResult, k_max: int = 4,
                          k_max=k_max)
 
 
-def boundary_mass(p, polyline: np.ndarray, closed: bool = True) -> float:
+def boundary_mass(p, polyline: np.ndarray) -> float:
     """Circulation of d^c p along a closed polyline: the enclosed dd^c
     mass by the divergence identity; a cross-check for ma_mass.
 
-    Polylines are implicitly closed (no repeated endpoint); callers
-    holding an open arc must not pass closed=False -- that is an error.
-    Degenerate (zero-length) polylines integrate to 0.
+    Polylines are implicitly closed (no repeated endpoint).  Degenerate
+    (zero-length) polylines integrate to 0.
     """
-    if not closed:
-        raise ValueError("open polyline: boundary circulation undefined")
     poly = np.asarray(polyline, dtype=float)
     if len(poly) < 3:
         return 0.0

@@ -1,13 +1,16 @@
 """Property tests of `cell_coverage`, the cut-cell area/centroid pass,
-against a small Sutherland-Hodgman clip kept here as the oracle."""
+against a small Sutherland-Hodgman clip kept here as the oracle, and of
+`marching_squares`, the level-curve routine, against the per-cell loop
+with tolerance chaining that it replaced."""
 
 import math
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pshlab.geometry import (cell_coverage, edge_cell_pairs, points_in_polygon,
-                             polygon_area)
+from pshlab.geometry import (cell_coverage, edge_cell_pairs, marching_squares,
+                             points_in_polygon, polygon_area)
 
 # Per cell, relative to h^2 (area) and h^3 (first moments), for edges up
 # to one cell long: interpolating along an edge rounds in proportion to its
@@ -201,3 +204,195 @@ def test_empty_and_full_cells():
     assert np.array_equal(area, [0.0, 0.25, 0.25, 0.0])
     assert np.array_equal(cx, [-0.25, 0.25, 0.75, 1.25])
     assert np.array_equal(cy, [0.25, 0.25, 0.75, 1.25])
+
+
+# ---------------------------------------------------------------------------
+# marching squares
+# ---------------------------------------------------------------------------
+
+def _reference_segments(values, level, x_axis, y_axis):
+    """The per-cell marching squares this routine replaced: each cell
+    interpolates its own crossings, clamped 1e-3 off the corners."""
+    v = values - level
+    segs = []
+    nx, ny = v.shape
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corners = [(x_axis[i], y_axis[j]), (x_axis[i + 1], y_axis[j]),
+                       (x_axis[i + 1], y_axis[j + 1]), (x_axis[i], y_axis[j + 1])]
+            fvals = [v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]]
+            if not all(np.isfinite(fvals)):
+                continue
+            pts = []
+            for k in range(4):
+                f1, f2 = fvals[k], fvals[(k + 1) % 4]
+                if (f1 < 0) != (f2 < 0):
+                    t = min(max(f1 / (f1 - f2), 1e-3), 1.0 - 1e-3)
+                    p1, p2 = corners[k], corners[(k + 1) % 4]
+                    pts.append((p1[0] + t * (p2[0] - p1[0]),
+                                p1[1] + t * (p2[1] - p1[1])))
+            if len(pts) == 2:
+                segs.append((pts[0], pts[1]))
+            elif len(pts) == 4:
+                centre = 0.25 * sum(fvals)
+                if (centre < 0) == (fvals[0] < 0):
+                    segs += [(pts[0], pts[3]), (pts[1], pts[2])]
+                else:
+                    segs += [(pts[0], pts[1]), (pts[2], pts[3])]
+    return segs
+
+
+def _reference_chains(segs, tol):
+    """Greedy chaining of unordered segments by endpoint distance."""
+    unused = set(range(len(segs)))
+
+    def close(p, q):
+        return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
+
+    chains = []
+    while unused:
+        a, b = segs[unused.pop()]
+        chain = [a, b]
+        extended = True
+        while extended:
+            extended = False
+            for j in list(unused):
+                a, b = segs[j]
+                if close(chain[-1], a):
+                    chain.append(b)
+                elif close(chain[-1], b):
+                    chain.append(a)
+                elif close(chain[0], a):
+                    chain.insert(0, b)
+                elif close(chain[0], b):
+                    chain.insert(0, a)
+                else:
+                    continue
+                unused.discard(j)
+                extended = True
+        if close(chain[0], chain[-1]) and len(chain) > 2:
+            chain = chain[:-1]
+        chains.append(np.asarray(chain))
+    return chains
+
+
+@st.composite
+def field_on_grid(draw):
+    """A field on a random, unevenly spaced grid: a few plane waves, a
+    saddle at the level in one cell, or plane waves rounded so that nodes
+    sit exactly on the level; with up to three non-finite nodes."""
+    nx, ny = draw(st.integers(3, 20)), draw(st.integers(3, 20))
+    axes = []
+    for n in (nx, ny):
+        steps = [draw(st.floats(0.5, 1.5)) for _ in range(n - 1)]
+        axes.append(draw(st.floats(-1.0, 1.0)) + 0.1 * np.concatenate(
+            [[0.0], np.cumsum(steps)]))
+    x, y = np.meshgrid(*axes, indexing="ij")
+    f = np.zeros_like(x)
+    for _ in range(draw(st.integers(1, 3))):
+        kx, ky = draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))
+        f += draw(st.floats(0.1, 1.0)) * np.cos(kx * x + ky * y
+                                                 + draw(st.floats(0.0, 6.3)))
+    level = draw(st.floats(-0.5, 0.5))
+    kind = draw(st.sampled_from(["smooth", "saddle", "rounded"]))
+    if kind == "saddle":
+        # at a cell centre, at the level up to a small tilt, so that its
+        # cell has four crossings and either centre sign
+        i0, j0 = draw(st.integers(0, nx - 2)), draw(st.integers(0, ny - 2))
+        x0, y0 = axes[0][i0:i0 + 2].mean(), axes[1][j0:j0 + 2].mean()
+        f = draw(st.sampled_from([-1.0, 1.0])) * (x - x0) * (y - y0) \
+            + draw(st.floats(0.0, 1e-4)) * f
+        level = draw(st.floats(-1e-4, 1e-4))
+    elif kind == "rounded":
+        q = draw(st.sampled_from([2.0, 5.0, 10.0]))
+        f, level = np.round(f * q) / q, np.round(level * q) / q
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        f[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return f, level, axes[0], axes[1]
+
+
+def _crossings(values, level, x_axis, y_axis):
+    """{grid edge: its linear zero} over the crossed edges of cells with
+    four finite corners, each from its lower-index node, and {edge: the
+    number of such cells it borders}."""
+    v = values - level
+    nx, ny = v.shape
+    ok = np.isfinite(v)
+    ok = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    cells = {}
+    for i, j in zip(*np.nonzero(ok)):
+        for e in ((i, j, i + 1, j), (i + 1, j, i + 1, j + 1),
+                  (i, j + 1, i + 1, j + 1), (i, j, i, j + 1)):
+            cells.setdefault(e, []).append((i, j))
+    points = {}
+    for (i, j, i2, j2) in cells:
+        f1, f2 = v[i, j], v[i2, j2]
+        if (f1 < 0) != (f2 < 0):
+            t = f1 / (f1 - f2)
+            points[(i, j, i2, j2)] = (x_axis[i] + t * (x_axis[i2] - x_axis[i]),
+                                      y_axis[j] + t * (y_axis[j2] - y_axis[j]))
+    return points, cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_on_grid())
+def test_contour_vertices_are_the_edge_crossings_once_each(case):
+    """The vertices over all chains are, as a multiset and bitwise, the
+    linear zeros of the crossed edges of cells with finite corners."""
+    f, level, xa, ya = case
+    points, _ = _crossings(f, level, xa, ya)
+    chains = marching_squares(f, level, xa, ya)
+    got = Counter(tuple(p) for c in chains for p in c.tolist())
+    assert got == Counter(points.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_on_grid())
+def test_contour_steps_stay_in_one_cell(case):
+    """Consecutive vertices lie on edges of one cell with finite corners;
+    a chain ending on an edge between two such cells closes on itself."""
+    f, level, xa, ya = case
+    points, cells = _crossings(f, level, xa, ya)
+    edges_at = {}
+    for e, p in points.items():
+        edges_at.setdefault(p, []).append(e)
+
+    def cells_of(p):
+        return {c for e in edges_at[p] for c in cells[e]}
+
+    for chain in marching_squares(f, level, xa, ya):
+        pts = [tuple(p) for p in chain.tolist()]
+        for p, q in zip(pts, pts[1:]):
+            assert cells_of(p) & cells_of(q)
+        if all(len(cells[e]) == 2 for e in edges_at[pts[-1]]):
+            assert len(pts) >= 3 and cells_of(pts[-1]) & cells_of(pts[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_on_grid())
+def test_contour_matches_tolerance_chaining(case):
+    """Same chains as the per-cell routine with tolerance chaining, with
+    every vertex within that routine's 1e-3 corner clamp."""
+    f, level, xa, ya = case
+    chains = marching_squares(f, level, xa, ya)
+    tol = 1e-9 * (1 + max(abs(xa).max(), abs(ya).max()))
+    ref = _reference_chains(_reference_segments(f, level, xa, ya), tol)
+    assert sorted(map(len, chains)) == sorted(map(len, ref))
+    if not chains:
+        return
+    spacing = max(np.diff(xa).max(), np.diff(ya).max())
+    got, want = np.vstack(chains), np.vstack(ref)
+    dist = np.hypot(*(got[:, None, :] - want[None, :, :]).transpose(2, 0, 1))
+    assert dist.min(axis=1).max() <= 1e-3 * spacing * (1 + 1e-9)
+    assert dist.min(axis=0).max() <= 1e-3 * spacing * (1 + 1e-9)
+
+
+def test_contour_keeps_the_region_below_on_its_left():
+    ax = np.linspace(-1.0, 1.0, 21)
+    x, y = np.meshgrid(ax, ax, indexing="ij")
+    bump = x * x + 0.5 * y * y
+    (loop,) = marching_squares(bump, 0.3, ax, ax)
+    assert polygon_area(loop) > 0.0
+    (loop,) = marching_squares(-bump, -0.3, ax, ax)
+    assert polygon_area(loop) < 0.0

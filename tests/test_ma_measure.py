@@ -61,11 +61,6 @@ def test_boundary_mass_degenerate():
     assert boundary_mass(flat, np.array([[0.1, 0.1]])) == 0.0
 
 
-def test_boundary_mass_open_raises(flat):
-    with pytest.raises(ValueError, match="open polyline"):
-        boundary_mass(flat, _circle(0.5), closed=False)
-
-
 def test_boundary_vs_cell_mass_on_equilibrium(grid128, perturbed):
     res = grid_envelope(perturbed, 0.2, grid128, tol=1e-9)
     _, poly = extract_equilibrium(res, refine=True)
