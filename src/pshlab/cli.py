@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field_grid import GridSpec, build_grid, save_field
+from .field_grid import GridSpec, build_grid, save_field, write_csv
 from .potential_kit import Potential, validate_strict_psh
 from .envelope_solver import (EnvelopeResult, extract_equilibrium,
                               grid_envelope, lelong_check, radial_envelope)
@@ -198,26 +198,15 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _write_kv(path: Path, data: dict):
-    with path.open("w", encoding="utf-8") as fh:
-        for k, v in data.items():
-            fh.write(f"{k} = {v}\n")
-
-
-def _write_csv(path: Path, array: np.ndarray, header: str = ""):
-    arr = np.atleast_2d(np.asarray(array))
-    with path.open("w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for row in arr:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    path.write_text("".join(f"{k} = {v}\n" for k, v in data.items()), encoding="utf-8")
 
 
 def _emit_envelope(res: EnvelopeResult, out: Path, cfg: RunConfig):
     out.mkdir(parents=True, exist_ok=True)
     save_field(res.envelope, out / "envelope.csv")
     save_field(res.deficit, out / "deficit.csv")
-    _write_csv(out / "coincidence.csv", res.coincidence.astype(int))
-    _write_csv(out / "boundary.csv", res.boundary, header="x,y")
+    write_csv(out / "coincidence.csv", res.coincidence.astype(int))
+    write_csv(out / "boundary.csv", res.boundary, header="x,y")
     meta = cfg.echo()
     meta.update({"lambda": res.lam, "backend": res.backend,
                  "iterations": res.iterations,
@@ -269,8 +258,8 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> int:
         results.append(res)
         if res.backend.startswith("grid"):
             warm = np.array(res.envelope.values)
-        _write_csv(out / f"boundary_{i:03d}.csv", res.boundary,
-                   header=f"x,y lambda={lam:.17g}")
+        write_csv(out / f"boundary_{i:03d}.csv", res.boundary,
+                  header=f"x,y lambda={lam:.17g}")
         if res.grid.n == 1 and res.grid.style == "cartesian" and lam > 0 \
                 and not res.degenerate:
             mask, poly = extract_equilibrium(res, refine=True)
@@ -281,8 +270,8 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> int:
         else:
             m0, bm = float("nan"), float("nan")
         rows.append([lam, m0, bm])
-    _write_csv(out / "masses.csv", np.asarray(rows),
-               header="lambda,enclosed_mass,boundary_circulation")
+    write_csv(out / "masses.csv", np.asarray(rows),
+              header="lambda,enclosed_mass,boundary_circulation")
     meta = cfg.echo()
     meta["lambda_certified"] = f"{certified_lambda(results):.17g}"
     _write_kv(out / "metadata.txt", meta)
@@ -313,11 +302,11 @@ def _cmd_geodesic(cfg: RunConfig, out: Path) -> int:
         save_field(fld, sl_dir / f"slice_{k:03d}.csv")
     u = ray.u_values()
     nt = len(ray.t_grid)
-    _write_csv(out / "u.csv", u.reshape(nt, -1))
+    write_csv(out / "u.csv", u.reshape(nt, -1))
     H = hamiltonian(ray)
-    _write_csv(out / "hamiltonian.csv", H.values.reshape(nt, -1))
+    write_csv(out / "hamiltonian.csv", H.values.reshape(nt, -1))
     w = weak_solution(ray)
-    _write_csv(out / "truncated_pole_field.csv", w.values.reshape(nt, -1))
+    write_csv(out / "truncated_pole_field.csv", w.values.reshape(nt, -1))
     resid = hmae_residual(ray, cfg.potential)
     meta = cfg.echo()
     meta.update({"t_max": f"{ray.t_max:.17g}",
@@ -354,11 +343,10 @@ def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
         anchors.append(anchor)
         arr = np.stack([leaf.t_samples, leaf.curve.real, leaf.curve.imag,
                         np.full(len(leaf.t_samples), leaf.lam_leaf)], axis=1)
-        _write_csv(leaf_dir / f"leaf_{i:03d}.csv", arr,
-                   header="t,re_z,im_z,H")
+        write_csv(leaf_dir / f"leaf_{i:03d}.csv", arr, header="t,re_z,im_z,H")
         rows.append([lam, leaf.lam_leaf, area, leaf.h_drift])
-    _write_csv(out / "areas.csv", np.asarray(rows),
-               header="lambda_target,lambda_leaf,area,h_drift")
+    write_csv(out / "areas.csv", np.asarray(rows),
+              header="lambda_target,lambda_leaf,area,h_drift")
     rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
         abs(a) for a in anchors)
     net = polar_anchor_net(rings, cfg.anchor_angles)
@@ -367,7 +355,7 @@ def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
                            tmap.u_points.ravel().imag,
                            tmap.anchors.ravel().real,
                            tmap.anchors.ravel().imag], axis=1)
-    _write_csv(out / "tubular.csv", flat_pairs, header="re_u,im_u,re_T,im_T")
+    write_csv(out / "tubular.csv", flat_pairs, header="re_u,im_u,re_T,im_T")
     _write_kv(out / "metadata.txt", cfg.echo())
     return 0
 

@@ -202,28 +202,17 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 
 def _central_first(values, axis, h):
-    out = np.full_like(values, np.nan)
-    sl_c = [slice(None)] * values.ndim
-    sl_p = [slice(None)] * values.ndim
-    sl_m = [slice(None)] * values.ndim
-    sl_c[axis] = slice(1, -1)
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(0, -2)
-    out[tuple(sl_c)] = (values[tuple(sl_p)] - values[tuple(sl_m)]) / (2.0 * h)
-    return out
+    v = np.moveaxis(values, axis, 0)
+    out = np.full_like(v, np.nan)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
 
 
 def _central_second(values, axis, h):
-    out = np.full_like(values, np.nan)
-    sl_c = [slice(None)] * values.ndim
-    sl_p = [slice(None)] * values.ndim
-    sl_m = [slice(None)] * values.ndim
-    sl_c[axis] = slice(1, -1)
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(0, -2)
-    out[tuple(sl_c)] = (values[tuple(sl_p)] - 2.0 * values[tuple(sl_c)]
-                        + values[tuple(sl_m)]) / (h * h)
-    return out
+    v = np.moveaxis(values, axis, 0)
+    out = np.full_like(v, np.nan)
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    return np.moveaxis(out, 0, axis)
 
 
 def _central_mixed(values, ax1, ax2, h):
@@ -322,17 +311,23 @@ def c2_norm(f: ScalarField, g: ScalarField) -> float:
 # serialization: header + row-major CSV, NaN encodes masked-out
 # ---------------------------------------------------------------------------
 
+def write_csv(path, array, header: str = "") -> None:
+    """Write `array` (2-D, or one 1-D row) as CSV after each `header` line
+    as a `# ` comment.  One `%.17g` row format, applied row by row so that
+    memory does not grow with the file: it round-trips every float and
+    gives the bytes of `f"{v:.17g}"`, nan, inf and -0 included."""
+    arr = np.atleast_2d(np.asarray(array))
+    fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" for line in header.splitlines())
+        fh.writelines(fmt % tuple(row.tolist()) for row in arr)
+
+
 def save_field(f: ScalarField, path) -> None:
-    path = Path(path)
-    flat = f.masked_fill(np.nan).reshape(f.grid.shape[0], -1)
-    header = (f"pshlab-field v1\n"
-              f"n={f.grid.n} resolution={f.grid.resolution} "
-              f"radius={f.grid.radius!r} style={f.grid.style}")
-    with path.open("w", encoding="utf-8") as fh:
-        for line in header.splitlines():
-            fh.write(f"# {line}\n")
-        for row in flat:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    g = f.grid
+    write_csv(path, f.masked_fill(np.nan).reshape(g.shape[0], -1),
+              f"pshlab-field v1\nn={g.n} resolution={g.resolution} "
+              f"radius={g.radius!r} style={g.style}")
 
 
 def load_field(path) -> ScalarField:

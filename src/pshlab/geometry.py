@@ -1,15 +1,16 @@
 """Planar geometry plumbing shared by the boundary-extraction and
 mass/moment operations: marching-squares level curves with sub-grid
 linear interpolation, chained by grid-edge id into ordered polylines, the
-exact area and centroid of a polygon's overlap with many grid cells
-in one vectorized pass of edge line integrals, shoelace areas, and an
-even-odd point-in-polygon test.
+exact area and centroid of a polygon's overlap with many grid cells in one
+vectorized pass of edge line integrals, shoelace areas, a scanline even-odd
+point-in-polygon test and an x-sweep check that a polyline is simple.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+PAIR_BLOCK = 1 << 18  # edge pairs per pass of `polyline_is_simple`: bounds memory
 
 # Oriented segments (from edge, to edge) of each cell case, with the
 # corners below the level on their left.  Bit k of the case is set when
@@ -182,48 +183,64 @@ def cell_coverage(poly: np.ndarray, lo: np.ndarray, h: float, ci, cj):
 
 
 def points_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Vectorized even-odd (ray casting) inclusion test."""
+    """Even-odd inclusion test by scanlines: edge (x1, y1)-(x2, y2) crosses
+    the rows y in [min(y1, y2), max(y1, y2)) at xi, and a point is inside
+    when an odd number of its row's crossings lie strictly to its right."""
     x = np.asarray(px, dtype=float).ravel()
-    y = np.asarray(py, dtype=float).ravel()
-    inside = np.zeros(x.shape, dtype=bool)
-    n = len(poly)
-    xs, ys = poly[:, 0], poly[:, 1]
-    for k in range(n):
-        x1, y1 = xs[k], ys[k]
-        x2, y2 = xs[(k + 1) % n], ys[(k + 1) % n]
-        crosses = (y1 > y) != (y2 > y)
-        if not crosses.any():
-            continue
-        xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < xi)
-    return inside.reshape(np.asarray(px).shape)
+    rows, row = np.unique(np.asarray(py, dtype=float).ravel(), return_inverse=True)
+    a = np.asarray(poly, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    first = np.searchsorted(rows, np.minimum(a[:, 1], b[:, 1]))
+    end = np.searchsorted(rows, np.maximum(a[:, 1], b[:, 1]))
+    e, r = expand_ranges(first, np.maximum(end - first, 0))
+    x1, y1, x2, y2 = a[e, 0], a[e, 1], b[e, 0], b[e, 1]
+    xi = x1 + (rows[r] - y1) * (x2 - x1) / (y2 - y1)
+    r, xi = r[~np.isnan(xi)], xi[~np.isnan(xi)]  # such edges never count
+    # rank xi and x together, so that (row, rank) orders as one integer key
+    rank = np.unique(np.concatenate([xi, x]), return_inverse=True)[1]
+    m = len(rank) + 1
+    keys = np.sort(r * m + rank[:len(xi)])
+    right = (np.searchsorted(keys, row * m + m)
+             - np.searchsorted(keys, row * m + rank[len(xi):], side="right"))
+    return (right % 2 == 1).reshape(np.asarray(px).shape)
+
+
+def x_sweep(poly: np.ndarray):
+    """Edges of a closed polyline in order of smallest x and, in that order,
+    the number of later edges whose smallest x is at most this one's largest
+    x: every pair of edges whose x-ranges meet, counted once."""
+    xa = np.asarray(poly, dtype=float)[:, 0]
+    lo, hi = np.minimum(xa, np.roll(xa, -1)), np.maximum(xa, np.roll(xa, -1))
+    order = np.argsort(lo, kind="stable")
+    end = np.searchsorted(lo[order], hi[order], side="right")
+    return order, np.maximum(end - np.arange(1, len(xa) + 1), 0)
 
 
 def polyline_is_simple(poly: np.ndarray) -> bool:
-    """True when no two non-adjacent edges of the closed polyline intersect."""
+    """True when no two non-adjacent edges of the closed polyline cross.
+    Crossing edges overlap in x, so only the `x_sweep` pairs are tested,
+    about PAIR_BLOCK at a time."""
     n = len(poly)
     if n < 4:
         return True
-    p = np.asarray(poly, dtype=float)
-    a = p
-    b = np.roll(p, -1, axis=0)
+    a = np.asarray(poly, dtype=float)
+    b = np.roll(a, -1, axis=0)
 
     def orient(o, q, r):
         return ((q[..., 0] - o[..., 0]) * (r[..., 1] - o[..., 1])
                 - (q[..., 1] - o[..., 1]) * (r[..., 0] - o[..., 0]))
 
-    for i in range(n):
-        js = np.arange(n)
-        # skip self and the two adjacent edges
-        ok = (js != i) & (js != (i - 1) % n) & (js != (i + 1) % n)
-        js = js[ok]
-        o1 = orient(a[i][None, :], b[i][None, :], a[js])
-        o2 = orient(a[i][None, :], b[i][None, :], b[js])
-        o3 = orient(a[js], b[js], np.broadcast_to(a[i], (len(js), 2)))
-        o4 = orient(a[js], b[js], np.broadcast_to(b[i], (len(js), 2)))
-        # strictly opposite signs: touching and collinear edges do not count
-        hit = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
-        if hit.any():
+    order, count = x_sweep(a)
+    total = np.cumsum(count)
+    cuts = [0, *np.searchsorted(total, np.arange(PAIR_BLOCK, total[-1], PAIR_BLOCK)), n]
+    for s0, s1 in zip(cuts, cuts[1:]):
+        k, later = expand_ranges(np.arange(s0 + 1, s1 + 1), count[s0:s1])
+        i, j = order[s0 + k], order[later]
+        o1, o2 = orient(a[i], b[i], a[j]), orient(a[i], b[i], b[j])
+        o3, o4 = orient(a[j], b[j], a[i]), orient(a[j], b[j], b[i])
+        # strictly opposite signs: touching and collinear edges do not count,
+        # nor do adjacent ones (their shared vertex orients to exactly 0)
+        if np.any((np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)):
             return False
     return True
 

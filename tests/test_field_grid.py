@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pshlab.field_grid import (GridSpec, ScalarField, build_grid, c2_norm,
-                               ddc_component, load_field, save_field)
+                               ddc_component, load_field, save_field, write_csv)
 from pshlab.potential_kit import Potential, Term, builtin_potential
 
 
@@ -127,10 +127,30 @@ def test_field_invariants():
 
 
 def test_field_serialization_roundtrip(tmp_path, grid128, perturbed):
-    f = perturbed.sample(grid128)
+    vals = np.array(perturbed.sample(grid128).values)
+    vals[64, 60:64] = [-0.0, 5e-324, 1e300, -1e-300]
+    f = ScalarField(grid128, vals)
     path = tmp_path / "field.csv"
     save_field(f, path)
     g = load_field(path)
     assert g.grid == f.grid
     assert np.array_equal(g.mask, f.mask)
-    assert np.array_equal(g.values[g.mask], f.values[f.mask])
+    assert g.values[g.mask].tobytes() == f.values[f.mask].tobytes()
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, 1 / 3]]),
+    np.array([[True, False, True], [False, False, True]]).astype(int),
+    np.array([1.5, -2.0, np.nan, 2.0 ** 60]),
+    np.zeros((0, 3)),
+    np.random.default_rng(7).normal(size=(6, 5)) * 10.0 ** np.arange(-200, 250, 90),
+], ids=["specials", "int", "1-D", "no-rows", "scales"])
+@pytest.mark.parametrize("header", ["", "x,y lambda=0.25"])
+def test_write_csv_bytes(tmp_path, array, header):
+    """The bytes of the per-value `f"{v:.17g}"` join it replaced."""
+    path = tmp_path / "a.csv"
+    write_csv(path, array, header=header)
+    want = f"# {header}\n" if header else ""
+    for row in np.atleast_2d(array):
+        want += ",".join(f"{v:.17g}" for v in row) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")

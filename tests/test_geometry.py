@@ -1,7 +1,8 @@
 """Property tests of `cell_coverage`, the cut-cell area/centroid pass,
-against a small Sutherland-Hodgman clip kept here as the oracle, and of
+against a small Sutherland-Hodgman clip kept here as the oracle, of
 `marching_squares`, the level-curve routine, against the per-cell loop
-with tolerance chaining that it replaced."""
+with tolerance chaining that it replaced, and of `points_in_polygon` and
+`polyline_is_simple` against the per-edge loops that they replaced."""
 
 import math
 from collections import Counter
@@ -9,8 +10,10 @@ from collections import Counter
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from pshlab import geometry
 from pshlab.geometry import (cell_coverage, edge_cell_pairs, marching_squares,
-                             points_in_polygon, polygon_area)
+                             points_in_polygon, polygon_area, polyline_is_simple,
+                             x_sweep)
 
 # Per cell, relative to h^2 (area) and h^3 (first moments), for edges up
 # to one cell long: interpolating along an edge rounds in proportion to its
@@ -396,3 +399,183 @@ def test_contour_keeps_the_region_below_on_its_left():
     assert polygon_area(loop) > 0.0
     (loop,) = marching_squares(-bump, -0.3, ax, ax)
     assert polygon_area(loop) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# point in polygon and simplicity
+# ---------------------------------------------------------------------------
+
+def _points_in_polygon_reference(px, py, poly):
+    """The per-edge even-odd loop that the scanline fill replaced."""
+    x = np.asarray(px, dtype=float).ravel()
+    y = np.asarray(py, dtype=float).ravel()
+    inside = np.zeros(x.shape, dtype=bool)
+    n = len(poly)
+    xs, ys = poly[:, 0], poly[:, 1]
+    for k in range(n):
+        x1, y1 = xs[k], ys[k]
+        x2, y2 = xs[(k + 1) % n], ys[(k + 1) % n]
+        crosses = (y1 > y) != (y2 > y)
+        if not crosses.any():
+            continue
+        xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (x < xi)
+    return inside.reshape(np.asarray(px).shape)
+
+
+def _polyline_is_simple_reference(poly):
+    """The O(n^2) loop that the x-sweep replaced: every edge against every
+    non-adjacent edge."""
+    n = len(poly)
+    if n < 4:
+        return True
+    a = np.asarray(poly, dtype=float)
+    b = np.roll(a, -1, axis=0)
+
+    def orient(o, q, r):
+        return ((q[..., 0] - o[..., 0]) * (r[..., 1] - o[..., 1])
+                - (q[..., 1] - o[..., 1]) * (r[..., 0] - o[..., 0]))
+
+    for i in range(n):
+        js = np.arange(n)
+        js = js[(js != i) & (js != (i - 1) % n) & (js != (i + 1) % n)]
+        o1 = orient(a[i][None, :], b[i][None, :], a[js])
+        o2 = orient(a[i][None, :], b[i][None, :], b[js])
+        o3 = orient(a[js], b[js], np.broadcast_to(a[i], (len(js), 2)))
+        o4 = orient(a[js], b[js], np.broadcast_to(b[i], (len(js), 2)))
+        if ((np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)).any():
+            return False
+    return True
+
+
+@st.composite
+def lattice_polyline(draw):
+    """Vertices on a small integer lattice, so that collinear, touching and
+    repeated vertices are common and every orientation is exact."""
+    n = draw(st.integers(4, 64))
+    side = draw(st.integers(2, 6))
+    pts = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side)),
+                        min_size=n, max_size=n))
+    return np.asarray(pts, dtype=float)
+
+
+@st.composite
+def star_polyline(draw):
+    """A star polygon with 4-64 vertices, as generated or shuffled."""
+    n = draw(st.integers(4, 64))
+    th = np.sort(draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n,
+                               max_size=n, unique=True)))
+    r = draw(st.floats(0.2, 1.0)) + sum(
+        draw(st.floats(-0.15, 0.15)) * np.cos((k + 1) * th + draw(st.floats(0, 6.3)))
+        for k in range(3))
+    poly = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    if draw(st.booleans()):
+        poly = poly[draw(st.permutations(range(n)))]
+    return poly
+
+
+@st.composite
+def figure_eight(draw):
+    """Lissajous figure-eights and bow-ties (one self-crossing each), with
+    4-64 vertices, rotated and scaled."""
+    n = draw(st.integers(4, 64))
+    th = np.linspace(0.0, 2 * math.pi, n, endpoint=False) + draw(st.floats(0, 1))
+    if draw(st.booleans()):
+        pts = np.stack([np.sin(th), np.sin(th) * np.cos(th)], axis=1)
+    else:
+        pts = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    phi = draw(st.floats(0.0, 2 * math.pi))
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    return draw(st.floats(0.01, 100.0)) * pts @ rot
+
+
+@st.composite
+def with_nan(draw, polys):
+    poly = np.array(draw(polys))
+    for _ in range(draw(st.integers(1, 2))):
+        poly[draw(st.integers(0, len(poly) - 1)), draw(st.integers(0, 1))] = np.nan
+    return poly
+
+
+POLYLINES = st.one_of(star_polyline(), figure_eight(), lattice_polyline(),
+                      with_nan(star_polyline()), with_nan(lattice_polyline()))
+
+
+@st.composite
+def uneven_grid(draw, poly):
+    """Query points on a random uneven grid around `poly`, with rows and
+    columns also through every vertex coordinate."""
+    axes = []
+    for d in range(2):
+        n = draw(st.integers(2, 24))
+        steps = np.array([draw(st.floats(0.2, 1.8)) for _ in range(n)])
+        ax = np.concatenate([-1.5 + 3.0 * np.cumsum(steps) / steps.sum(),
+                             poly[:, d]])
+        axes.append(np.unique(ax))
+    return np.meshgrid(*axes, indexing="ij")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(star_polyline(), with_nan(star_polyline())), st.data())
+def test_points_in_polygon_matches_per_edge_loop(poly, data):
+    """Bitwise the same mask on star polygons (self-crossing when their
+    vertices are shuffled, or with NaN vertices), with points on vertex
+    rows and columns."""
+    x, y = data.draw(uneven_grid(poly))
+    got = points_in_polygon(x, y, poly)
+    assert got.shape == x.shape
+    assert np.array_equal(got, _points_in_polygon_reference(x, y, poly))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POLYLINES)
+def test_polyline_is_simple_matches_pairwise_loop(poly):
+    assert polyline_is_simple(poly) == _polyline_is_simple_reference(poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(POLYLINES)
+def test_polyline_is_simple_in_small_passes(poly):
+    """The same answer when the x-sweep pairs are tested a few at a time."""
+    want = _polyline_is_simple_reference(poly)
+    old = geometry.PAIR_BLOCK
+    try:
+        geometry.PAIR_BLOCK = 7
+        assert polyline_is_simple(poly) == want
+    finally:
+        geometry.PAIR_BLOCK = old
+
+
+@settings(max_examples=60, deadline=None)
+@given(POLYLINES)
+def test_x_sweep_pairs_are_the_overlapping_x_ranges(poly):
+    """Each pair of edges whose x-ranges meet is listed once, and no other."""
+    order, count = x_sweep(poly)
+    pairs = [frozenset((int(order[s]), int(order[t])))
+             for s in range(len(poly)) for t in range(s + 1, s + 1 + count[s])]
+    xa, xb = poly[:, 0], np.roll(poly[:, 0], -1)
+    lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
+    want = {frozenset((i, j)) for i in range(len(poly)) for j in range(i)
+            if lo[i] <= hi[j] and lo[j] <= hi[i]}
+    assert len(pairs) == len(set(pairs)) and want <= set(pairs)
+    assert all(np.isnan(lo[list(p)]).any() for p in set(pairs) - want)
+
+
+def test_large_circle_is_simple():
+    th = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    circle = np.stack([np.cos(th), np.sin(th)], axis=1)
+    assert polyline_is_simple(circle)
+    assert not polyline_is_simple(circle[np.r_[0:2048, 3072:4096, 2048:3072]])
+
+
+def test_collinear_edges_apart_in_x_do_not_cross():
+    """Four points on one line, rounded: the edges (p0, p1) and (p2, p3)
+    have disjoint x-ranges, but the rounded orientations of the pairwise
+    loop called them crossing."""
+    line = [[-0.5552024814004579, -1.4557435122046773],
+            [0.052970192901846236, -0.17800815116656288],
+            [0.1693953364763352, 0.06659429341008971],
+            [0.5449425279108049, 0.8555970659941357]]
+    poly = np.array(line + [[0.0, 5.0]])
+    assert not _polyline_is_simple_reference(poly)
+    assert polyline_is_simple(poly)
