@@ -49,7 +49,7 @@ from .geodesic_legendre import (assemble_geodesic, grid_slices, hamiltonian,
                                 legendre_slices, oracle_slices)
 from .ma_measure import reproducing_check
 from .foliation_tube import (build_tubular_map, check_pullback, disc_area,
-                             leaf_boundary, polar_anchor_net, trace_leaf)
+                             leaf_boundary, polar_anchor_net, trace_leaves)
 
 
 @dataclass
@@ -161,15 +161,15 @@ class AcceptanceContext:
 
     @cached_property
     def leaves(self):
-        out = {}
-        for lam in (0.1, 0.2, 0.3):
-            out[("quartic", lam)] = trace_leaf(
-                self.quartic_leaf_ray, self.quartic, self.quartic_anchor(lam),
-                n_steps=self.n_steps)
-            out[("perturbed", lam)] = trace_leaf(
-                self.perturbed_leaf_ray, self.perturbed,
-                self.perturbed_anchor(lam), n_steps=self.n_steps)
-        return out
+        lams = (0.1, 0.2, 0.3)
+        quartic = trace_leaves(
+            self.quartic_leaf_ray, self.quartic,
+            [self.quartic_anchor(lam) for lam in lams], n_steps=self.n_steps)
+        perturbed = trace_leaves(
+            self.perturbed_leaf_ray, self.perturbed,
+            [self.perturbed_anchor(lam) for lam in lams], n_steps=self.n_steps)
+        return {(name, lam): leaf for lam, q, pt in zip(lams, quartic, perturbed)
+                for name, leaf in (("quartic", q), ("perturbed", pt))}
 
 
 def _result(cid, title, passed, details, t0):

@@ -34,7 +34,7 @@ from .geodesic_legendre import (assemble_geodesic, certified_lambda,
                                 oracle_slices, weak_solution)
 from .ma_measure import boundary_mass, ma_mass
 from .foliation_tube import (build_tubular_map, disc_area, polar_anchor_net,
-                             trace_leaf)
+                             trace_leaves)
 
 
 class ConfigError(ValueError):
@@ -326,9 +326,8 @@ def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
     lams = cfg.lambdas or [cfg.lam]
     leaf_dir = out / "leaves"
     leaf_dir.mkdir(exist_ok=True)
-    rows = []
     anchors = []
-    for i, lam in enumerate(lams):
+    for lam in lams:
         if p.symmetry == "radial":
             from scipy.optimize import brentq
             t_s = brentq(lambda t: p.chi_prime(t) - lam, -200.0, 0.0)
@@ -338,19 +337,21 @@ def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
             _, poly = extract_equilibrium(slices[k][1])
             j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
             anchor = poly[j, 0] + 1j * poly[j, 1]
-        leaf = trace_leaf(ray, p, anchor)
-        area = disc_area(leaf, p)
         anchors.append(anchor)
+    rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
+        abs(a) for a in anchors)
+    net = polar_anchor_net(rings, cfg.anchor_angles)
+    leaves = trace_leaves(ray, p, anchors + list(net.ravel()))
+    rows = []
+    for i, (lam, leaf) in enumerate(zip(lams, leaves)):
+        area = disc_area(leaf, p)
         arr = np.stack([leaf.t_samples, leaf.curve.real, leaf.curve.imag,
                         np.full(len(leaf.t_samples), leaf.lam_leaf)], axis=1)
         write_csv(leaf_dir / f"leaf_{i:03d}.csv", arr, header="t,re_z,im_z,H")
         rows.append([lam, leaf.lam_leaf, area, leaf.h_drift])
     write_csv(out / "areas.csv", np.asarray(rows),
               header="lambda_target,lambda_leaf,area,h_drift")
-    rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
-        abs(a) for a in anchors)
-    net = polar_anchor_net(rings, cfg.anchor_angles)
-    tmap = build_tubular_map(ray, p, net)
+    tmap = build_tubular_map(ray, p, net, leaves=leaves[len(anchors):])
     flat_pairs = np.stack([tmap.u_points.ravel().real,
                            tmap.u_points.ravel().imag,
                            tmap.anchors.ravel().real,

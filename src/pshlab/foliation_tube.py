@@ -68,9 +68,16 @@ class TubularMap:
 
 
 class LeafExit(RuntimeError):
-    def __init__(self, msg, location=None):
-        super().__init__(msg)
-        self.location = location
+    """A leaf left its resolved region, at `location`, from `anchor`."""
+
+    def __init__(self, msg, location=None, anchor=None):
+        at = "" if location is None else f" at {location:.5g}"
+        of = "" if anchor is None else f" (leaf of anchor {anchor:.6g})"
+        super().__init__(msg + at + of)
+        self.location, self.anchor = location, anchor
+
+
+LEAF_WINDOW = 8   # slices a sampled-slice leaf reads on each side of its level
 
 
 def _bin_log_means(lam):
@@ -85,25 +92,27 @@ def _bin_log_means(lam):
 
 
 # ---------------------------------------------------------------------------
-# slice probes: sampled (spline) and radial (closed form)
+# slice probes, sampled (spline) and radial (closed form): read(x) gives the
+# slice values at the points x (n,) of a batch of leaves, and derivs(j) the
+# Wirtinger gradients (3, n) of slices j[i] + 0..2 and the d^2/dz dzbar
+# (2, n) of slices j[i] + 0..1
 # ---------------------------------------------------------------------------
+_NODES = np.arange(3)[:, None]
+
 
 class _SplineProbe:
-    """Bicubic access to a window of slice fields: values, Wirtinger
-    gradient, and the quarter-Laplacian (= d^2/dz dzbar of the slice).
-
-    Derivative evaluations are the expensive part of the trace, so
-    value-only and full evaluations are offered separately.  `noise` is
-    the measured value noise of the splines (their ringing across the
-    free-boundary kinks); `resolve_radius` is the pole-exclusion radius of
-    the heaviest slice held, inside which the spline Laplacians are not
-    resolved."""
+    """Bicubic access to a window of slice fields.  `noise` is the measured
+    value noise of the splines (their ringing across the free-boundary
+    kinks); `resolve_radius` is the pole-exclusion radius of the heaviest
+    slice held, inside which the spline Laplacians are not resolved;
+    `depth_bins` pushes the bracket past the O(h)-wide contact band the
+    sampled slices carry along their free boundaries."""
 
     def __init__(self, ray: GeodesicRay, k_window):
         grid = ray.spatial_grid
         ax = grid.axis()
         self.k_window = list(k_window)
-        self.splines = {}
+        self.splines = []
         self.noise = 0.0
         for k in self.k_window:
             fld = ray.slices[k]
@@ -115,36 +124,33 @@ class _SplineProbe:
                       (i0[0], i0[1] + 1), (i0[0], i0[1] - 1)]
                 filled[i0] = np.mean([filled[j] for j in nb])
             sp = RectBivariateSpline(ax, ax, filled, kx=3, ky=3)
-            self.splines[k] = sp
+            self.splines.append(sp)
             self.noise = max(self.noise, rounding_noise(
                 np.max(np.abs(fld.values[fld.mask]), initial=0.0)),
                 _plateau_ringing(sp, fld, ax))
         self.resolve_radius = pole_exclusion_radius(
             float(ray.lam_grid[self.k_window[-1]]), grid.h)
         self.r_max = grid.radius - 4.0 * grid.h
+        self.depth_bins = min(int(math.ceil(3.0 * grid.h / ray.d_lam)), 4)
 
-    def eval_values(self, ks, x):
-        return np.array([self.splines[k].ev(x.real, x.imag) for k in ks],
-                        dtype=float)
+    def read(self, x):
+        xr, xi = x.real, x.imag
 
-    def eval_value(self, k, x):
-        return self.splines[k].ev(x.real, x.imag)
+        def derivs(j):
+            nodes = j + _NODES
+            grads = np.empty(nodes.shape, dtype=complex)
+            laps = np.empty((2, len(x)))
+            for k in np.unique(nodes):
+                node, i = np.nonzero(nodes == k)
+                sp, a, b = self.splines[k], xr[i], xi[i]
+                grads[node, i] = 0.5 * (sp.ev(a, b, dx=1)
+                                        - 1j * sp.ev(a, b, dy=1))
+                two = node < 2
+                laps[node[two], i[two]] = 0.25 * (
+                    sp.ev(a[two], b[two], dx=2) + sp.ev(a[two], b[two], dy=2))
+            return grads, laps
 
-    def eval_grad(self, k, x):
-        sp = self.splines[k]
-        ax_ = sp.ev(x.real, x.imag, dx=1)
-        ay_ = sp.ev(x.real, x.imag, dy=1)
-        return 0.5 * (ax_ - 1j * ay_)
-
-    def eval_lap(self, k, x):
-        sp = self.splines[k]
-        axx = sp.ev(x.real, x.imag, dx=2)
-        ayy = sp.ev(x.real, x.imag, dy=2)
-        return 0.25 * (axx + ayy)
-
-    def eval(self, k, x):
-        return (self.eval_value(k, x), self.eval_grad(k, x),
-                self.eval_lap(k, x))
+        return np.stack([sp.ev(xr, xi) for sp in self.splines], axis=1), derivs
 
 
 def _plateau_ringing(spline, fld, ax) -> float:
@@ -174,6 +180,7 @@ class _RadialProbe:
         from scipy.optimize import brentq
         self.p = p
         self.lam = np.asarray(lam_grid, dtype=float)
+        self.k_window = list(range(len(self.lam)))
         self.t_star = np.full(len(self.lam), -np.inf)
         self.flat = np.zeros(len(self.lam))
         for k, lam in enumerate(self.lam):
@@ -187,250 +194,238 @@ class _RadialProbe:
         self.noise = rounding_noise(np.max(
             np.abs(self.flat[fin]) + np.abs(self.lam[fin] * self.t_star[fin]),
             initial=0.0))
-        self.resolve_radius = 0.0
-        self.r_max = np.inf
+        self.resolve_radius, self.r_max, self.depth_bins = 0.0, np.inf, 0
 
-    def eval_values(self, ks, x):
-        ks = np.asarray(ks)
-        s = float(np.log((x * np.conj(x)).real))
-        chi = float(self.p.chi(s))
-        inside = s < self.t_star[ks]
-        return np.where(inside, self.flat[ks] - chi + self.lam[ks] * s, 0.0)
-
-    def eval_value(self, k, x):
-        lam = self.lam[k]
+    def read(self, x):
         rho = (x * np.conj(x)).real
         s = np.log(rho)
-        if s >= self.t_star[k]:
-            return 0.0
-        return self.flat[k] - self.p.chi(s) + lam * s
+        chi, chi1, chi2 = self.p.chi_jet(s)
 
-    def eval_grad(self, k, x):
-        lam = self.lam[k]
-        s = np.log((x * np.conj(x)).real)
-        if s >= self.t_star[k]:
-            return 0.0 + 0.0j
-        return (lam - self.p.chi_prime(s)) / x   # d/dz, dz s = 1/z
+        def derivs(j):   # d/dz s = 1/z
+            nodes = j + _NODES
+            outside = s >= self.t_star[nodes]
+            return (np.where(outside, 0j, (self.lam[nodes] - chi1) / x),
+                    np.where(outside[:2], 0.0, -chi2 / rho))
 
-    def eval_lap(self, k, x):
-        rho = (x * np.conj(x)).real
-        s = np.log(rho)
-        if s >= self.t_star[k]:
-            return 0.0
-        return -self.p.chi_second(s) / rho
-
-    def eval(self, k, x):
-        return (self.eval_value(k, x), self.eval_grad(k, x),
-                self.eval_lap(k, x))
+        sc = s[:, None]
+        return np.where(sc < self.t_star,
+                        self.flat - chi[:, None] + self.lam * sc, 0.0), derivs
 
 
-def _window_indices(ray: GeodesicRay, lam_center: float, half: int = 6):
-    m = len(ray.lam_grid)
-    k0 = int(np.searchsorted(ray.lam_grid, lam_center))
-    lo = max(0, k0 - half)
-    hi = min(m, k0 + half + 1)
-    return list(range(lo, hi))
+def _check(ok, msg, x, anchors):   # LeafExit for the first leaf not ok
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise LeafExit(msg, location=complex(x[i]), anchor=complex(anchors[i]))
 
 
-def _rhs_factory(ray: GeodesicRay, p, probe, k_window, depth_bins: int = 0):
-    """depth_bins pushes the evaluation bracket past the coincidence
-    plateau: sampled slices carry an O(h)-wide degraded band along their
-    own free boundaries, and the bracket nodes must clear it.  The plateau
-    is told apart by `plateau_threshold` at the probe's noise."""
-    lam = ray.lam_grid[k_window]
+def _rhs_factory(ray: GeodesicRay, p, probe):
+    """Right-hand side of the leaf equation for a batch of leaves read
+    through one probe; each row gets the IEEE operations of a lone leaf."""
+    lam = ray.lam_grid[probe.k_window]
     if len(lam) < 3:
         raise ValueError("lam window too small for slope differencing")
     dl = np.diff(lam)
     mids = 0.5 * (lam[1:] + lam[:-1])
     nu = _bin_log_means(lam)
-    eps = plateau_threshold(probe.noise, dl)
+    neg_eps = -plateau_threshold(probe.noise, dl)
+    nd = len(dl)
+    cols = np.arange(nd)
+    floor = 1 + probe.depth_bins
+    # per bracket j, the tables its nodes j..j+2 need (the third node is
+    # clamped, and unused, where j + 2 = nd)
+    j = np.arange(nd - 1)
+    j2 = np.minimum(j + 2, nd - 1)
+    brackets = np.stack([
+        nu[j], nu[j + 1], nu[j + 1] - nu[j], nu[j2] - nu[j + 1],
+        0.5 * (nu[j2] - nu[j]), mids[j], mids[j + 1] - mids[j],
+        lam[j], lam[j + 1] - lam[j], dl[j], dl[j + 1]])
+    no_third = j + 2 >= nd
+    real_monomials = getattr(p, "symmetry", "general") != "general"
 
-    def state(x, t):
-        xx = np.asarray(x)
-        A = probe.eval_values(k_window, xx)
-        D = (A[1:] - A[:-1]) / dl
-        neg = (D + t) < -eps
-        forced = False
-        if not neg.any():
-            j = len(D) - 2
-        else:
-            j0 = int(np.argmax(neg))
-            on_plateau = D >= -eps
-            plateau = np.nonzero(on_plateau[:j0 + 1])[0]
-            jP = int(plateau[-1]) if plateau.size else -1
-            # clear the kink-straddling difference at the plateau edge and
-            # the degraded band above it
-            if j0 == 0 or on_plateau[j0 - 1]:
-                j0 += 1
-                forced = True
-            if j0 < jP + 1 + depth_bins:
-                j0 = jP + 1 + depth_bins
-                forced = True
-            j = min(max(j0, 0), len(D) - 2)
-        da, db = D[j] + t, D[j + 1] + t
-        q_lam = (D[j + 1] - D[j]) / (mids[j + 1] - mids[j])
-        if not (q_lam < -1e-12):
-            raise LeafExit("degenerate slope curvature along the leaf",
-                           location=complex(x))
+    def state(x, t, anchors):
+        A, derivs = probe.read(x)
+        rows = np.arange(len(x))
+        D = (A[:, 1:] - A[:, :-1]) / dl
+        neg = (D + t) < neg_eps
+        on_plateau = D >= neg_eps
+        j0 = np.argmax(neg, axis=1)
+        crossing = neg[rows, j0]
+        # the last plateau difference at or below j0
+        jp = np.maximum.accumulate(np.where(on_plateau, cols, -1),
+                                   axis=1)[rows, j0]
+        # clear the kink-straddling difference at the plateau edge and
+        # the degraded band above it
+        kink = (j0 == 0) | on_plateau[rows, j0 - 1]
+        j0 = j0 + kink
+        deep = j0 < jp + floor
+        j = np.minimum(np.where(crossing, np.maximum(j0, jp + floor), nd - 2),
+                       nd - 2)
+        forced = crossing & (kink | deep)
+        nu0, nu1, dnu, dnu12, half02, m0, dmid, lam0, dlam, dl0, dl1 = \
+            brackets[:, j]
+        d0, d1, d2 = np.take(D, rows * nd + j + _NODES, mode="clip")
+        da, db = d0 + t, d1 + t
+        q_lam = (d1 - d0) / dmid
+        _check(q_lam < -1e-12, "degenerate slope curvature along the leaf",
+               x, anchors)
         # root of the slope curve in ln(lam) at the exact bin log-means:
         # exact on the flat-weight curve; a one-Newton curvature refinement
         # absorbs the quadratic term when a third smooth bin is available
-        if abs(db - da) > 1e-30:
-            g1 = (db - da) / (nu[j + 1] - nu[j])
-            root = nu[j] - da / g1
-            if j + 2 < len(D):
-                dc = D[j + 2] + t
-                g2 = (dc - db) / (nu[j + 2] - nu[j + 1])
-                curv = (g2 - g1) / (0.5 * (nu[j + 2] - nu[j]))
-                for _ in range(2):
-                    f = da + g1 * (root - nu[j]) \
-                        + 0.5 * curv * (root - nu[j]) * (root - nu[j + 1])
-                    fp = g1 + 0.5 * curv * (2 * root - nu[j] - nu[j + 1])
-                    if abs(fp) < 1e-30:
-                        break
-                    root = root - f / fp
-            lam_star = math.exp(root)
-        else:
-            lam_star = mids[j]
-        lam_star = float(np.clip(lam_star, lam[1] * 1e-3, lam[-1]))
+        # (d2 is read past the row where there is none, and unused)
+        rise = db - da
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g1 = rise / dnu
+            root = nu0 - da / g1
+            half_curv = 0.5 * (((d2 + t - db) / dnu12 - g1) / half02)
+            for _ in range(2):
+                r0 = root - nu0
+                f = da + g1 * r0 + half_curv * r0 * (root - nu1)
+                fp = g1 + half_curv * (root + root - nu0 - nu1)
+                root = np.where(no_third[j] | (np.abs(fp) < 1e-30), root,
+                                root - f / fp)
+        # math.exp, not np.exp: the vector exp is not libm's to the ulp
+        lam_star = np.array([math.exp(r) if sloped else m for r, sloped, m
+                             in zip(root.tolist(),
+                                    (np.abs(rise) > 1e-30).tolist(),
+                                    m0.tolist())])
+        lam_star = np.minimum(np.maximum(lam_star, lam[1] * 1e-3), lam[-1])
         # derivative data only where needed: nodes j..j+2 of the bracket,
         # which by construction sit on the smooth branch of the family
-        W = [probe.eval_grad(k_window[j + i], xx) for i in range(3)]
-        qx_a = (W[1] - W[0]) / dl[j]
-        qx_b = (W[2] - W[1]) / dl[j + 1]
-        w = (lam_star - mids[j]) / (mids[j + 1] - mids[j])
-        q_x = (1.0 - w) * qx_a + w * qx_b
-        L0 = probe.eval_lap(k_window[j], xx)
-        L1 = probe.eval_lap(k_window[j + 1], xx)
-        wn = (lam_star - lam[j]) / (lam[j + 1] - lam[j])
-        a_lap = (1.0 - wn) * L0 + wn * L1
-        return lam_star, q_x, q_lam, a_lap, forced
+        (w0, w1, w2), (l0, l1) = derivs(j)
+        w = (lam_star - m0) / dmid
+        q_x = (1.0 - w) * ((w1 - w0) / dl0) + w * ((w2 - w1) / dl1)
+        wn = (lam_star - lam0) / dlam
+        return lam_star, q_x, q_lam, (1.0 - wn) * l0 + wn * l1, forced
 
-    def rhs(x, t):
-        lam_star, q_x, q_lam, a_lap, forced = state(x, t)
-        phi_h = complex(p.hessian(np.asarray(x, dtype=complex))).real
-        denom = q_lam * (phi_h + a_lap) - (q_x * np.conj(q_x)).real
-        if not (denom < -1e-12):
-            raise LeafExit("degenerate fiber metric along the leaf",
-                           location=complex(x))
+    def rhs(x, t, anchors):
+        lam_star, q_x, q_lam, a_lap, forced = state(x, t, anchors)
+        # |q_x|^2 and complex monomials rounded as scalar, not vector, products
+        phi_h = np.real(p.hessian(x)) if real_monomials else np.array(
+            [complex(p.hessian(np.asarray(v))).real for v in x])
+        denom = q_lam * (phi_h + a_lap) \
+            - (q_x.real * q_x.real + q_x.imag * q_x.imag)
+        _check(denom < -1e-12, "degenerate fiber metric along the leaf",
+               x, anchors)
         return 0.5 * np.conj(q_x) / denom, lam_star, forced
 
     return rhs, state
 
 
-def trace_leaf(ray: GeodesicRay, p, z1: complex, n_steps: int = 2048,
-               window: int = 8, depth_bins: int | None = None) -> Leaf:
-    """Integrate the leaf through the t = 0 anchor z1 along the real ray.
+def trace_leaves(ray: GeodesicRay, p, anchors, n_steps: int = 2048) -> list:
+    """Integrate the leaves through the t = 0 anchors along the real ray,
+    by fixed-step RK4 in t (step t_max/n_steps); one Leaf per anchor.
 
-    Fixed-step RK4 in t with step t_max/n_steps; radial oracle rays trace
-    the full range with closed-form slices.  Sampled-slice rays are read
-    through bicubic splines of a window of slices around the anchor level
-    and stop at the resolution horizon, the pole-exclusion radius
-    (`pole_exclusion_radius`) of the heaviest slice in the window: inside
-    it the sampled log-pole Laplacians that enter the leaf equation are
-    not resolved.  The chart limit is then extrapolated with the e^{-t}
-    rate.
+    Radial oracle rays trace the full range with closed-form slices.
+    Sampled rays are read through bicubic splines of the slices around
+    the anchor level and stop at the pole-exclusion radius of the heaviest
+    one, inside which their log-pole Laplacians are not resolved; the
+    chart limit is then extrapolated with the e^{-t} rate.  The plateau
+    rule (`plateau_threshold`) at the noise of the data read (rounding, or
+    the splines' measured ringing) splits the slope differences.  Anchors
+    reading the same slices are integrated as one complex vector, each
+    leaf stopping on its own and bitwise the leaf of its anchor alone.
+    An anchor at 0 gives the constant leaf at 0.  The drift of the
+    Hamiltonian from lam_leaf along the trace is reported.  Raises
+    ValueError naming an anchor whose level is not in (0, c), LeafExit
+    naming a leaf that leaves the resolved region or degenerates."""
+    anchors = [complex(z) for z in np.asarray(anchors, dtype=complex).ravel()]
+    radial = getattr(p, "symmetry", "general") == "radial" \
+        and ray.backend.startswith("oracle")
+    leaves = [None] * len(anchors)
+    groups = {}
+    for i, z1 in enumerate(anchors):
+        if z1 == 0:
+            zz, ts = np.zeros(9, dtype=complex), np.linspace(0.0, ray.t_max, 9)
+            leaves[i] = Leaf(anchor=0j, t_samples=ts, curve=zz, ambient=zz,
+                             lam_leaf=0.0, h_drift=0.0, u_limit=0j, ray=ray)
+        elif radial:
+            groups.setdefault(None, []).append(i)
+        else:   # the slices within LEAF_WINDOW of the anchor level
+            k0 = int(np.searchsorted(ray.lam_grid, _anchor_level(ray, z1)))
+            groups.setdefault((max(0, k0 - LEAF_WINDOW), min(
+                len(ray.lam_grid), k0 + LEAF_WINDOW + 1)), []).append(i)
+    for window, idx in groups.items():
+        probe = _RadialProbe(p, ray.lam_grid) if radial \
+            else _SplineProbe(ray, range(*window))
+        for i, leaf in zip(idx, _trace_batch(
+                ray, p, probe, [anchors[i] for i in idx], n_steps)):
+            leaves[i] = leaf
+    return leaves
 
-    The slope differences of the window are split into the zero plateau
-    and the smooth branch by the plateau rule (`plateau_threshold`) at the
-    value noise of the data read: rounding level for closed-form slices,
-    the splines' ringing measured on the zero plateau next to the free
-    boundary for sampled ones.  The threshold is fixed once per trace.
 
-    The Hamiltonian value along the trace is recorded and its drift from
-    lam_leaf reported.  Raises LeafExit if the leaf leaves the resolved
-    region sideways or the fiber metric degenerates.
-    """
-    z1 = complex(z1)
-    t_max = ray.t_max
-    if z1 == 0:
-        ts = np.linspace(0.0, t_max, 9)
-        zz = np.zeros_like(ts, dtype=complex)
-        return Leaf(anchor=0j, t_samples=ts, curve=zz, ambient=zz,
-                    lam_leaf=0.0, h_drift=0.0, u_limit=0j, ray=ray)
+def trace_leaf(ray: GeodesicRay, p, z1: complex, n_steps: int = 2048) -> Leaf:
+    """The leaf through one t = 0 anchor (see `trace_leaves`)."""
+    return trace_leaves(ray, p, [z1], n_steps=n_steps)[0]
 
-    if getattr(p, "symmetry", "general") == "radial" \
-            and ray.backend.startswith("oracle"):
-        probe = _RadialProbe(p, ray.lam_grid)
-        k_window = list(range(len(ray.lam_grid)))
-        depth = 0 if depth_bins is None else depth_bins
-    else:
-        probe = _SplineProbe(ray, _window_indices(
-            ray, _anchor_level(ray, z1), half=window))
-        k_window = probe.k_window
-        if depth_bins is None:
-            # clear the O(h)-wide contact band of the sampled slices
-            depth = int(math.ceil(3.0 * ray.spatial_grid.h / ray.d_lam))
-            depth = min(depth, 4)
-        else:
-            depth = depth_bins
-    rhs, state = _rhs_factory(ray, p, probe, k_window, depth_bins=depth)
 
+def _trace_batch(ray: GeodesicRay, p, probe, anchors, n_steps: int) -> list:
+    rhs, state = _rhs_factory(ray, p, probe)
+    z1 = np.asarray(anchors, dtype=complex)
+    n = len(z1)
     try:
-        anchor_level, *_ = state(z1, 0.0)
+        levels = state(z1, 0.0, z1)[0]
+        _check((0.0 < levels) & (levels < ray.cutoff), "level not in (0, c)",
+               z1, z1)
     except LeafExit as exc:
         raise ValueError("anchor Hamiltonian outside (0, c): leaf not "
                          f"contained in the computed ray ({exc})") from None
-    if not (0.0 < anchor_level < ray.cutoff):
-        raise ValueError(f"anchor Hamiltonian {anchor_level:.4g} outside "
-                         "(0, c): leaf not contained in the computed ray")
-
-    dt = t_max / n_steps
-    x = z1
-    ts = [0.0]
-    xs = [x]
-    lam_trace = []
-    forced_trace = []
-    t = 0.0
+    dt = ray.t_max / n_steps
+    xs = np.repeat(z1[:, None], n_steps + 1, axis=1)
+    lam_trace = np.empty((n, n_steps))
+    forced_trace = np.empty((n, n_steps), dtype=bool)
+    steps = np.full(n, n_steps)
+    live, x, t, ts = np.arange(n), z1, 0.0, [0.0]
     for k in range(n_steps):
-        if abs(x) < probe.resolve_radius:
-            break
-        if abs(x) > probe.r_max:
-            raise LeafExit(f"leaf exited the resolved region at {x:.5g}",
-                           location=x)
-        k1, lam_here, forced = rhs(x, t)
-        lam_trace.append(lam_here)
-        forced_trace.append(forced)
-        k2, _, _ = rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3, _, _ = rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4, _, _ = rhs(x + dt * k3, t + dt)
+        r = np.hypot(x.real, x.imag)     # = abs(x), rounded as libm's hypot
+        if (done := r < probe.resolve_radius).any():
+            steps[live[done]] = k
+            live, x, r = live[~done], x[~done], r[~done]
+            if live.size == 0:
+                break
+        za = z1[live]
+        _check(~(r > probe.r_max), "leaf exited the resolved region", x, za)
+        k1, lam_here, forced = rhs(x, t, za)
+        k2 = rhs(x + 0.5 * dt * k1, t + 0.5 * dt, za)[0]
+        k3 = rhs(x + 0.5 * dt * k2, t + 0.5 * dt, za)[0]
+        k4 = rhs(x + dt * k3, t + dt, za)[0]
         x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
         ts.append(t)
-        xs.append(x)
+        xs[live, k + 1] = x
+        lam_trace[live, k] = lam_here
+        forced_trace[live, k] = forced
     ts = np.asarray(ts)
-    xs = np.asarray(xs, dtype=complex)
-    chart = xs * np.exp(0.5 * ts)
+    return [_finish_leaf(ray, complex(z1[i]), ts[:m + 1], xs[i, :m + 1].copy(),
+                         lam_trace[i, :m], forced_trace[i, :m],
+                         float(levels[i])) for i, m in enumerate(steps)]
 
+
+def _finish_leaf(ray, z1, ts, xs, lam_trace, forced_trace, anchor_level):
+    chart = xs * np.exp(0.5 * ts)
     # the Hamiltonian value of the leaf and its constancy defect, measured
     # where the crossing bracket is natural (detached from the plateau);
     # the early forced-extrapolation regime carries a small estimator bias
     # that would otherwise masquerade as drift
-    lam_trace = np.asarray(lam_trace)
-    natural = ~np.asarray(forced_trace, dtype=bool)
+    natural = ~forced_trace
     if natural.sum() >= 16:
         vals = lam_trace[natural]
         lam_leaf = float(np.median(vals[len(vals) // 4:]))
         drift = float(np.max(np.abs(vals - lam_leaf)))
     else:
-        lam_leaf = float(anchor_level)
+        lam_leaf = anchor_level
         drift = float(np.max(np.abs(lam_trace - lam_leaf))) if len(lam_trace) \
             else 0.0
-
     # central-fiber coordinate: chart limit with e^{-t} Richardson step
     if len(ts) > 32:
         t_end = ts[-1]
-        span = max(0.5, 0.1 * t_end)
-        j = int(np.searchsorted(ts, t_end - span))
+        j = int(np.searchsorted(ts, t_end - max(0.5, 0.1 * t_end)))
         zT, zP = chart[-1], chart[j]
-        dt_r = t_end - ts[j]
-        u_lim = zT + (zT - zP) / (math.exp(dt_r) - 1.0)
+        u_lim = zT + (zT - zP) / (math.exp(t_end - ts[j]) - 1.0)
     else:
         u_lim = chart[-1]
     return Leaf(anchor=z1, t_samples=ts, curve=chart, ambient=xs,
                 lam_leaf=float(lam_leaf), h_drift=float(drift),
-                u_limit=complex(u_lim), ray=ray,
-                anchor_level=float(anchor_level))
+                u_limit=complex(u_lim), ray=ray, anchor_level=anchor_level)
 
 
 def _anchor_level(ray: GeodesicRay, z1: complex) -> float:
@@ -484,21 +479,21 @@ def leaf_boundary(leaf: Leaf, p=None, n_points: int = 2048) -> np.ndarray:
     interp = RegularGridInterpolator((ax, ax), vals, method="linear",
                                      bounds_error=False, fill_value=ray.cutoff)
     th = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    r_lo, r_hi = 4.0 * grid.h, grid.radius - 6.0 * grid.h
-    rs = np.linspace(r_lo, r_hi, 512)
-    r_anchor = abs(leaf.anchor)
-    radii = np.empty(n_points)
-    for i, a in enumerate(th):
-        pts = np.stack([rs * math.cos(a), rs * math.sin(a)], axis=1)
-        f = interp(pts) - leaf.lam_leaf
-        sign = f[:-1] * f[1:] <= 0
-        idx = np.nonzero(sign)[0]
-        if idx.size == 0:
-            raise LeafExit("no closed orbit at the leaf level: boundary "
-                           "reconstruction failed")
-        cross = rs[idx] - f[idx] * (rs[idx + 1] - rs[idx]) \
-            / (f[idx + 1] - f[idx])
-        radii[i] = cross[np.argmin(np.abs(cross - r_anchor))]
+    rs = np.linspace(4.0 * grid.h, grid.radius - 6.0 * grid.h, 512)
+    # libm's cos/sin, as the per-angle read-out had
+    trig = np.array([(math.cos(a), math.sin(a)) for a in th])
+    pts = np.stack([rs * trig[:, :1], rs * trig[:, 1:]], axis=-1)
+    f = interp(pts) - leaf.lam_leaf                 # (n_points, len(rs))
+    crossing = f[:, :-1] * f[:, 1:] <= 0
+    if not crossing.any(axis=1).all():
+        raise LeafExit("no closed orbit at the leaf level: boundary "
+                       "reconstruction failed", anchor=leaf.anchor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = rs[:-1] - f[:, :-1] * (rs[1:] - rs[:-1]) \
+            / (f[:, 1:] - f[:, :-1])
+    # the crossing closest to the anchor radius, first on ties and NaN
+    gap = np.where(crossing, np.abs(cross - abs(leaf.anchor)), np.inf)
+    radii = cross[np.arange(n_points), np.argmin(gap, axis=1)]
     if not ray.backend.startswith("oracle"):
         k = np.ones(5) / 5.0
         radii = np.convolve(np.concatenate([radii[-4:], radii, radii[:4]]),
@@ -506,7 +501,7 @@ def leaf_boundary(leaf: Leaf, p=None, n_points: int = 2048) -> np.ndarray:
     poly = np.stack([radii * np.cos(th), radii * np.sin(th)], axis=1)
     if not polyline_is_simple(resample_closed(poly, 256)):
         raise LeafExit("orbit curve self-intersects: leaf not closed under "
-                       "the circle-orbit reconstruction")
+                       "the circle-orbit reconstruction", anchor=leaf.anchor)
     return poly
 
 
@@ -517,8 +512,6 @@ def disc_area(leaf: Leaf, p) -> float:
     if leaf.anchor == 0:
         return 0.0
     poly = leaf_boundary(leaf, p)
-    if len(poly) == 0:
-        raise LeafExit("leaf boundary is empty")
     area = boundary_mass(p, poly)
     leaf.area = area
     return area
@@ -528,31 +521,28 @@ def disc_area(leaf: Leaf, p) -> float:
 # tubular correspondence
 # ---------------------------------------------------------------------------
 
-def build_tubular_map(ray: GeodesicRay, p, anchors) -> TubularMap:
-    """Trace every anchor to the central fiber and assemble u -> anchor.
+def build_tubular_map(ray: GeodesicRay, p, anchors,
+                      leaves=None) -> TubularMap:
+    """Trace every anchor to the central fiber, in one batch, and assemble
+    u -> anchor; `leaves`, when given, are the anchors' leaves (in ravel
+    order), traced by the caller in a larger batch.
 
     anchors may be a flat complex sequence or an (n_radii, n_angles)
     complex array (polar net, preserved for differencing).  An anchor at
-    0 maps to 0 without tracing.  Two central-fiber points closer than a
-    node spacing raise (leaves are disjoint)."""
+    0 maps to 0.  Two central-fiber points closer than a node spacing
+    raise (leaves are disjoint)."""
     arr = np.asarray(anchors, dtype=complex)
     shape = arr.shape if arr.ndim == 2 else None
     flat = arr.ravel()
-    us = np.empty(flat.shape, dtype=complex)
-    lams = np.empty(flat.shape)
-    for i, z1 in enumerate(flat):
-        if z1 == 0:
-            us[i], lams[i] = 0j, 0.0
-            continue
-        leaf = trace_leaf(ray, p, z1)
-        us[i] = leaf.u_limit
-        lams[i] = leaf.lam_leaf
-    h = ray.spatial_grid.h
+    if leaves is None:
+        leaves = trace_leaves(ray, p, flat)
+    us = np.array([leaf.u_limit for leaf in leaves], dtype=complex)
+    lams = np.array([leaf.lam_leaf for leaf in leaves], dtype=float)
     nz = us[np.abs(flat) > 0]
     if len(nz) > 1:
         duv = np.abs(nz[:, None] - nz[None, :])
         np.fill_diagonal(duv, np.inf)
-        if float(duv.min()) < h:
+        if float(duv.min()) < ray.spatial_grid.h:
             raise ValueError("two leaves reached the same central-fiber "
                              "point within a node spacing: sampled "
                              "correspondence is not injective")
