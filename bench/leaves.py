@@ -1,4 +1,4 @@
-"""Leaf tracing: wall time and right-hand-side counts at 1, 4 and 32 anchors.
+"""Leaf tracing: wall time and right-hand-side counts, radial and sampled rays.
 
     python bench/leaves.py --src src --label change
     python bench/leaves.py --src /path/to/parent/src --label parent
@@ -15,6 +15,14 @@ median wall time is kept:
   of the 512^2 grid.  The slices are built on a 64^2 grid, because the
   radial tracer reads only the lam grid, the t-range and the cutoff of
   the ray; the leaves are C13's.
+
+and two on a sampled ray, where anchors are batched only with the anchors
+of the same slice window (here each leaf anchor runs alone and each ring
+of the net is one batch):
+
+* sampled 1 anchor and sampled 10 anchors: the first leaf anchor, and
+  all 2 leaf anchors plus the 2 x 4 net, of a general-weight grid-backend
+  `foliate` command (SAMPLED_CONFIG: 96^2, 16 slices, `reharm`).
 
 A tree with `foliation_tube.trace_leaves` traces each set in one call; a
 tree without it calls `trace_leaf` once per anchor.  The right-hand-side
@@ -50,22 +58,42 @@ C13_LEVELS = (0.06, 0.12, 0.2, 0.3)
 OUT = HERE.parent / "BENCH_leaves.json"
 
 
-def foliate_anchors():
-    """The ray and anchors of the `foliate-oracle` command at SEED, as
-    `foliate` builds them."""
+SAMPLED_CONFIG = """command = foliate
+backend = grid
+resolution = 96
+lambda_nodes = 16
+lambdas = 0.12,0.22
+anchor_rings = 2
+anchor_angles = 4
+c = 0.36
+tol = 1e-9
+
+[potential]
+polyrad 1.0 1
+reharm 0.25+0.1j 3
+"""
+
+
+def foliate_anchors(text):
+    """The ray and anchors of a `foliate` command, as `foliate` builds
+    them."""
     from pshlab import cli
+    from pshlab.envelope_solver import extract_equilibrium
     from pshlab.foliation_tube import polar_anchor_net
 
-    sys.path.insert(0, str(HERE.parent / "perfbench"))
-    from workloads import make_config
-
-    cfg = cli.parse_config(make_config("foliate-oracle", SEED))
-    ray, _ = cli._build_ray(cfg)
+    cfg = cli.parse_config(text)
+    ray, slices = cli._build_ray(cfg)
     p = cfg.potential
     anchors = []
     for lam in cfg.lambdas or [cfg.lam]:
-        t_s = brentq(lambda t: p.chi_prime(t) - lam, -200.0, 0.0)
-        anchors.append(float(np.exp(0.5 * t_s)) + 0j)
+        if p.symmetry == "radial":
+            t_s = brentq(lambda t: p.chi_prime(t) - lam, -200.0, 0.0)
+            anchors.append(float(np.exp(0.5 * t_s)) + 0j)
+        else:
+            k = int(np.argmin([abs(l - lam) for l, _ in slices]))
+            _, poly = extract_equilibrium(slices[k][1])
+            j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
+            anchors.append(poly[j, 0] + 1j * poly[j, 1])
     rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
         abs(a) for a in anchors)
     net = polar_anchor_net(rings, cfg.anchor_angles)
@@ -143,9 +171,14 @@ def main():
                     help="key of this tree's results, e.g. parent or change")
     args = ap.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
-    ray, p, anchors = foliate_anchors()
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    from workloads import make_config
+
+    ray, p, anchors = foliate_anchors(make_config("foliate-oracle", SEED))
+    sampled = foliate_anchors(SAMPLED_CONFIG)
     sets = {"1": (ray, p, anchors[:1]), "4": (ray, p, anchors),
-            "32": c13_anchors()}
+            "32": c13_anchors(), "sampled 1": (*sampled[:2], sampled[2][:1]),
+            "sampled 10": sampled}
     results = {}
     for name, case in sets.items():
         results[name] = r = measure(*case)
@@ -154,7 +187,9 @@ def main():
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["workload"] = (f"foliate-oracle seed {SEED} (1 and 4 anchors); "
                           "C13 net, quartic oracle ray c 0.36, 72 slices, "
-                          "t-range of 512^2 (32 anchors); 2048 RK4 steps")
+                          "t-range of 512^2 (32 anchors); SAMPLED_CONFIG, "
+                          "grid backend (sampled 1 and 10 anchors); 2048 "
+                          "RK4 steps")
     report.setdefault("runs", {})[args.label] = {
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "cpus": os.cpu_count(),

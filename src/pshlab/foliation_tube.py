@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -78,6 +79,8 @@ class LeafExit(RuntimeError):
 
 
 LEAF_WINDOW = 8   # slices a sampled-slice leaf reads on each side of its level
+ORBIT_BLOCK = 32   # rays per orbit read-out pass, to bound its memory
+DERIVED_NODES = 4   # slices whose derivative splines a probe keeps
 
 
 def _bin_log_means(lam):
@@ -132,25 +135,32 @@ class _SplineProbe:
             float(ray.lam_grid[self.k_window[-1]]), grid.h)
         self.r_max = grid.radius - 4.0 * grid.h
         self.depth_bins = min(int(math.ceil(3.0 * grid.h / ray.d_lam)), 4)
+        # d/dx, d/dy, d2/dx2, d2/dy2 of slice k as splines of their own:
+        # bitwise sp.ev(dx=..., dy=...), which re-derives the coefficients
+        # of the whole grid at every evaluation
+        self._derived = lru_cache(maxsize=DERIVED_NODES)(lambda k: tuple(
+            self.splines[k].partial_derivative(*d)
+            for d in ((1, 0), (0, 1), (2, 0), (0, 2))))
 
     def read(self, x):
         xr, xi = x.real, x.imag
 
-        def derivs(j):
-            nodes = j + _NODES
-            grads = np.empty(nodes.shape, dtype=complex)
+        def derivs(j):   # leaves sharing a bracket are read together
+            grads = np.empty((3, len(x)), dtype=complex)
             laps = np.empty((2, len(x)))
-            for k in np.unique(nodes):
-                node, i = np.nonzero(nodes == k)
-                sp, a, b = self.splines[k], xr[i], xi[i]
-                grads[node, i] = 0.5 * (sp.ev(a, b, dx=1)
-                                        - 1j * sp.ev(a, b, dy=1))
-                two = node < 2
-                laps[node[two], i[two]] = 0.25 * (
-                    sp.ev(a[two], b[two], dx=2) + sp.ev(a[two], b[two], dy=2))
+            for jb in set(j.tolist()):
+                i = np.nonzero(j == jb)[0]
+                a, b = xr[i], xi[i]
+                for node in range(3):
+                    gx, gy, lx, ly = self._derived(jb + node)
+                    grads[node, i] = 0.5 * (gx(a, b, grid=False)
+                                            - 1j * gy(a, b, grid=False))
+                    if node < 2:
+                        laps[node, i] = 0.25 * (lx(a, b, grid=False)
+                                                + ly(a, b, grid=False))
             return grads, laps
 
-        return np.stack([sp.ev(xr, xi) for sp in self.splines], axis=1), derivs
+        return np.array([sp.ev(xr, xi) for sp in self.splines]).T, derivs
 
 
 def _plateau_ringing(spline, fld, ax) -> float:
@@ -199,7 +209,8 @@ class _RadialProbe:
     def read(self, x):
         rho = (x * np.conj(x)).real
         s = np.log(rho)
-        chi, chi1, chi2 = self.p.chi_jet(s)
+        chi, chi1, chi2 = self.p.chi(s), self.p.chi_prime(s), \
+            self.p.chi_second(s)
 
         def derivs(j):   # d/dz s = 1/z
             nodes = j + _NODES
@@ -364,11 +375,13 @@ def _trace_batch(ray: GeodesicRay, p, probe, anchors, n_steps: int) -> list:
     n = len(z1)
     try:
         levels = state(z1, 0.0, z1)[0]
-        _check((0.0 < levels) & (levels < ray.cutoff), "level not in (0, c)",
-               z1, z1)
     except LeafExit as exc:
         raise ValueError("anchor Hamiltonian outside (0, c): leaf not "
                          f"contained in the computed ray ({exc})") from None
+    for level, z in zip(levels.tolist(), anchors):
+        if not 0.0 < level < ray.cutoff:
+            raise ValueError(f"anchor Hamiltonian {level:.4g} outside (0, c): "
+                             f"leaf of anchor {z:.6g} not in the computed ray")
     dt = ray.t_max / n_steps
     xs = np.repeat(z1[:, None], n_steps + 1, axis=1)
     lam_trace = np.empty((n, n_steps))
@@ -482,18 +495,20 @@ def leaf_boundary(leaf: Leaf, p=None, n_points: int = 2048) -> np.ndarray:
     rs = np.linspace(4.0 * grid.h, grid.radius - 6.0 * grid.h, 512)
     # libm's cos/sin, as the per-angle read-out had
     trig = np.array([(math.cos(a), math.sin(a)) for a in th])
-    pts = np.stack([rs * trig[:, :1], rs * trig[:, 1:]], axis=-1)
-    f = interp(pts) - leaf.lam_leaf                 # (n_points, len(rs))
-    crossing = f[:, :-1] * f[:, 1:] <= 0
-    if not crossing.any(axis=1).all():
-        raise LeafExit("no closed orbit at the leaf level: boundary "
-                       "reconstruction failed", anchor=leaf.anchor)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = rs[:-1] - f[:, :-1] * (rs[1:] - rs[:-1]) \
-            / (f[:, 1:] - f[:, :-1])
-    # the crossing closest to the anchor radius, first on ties and NaN
-    gap = np.where(crossing, np.abs(cross - abs(leaf.anchor)), np.inf)
-    radii = cross[np.arange(n_points), np.argmin(gap, axis=1)]
+    radii = np.empty(n_points)
+    for b in range(0, n_points, ORBIT_BLOCK):
+        cos, sin = trig[b:b + ORBIT_BLOCK].T[:, :, None]
+        f = interp(np.stack([rs * cos, rs * sin], axis=-1)) - leaf.lam_leaf
+        crossing = f[:, :-1] * f[:, 1:] <= 0
+        if not crossing.any(axis=1).all():
+            raise LeafExit("no closed orbit at the leaf level: boundary "
+                           "reconstruction failed", anchor=leaf.anchor)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = rs[:-1] - f[:, :-1] * (rs[1:] - rs[:-1]) \
+                / (f[:, 1:] - f[:, :-1])
+        # the crossing closest to the anchor radius, first on ties and NaN
+        gap = np.where(crossing, np.abs(cross - abs(leaf.anchor)), np.inf)
+        radii[b:b + len(f)] = cross[np.arange(len(f)), np.argmin(gap, axis=1)]
     if not ray.backend.startswith("oracle"):
         k = np.ones(5) / 5.0
         radii = np.convolve(np.concatenate([radii[-4:], radii, radii[:4]]),
@@ -536,6 +551,8 @@ def build_tubular_map(ray: GeodesicRay, p, anchors,
     flat = arr.ravel()
     if leaves is None:
         leaves = trace_leaves(ray, p, flat)
+    elif [leaf.anchor for leaf in leaves] != flat.tolist():
+        raise ValueError("leaves are not those of the anchors in ravel order")
     us = np.array([leaf.u_limit for leaf in leaves], dtype=complex)
     lams = np.array([leaf.lam_leaf for leaf in leaves], dtype=float)
     nz = us[np.abs(flat) > 0]

@@ -316,15 +316,6 @@ class Potential:
         t = np.asarray(t, dtype=float)
         return sum(c * np.exp(k * t) for k, c in self._chi_table(2))
 
-    def chi_jet(self, t):
-        """(chi, chi', chi'') at t from one table of exponentials, each
-        summed as chi, chi_prime and chi_second sum it."""
-        t = np.asarray(t, dtype=float)
-        ks = [k for k, _ in self._chi_table(0)]
-        exps = np.exp(np.multiply.outer(ks, t))
-        return tuple(sum(c * e for (_, c), e in zip(table, exps))
-                     for table in self._chi)
-
     def log_profile(self, t1, t2):
         """Reinhardt profile chi(t1, t2) with phi = chi(ln|z1|^2, ln|z2|^2)."""
         if self.symmetry not in ("radial", "reinhardt") or self.n != 2:

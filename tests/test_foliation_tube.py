@@ -551,9 +551,27 @@ def test_net_with_origin_traces_origin_trivially(quartic_ray, quartic):
 
 
 def test_outside_anchor_is_named(quartic_ray, quartic):
+    import dataclasses
     with pytest.raises(ValueError,
                        match=r"outside \(0, c\).*anchor 0\.95\+0j"):
         trace_leaves(quartic_ray, quartic, [_anchor(quartic, 0.2), 0.95 + 0j])
+    # a level above the cutoff is reported with its value
+    low_c = dataclasses.replace(quartic_ray, cutoff=0.25)
+    with pytest.raises(ValueError, match=r"anchor Hamiltonian 0\.3 outside "
+                       r"\(0, c\): leaf of anchor 0\.\d+\+0j"):
+        trace_leaves(low_c, quartic, [_anchor(quartic, 0.2),
+                                      _anchor(quartic, 0.3)], n_steps=16)
+
+
+def test_tubular_map_checks_given_leaves(flat_ray_small, flat):
+    _, ray = flat_ray_small
+    net = polar_anchor_net([0.3, 0.45], 3)
+    leaves = trace_leaves(ray, flat, net, n_steps=64)
+    tmap = build_tubular_map(ray, flat, net, leaves=leaves)
+    assert tmap.u_points.ravel().tolist() == [leaf.u_limit for leaf in leaves]
+    for wrong in (leaves[::-1], leaves[:-1]):
+        with pytest.raises(ValueError, match="not those of the anchors"):
+            build_tubular_map(ray, flat, net, leaves=wrong)
 
 
 @pytest.fixture(scope="module")

@@ -110,26 +110,6 @@ def test_radial_profile_consistency(quartic):
     assert quartic.chi_prime(t) == pytest.approx(list(rho + rho ** 2))
 
 
-@pytest.mark.parametrize("powers", [{1: 1.0}, {1: 1.0, 2: 0.5},
-                                    {1: 1.0, 2: 0.3, 3: -0.05}])
-@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5)])
-def test_chi_jet_matches_per_derivative_sums(powers, shape):
-    # the one-table jet against the per-derivative sums it replaced:
-    # chi^(j)(t) = sum over k of (c k^j) e^(k t), powers in increasing order
-    p = Potential(1, [Term("polyrad", c, (k,)) for k, c in powers.items()])
-    t = np.random.default_rng(len(powers)).uniform(-40.0, 3.0, shape)
-    tables = ([(k, c) for k, c in sorted(powers.items())],
-              [(k, c * k) for k, c in sorted(powers.items())],
-              [(k, c * k * k) for k, c in sorted(powers.items())])
-    jet = p.chi_jet(t)
-    for got, table, single in zip(jet, tables, (p.chi, p.chi_prime,
-                                                p.chi_second)):
-        ref = sum(c * np.exp(k * t) for k, c in table)
-        assert np.shape(got) == np.shape(ref)
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
-        assert np.asarray(single(t)).tobytes() == np.asarray(ref).tobytes()
-
-
 def test_serialization_roundtrip():
     p = Potential(1, [Term("polyrad", 1.0, (1,)),
                       Term("reharm", 0.3 - 0.2j, (3,))])
