@@ -330,18 +330,13 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     ok = True
     worst = 0.0
     h = ctx.grid_fine.h
-    warm = None
     for (name, lam), leaf in ctx.leaves.items():
         p = ctx.quartic if name == "quartic" else ctx.perturbed
         bd = leaf_boundary(leaf, p)
         if name == "quartic":
             res = radial_envelope(p, leaf.lam_leaf, ctx.grid_fine)
         else:
-            lams = [l for l, _ in ctx.perturbed_leaf_slices]
-            k = int(np.argmin([abs(l - leaf.lam_leaf) for l in lams]))
-            warm = np.array(ctx.perturbed_leaf_slices[k][1].envelope.values)
-            res = grid_envelope(p, leaf.lam_leaf, ctx.grid_fine, tol=1e-9,
-                                warm_start=warm)
+            res = grid_envelope(p, leaf.lam_leaf, ctx.grid_fine, tol=1e-9)
         _, poly = extract_equilibrium(res)
         d = 0.0
         for pt in bd[:: max(1, len(bd) // 128)]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .field_grid import GridSpec, build_grid, save_field, write_csv
 from .potential_kit import Potential, validate_strict_psh
-from .envelope_solver import (EnvelopeResult, extract_equilibrium,
+from .envelope_solver import (MAX_STEPS, EnvelopeResult, extract_equilibrium,
                               grid_envelope, lelong_check, radial_envelope)
 from .geodesic_legendre import (assemble_geodesic, certified_lambda,
                                 grid_slices, hamiltonian, hmae_residual,
@@ -64,7 +64,7 @@ class RunConfig:
     lambdas: list = field(default_factory=list)
     c: float | None = None
     tol: float = 1e-10
-    max_iters: int = 500_000
+    max_iters: int = MAX_STEPS
     out: str = "pshlab_out"
     t_count: int = 96
     lambda_nodes: int = 64
@@ -216,7 +216,7 @@ def _emit_envelope(res: EnvelopeResult, out: Path, cfg: RunConfig):
     _write_kv(out / "metadata.txt", meta)
 
 
-def _solve_envelope(cfg: RunConfig, lam: float, warm=None) -> EnvelopeResult:
+def _solve_envelope(cfg: RunConfig, lam: float) -> EnvelopeResult:
     backend = cfg.backend
     p = cfg.potential
     if backend == "auto":
@@ -225,7 +225,7 @@ def _solve_envelope(cfg: RunConfig, lam: float, warm=None) -> EnvelopeResult:
         grid = cfg.grid() if (p.n == 1 or cfg.style == "log-radial") else None
         return radial_envelope(p, lam, grid)
     return grid_envelope(p, lam, cfg.grid(), tol=cfg.tol,
-                         max_iters=cfg.max_iters, warm_start=warm)
+                         max_iters=cfg.max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +251,10 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("flow needs a nonempty `lambdas` list")
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    warm = None
     results = []
     for i, lam in enumerate(lams):
-        res = _solve_envelope(cfg, lam, warm=warm)
+        res = _solve_envelope(cfg, lam)
         results.append(res)
-        if res.backend.startswith("grid"):
-            warm = np.array(res.envelope.values)
         write_csv(out / f"boundary_{i:03d}.csv", res.boundary,
                   header=f"x,y lambda={lam:.17g}")
         if res.grid.n == 1 and res.grid.style == "cartesian" and lam > 0 \

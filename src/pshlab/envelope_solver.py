@@ -25,23 +25,25 @@ Two backends:
   point of  v = min(obstacle, four-neighbour mean)  with Dirichlet data
   v = obstacle on the rim and the origin node unconstrained (the obstacle
   sentinel is +inf there; the subharmonicity constraint still applies).
-  The monotone Jacobi iteration converges to it from above; the default
-  driver is a red-black projected SOR sweep, which has the same unique
-  fixed point (per-node complementarity) and is deterministic and
-  order-independent within each colour.  Termination is certified on the
-  Jacobi residual  sup |v - min(obstacle, mean v)| < tol, so the returned
-  field is a fixed point of the monotone iteration within tol regardless
-  of the driver.
+  It is a linear complementarity problem with an M-matrix, solved exactly
+  by the primal-dual active-set method, nested coarse to fine, with a
+  conjugate-gradient Laplace solve on the free nodes per step; the
+  monotone Jacobi iteration is kept as the reference.  Termination is
+  certified on the Jacobi residual  sup |v - min(obstacle, mean v)| < tol,
+  so the returned field is a fixed point of the monotone iteration within
+  tol regardless of the scheme.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse import csr_array
 
 from .field_grid import GridSpec, ScalarField, build_grid, erode_mask
 from .geometry import (ensure_ccw, marching_squares, points_in_polygon,
@@ -323,25 +325,105 @@ def _jacobi_target(v, g, active, origin):
     return tgt
 
 
+def _jacobi_residual(v, g, interior):
+    tgt = _jacobi_target(v, g, interior, None)
+    return float(np.max(np.abs(np.where(interior, tgt - v, 0.0))))
+
+
+def _laplace_system(v, free):
+    """4I - adjacency on the free nodes (ravel order) and its right-hand
+    side, the sum of each free node's fixed neighbours in v.  Free nodes
+    are interior, so no stencil leaves the array."""
+    idx = np.flatnonzero(free)
+    num = np.full(free.size, -1)
+    num[idx] = np.arange(len(idx))
+    nb = idx + np.array([[0], [1], [-1], [free.shape[1]], [-free.shape[1]]])
+    k, i = np.nonzero(num[nb] >= 0)   # k = 0 is the node itself
+    mat = csr_array((np.where(k == 0, 4.0, -1.0), (i, num[nb[k, i]])),
+                    shape=(len(idx), len(idx)))
+    return mat, np.where(free, 0.0, v).ravel()[nb].sum(axis=0)
+
+
+def _cg(mat, b, x, atol):
+    """Conjugate gradients from x until |b - mat x|_2 < atol.  Inner
+    products by einsum, not threaded BLAS dots, which made a 256^2 solve
+    take 7-33 s, not 0.3 s, on a 2-core host with the other core busy."""
+    r = b - mat @ x
+    p = r.copy()
+    rr = np.einsum("i,i", r, r)
+    for _ in range(10 * len(b)):
+        if rr < atol * atol:
+            break
+        q = mat @ p
+        alpha = rr / np.einsum("i,i", p, q)
+        x += alpha * p
+        r -= alpha * q
+        rr, rr_old = np.einsum("i,i", r, r), rr
+        p = r + (rr / rr_old) * p
+    return x
+
+
+def _active_set_solve(g, inside, tol, max_iters):
+    """Primal-dual active-set solve of v = min(g, mean4 v), nested coarse
+    to fine; returns (v, steps at the finest level, Jacobi residual)."""
+    levels = [(g, inside)]
+    while len(g) % 4 == 0 and len(g) // 2 >= 16:
+        g, inside = g[::2, ::2], inside[::2, ::2]
+        levels.append((g, inside))
+    steps, active, v = 0, None, None
+    for g, inside in reversed(levels):
+        interior = erode_mask(inside)
+        if active is None:
+            active = interior & (g <= _neighbour_mean(g))
+            v = np.where(inside & np.isfinite(g), g, 0.0)
+        else:
+            active = (interior & np.isfinite(g)
+                      & active.repeat(2, axis=0).repeat(2, axis=1))
+            v = v.repeat(2, axis=0).repeat(2, axis=1)
+        for level_steps in itertools.count(1):
+            if steps >= max_iters:
+                raise SolverError(f"more than {max_iters} active-set steps",
+                                  residual=_jacobi_residual(v, g, interior))
+            steps += 1
+            free = interior & ~active
+            v = np.where(free, v, np.where(inside, g, 0.0))
+            if free.any():
+                mat, rhs = _laplace_system(v, free)
+                v[free] = _cg(mat, rhs, v[free], 2.0 * tol)
+            slack = _neighbour_mean(v) - v
+            update = interior & np.where(active, slack >= 0.0, v > g)
+            if np.array_equal(update, active):
+                break
+            active = update
+    return v, level_steps, _jacobi_residual(v, g, interior)
+
+
+MAX_STEPS = 100   # the tier-1 slice families take at most 28 over all levels
+JACOBI_SWEEPS = 500_000
+
+
 def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
-                  max_iters: int = 500_000, scheme: str = "psor",
-                  warm_start: np.ndarray | None = None,
-                  check_every: int = 16,
+                  max_iters: int | None = None, scheme: str = "active-set",
                   require_psh: bool = True) -> EnvelopeResult:
     """Discrete largest-subharmonic-minorant solve on an n=1 cartesian grid.
 
-    Returns the unique fixed point of v = min(obstacle, four-neighbour mean)
-    with Dirichlet data v = obstacle on the rim of the disc and the origin
-    node unconstrained.  scheme='psor' (default) runs red-black projected
-    SOR and certifies the Jacobi residual below tol; scheme='jacobi' runs
-    the literal monotone iteration.  Both are deterministic and independent
-    of sweep order.  `warm_start` may carry a previous envelope (e.g. the
-    neighbouring pole weight in a sweep); correctness is unaffected since
-    the fixed point is unique and certified at exit.
+    Returns the unique fixed point of v = min(obstacle g, four-neighbour
+    mean) with Dirichlet data v = g on the rim of the disc and the origin
+    node unconstrained.  scheme='active-set' (default) is the primal-dual
+    active-set method (Hintermueller, Ito & Kunisch 2002): each step sets
+    v = g on the active set, solves the 5-point Laplace system on the free
+    nodes by conjugate gradients to a 2-norm residual of 2*tol (a Jacobi
+    residual below tol/2) and keeps the active nodes with mean4(v) >= v,
+    adding the free ones with v > g, until the set stops changing.  It
+    starts cold from {g <= mean4 g} on the coarsest halving of the grid
+    that stays even and >= 16, each finer level from the coarser active
+    set by injection.  scheme='jacobi' is the monotone iteration, the
+    reference.  Either exit is certified: Jacobi residual < tol.
 
-    Raises SolverError when max_iters is exceeded (carrying the last
-    residual); sets `degenerate` and warns when the coincidence set is
-    empty in the interior.
+    `max_iters` caps the steps over all levels (default MAX_STEPS) or the
+    sweeps (JACOBI_SWEEPS); `iterations` counts the finest level's steps,
+    or the sweeps.  Past the cap or the certificate raises SolverError with
+    the residual; an empty interior coincidence set warns (`degenerate`).
     """
     if grid.n != 1 or grid.style != "cartesian":
         raise ValueError("grid_envelope runs on n=1 cartesian grids")
@@ -353,68 +435,34 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
             raise ValueError(f"potential is not strictly psh on the grid "
                              f"(min eigenvalue {cert.min_eig:.3g})")
 
-    obs = build_obstacle(p, lam, grid)
-    g = obs.values
+    g = build_obstacle(p, lam, grid).values   # +inf at the origin only
     inside = grid.inside_mask()
     interior = erode_mask(inside)
-    active = interior.copy()
     origin = grid.origin_index() if lam > 0 else None
-    if origin is not None and not active[origin]:
+    if origin is not None and not interior[origin]:
         raise ValueError("origin is not an interior node of this grid")
 
-    if warm_start is not None:
-        v = np.array(warm_start, dtype=float, copy=True)
-        v[~inside] = 0.0
-        fin = np.isfinite(g)
-        v[fin] = np.minimum(v[fin], g[fin])
-        v[inside & ~active] = g[inside & ~active]
-    else:
-        v = np.where(inside, np.where(np.isfinite(g), g, 0.0), 0.0)
+    if max_iters is None:
+        max_iters = JACOBI_SWEEPS if scheme == "jacobi" else MAX_STEPS
+    if scheme == "active-set":
+        v, iters, residual = _active_set_solve(g, inside, tol, max_iters)
+    elif scheme == "jacobi":
+        v = np.where(inside & np.isfinite(g), g, 0.0)
         if origin is not None:
-            nb = [(origin[0] + 1, origin[1]), (origin[0] - 1, origin[1]),
-                  (origin[0], origin[1] + 1), (origin[0], origin[1] - 1)]
-            v[origin] = max(v[idx] for idx in nb)
-
-    gb = np.where(np.isfinite(g), g, np.inf)
-
-    iters = 0
-    residual = np.inf
-
-    if scheme == "jacobi":
-        while iters < max_iters:
-            tgt = _jacobi_target(v, gb, active, origin)
-            residual = float(np.max(np.abs(np.where(active, tgt - v, 0.0))))
+            i, j = origin
+            v[origin] = max(v[i + 1, j], v[i - 1, j], v[i, j + 1], v[i, j - 1])
+        iters, residual = 0, np.inf
+        while iters < max_iters and residual >= tol:
+            tgt = _jacobi_target(v, g, interior, origin)
+            residual = float(np.max(np.abs(np.where(interior, tgt - v, 0.0))))
             v = tgt
             iters += 1
-            if residual < tol:
-                break
-    elif scheme == "psor":
-        ii, jj = np.meshgrid(np.arange(grid.resolution),
-                             np.arange(grid.resolution), indexing="ij")
-        red = ((ii + jj) % 2 == 0) & active
-        black = ((ii + jj) % 2 == 1) & active
-        omega = 2.0 / (1.0 + math.sin(math.pi / grid.resolution))
-        while iters < max_iters:
-            for colour in (red, black):
-                m = _neighbour_mean(v)
-                cand = v + omega * (m - v)
-                upd = np.minimum(gb, cand)
-                if origin is not None and colour[origin]:
-                    upd[origin] = cand[origin]
-                v = np.where(colour, upd, v)
-            iters += 1
-            if iters == 1 or iters % check_every == 0 or iters >= max_iters:
-                tgt = _jacobi_target(v, gb, active, origin)
-                residual = float(np.max(np.abs(np.where(active, tgt - v, 0.0))))
-                if residual < tol:
-                    v = tgt  # one certified monotone step
-                    break
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    if residual >= tol:
-        raise SolverError(f"obstacle iteration did not reach tol={tol:g} in "
-                          f"{max_iters} sweeps", residual=residual)
+    if not residual < tol:   # a nan residual fails too
+        raise SolverError(f"obstacle solve did not reach tol={tol:g} "
+                          f"({scheme}, {iters} iterations)", residual=residual)
 
     rho = grid.rho()
     with np.errstate(divide="ignore"):
@@ -424,9 +472,8 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
     if lam > 0:
         a = a + lam * logrho
     amask = inside.copy()
-    i0 = grid.origin_index()
-    if lam > 0:
-        amask[i0] = False
+    if origin is not None:
+        amask[origin] = False
     ctol = max(10.0 * tol, 1e-14)
     coin = inside & amask & (a >= -ctol)
     a = np.where(coin, 0.0, a)   # the coincidence set is {a = 0}, exactly

@@ -294,11 +294,14 @@ def _rhs_factory(ray: GeodesicRay, p, probe):
                 fp = g1 + half_curv * (root + root - nu0 - nu1)
                 root = np.where(no_third[j] | (np.abs(fp) < 1e-30), root,
                                 root - f / fp)
-        # math.exp, not np.exp: the vector exp is not libm's to the ulp
-        lam_star = np.array([math.exp(r) if sloped else m for r, sloped, m
-                             in zip(root.tolist(),
-                                    (np.abs(rise) > 1e-30).tolist(),
-                                    m0.tolist())])
+        sloped = np.abs(rise) > 1e-30
+        try:   # math.exp, not np.exp: the vector exp is not libm's to the ulp
+            lam_star = np.array([math.exp(r) if s else m for r, s, m
+                                 in zip(root.tolist(), sloped.tolist(),
+                                        m0.tolist())])
+        except OverflowError:   # the largest sloped root passed ln(float max)
+            _check(~sloped | (root != np.nanmax(root[sloped])),
+                   "slope root overflows along the leaf", x, anchors)
         lam_star = np.minimum(np.maximum(lam_star, lam[1] * 1e-3), lam[-1])
         # derivative data only where needed: nodes j..j+2 of the bracket,
         # which by construction sit on the smooth branch of the family

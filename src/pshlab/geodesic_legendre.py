@@ -183,16 +183,13 @@ def oracle_slices(p, c: float, m: int, grid: GridSpec):
     return out
 
 
-def grid_slices(p, c: float, m: int, grid: GridSpec, tol: float = 1e-9,
-                **kwargs):
-    """Solver slice family with warm starts along the lam sweep."""
+def grid_slices(p, c: float, m: int, grid: GridSpec, tol: float = 1e-9):
+    """Solver slice family, each slice a cold nested solve; the weight is
+    checked for strict psh once, at the first slice."""
     out = []
-    warm = None
     for k in range(m):
         lam = c * k / m
-        res = grid_envelope(p, lam, grid, tol=tol, warm_start=warm,
-                            require_psh=(k == 0), **kwargs)
-        warm = np.array(res.envelope.values)
+        res = grid_envelope(p, lam, grid, tol=tol, require_psh=(k == 0))
         out.append((lam, res))
     return out
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from pshlab.field_grid import build_grid
@@ -135,11 +136,11 @@ def test_grid_lam_zero_single_sweep(grid128, flat):
                           flat.sample(grid128).values[inside])
 
 
-def test_grid_jacobi_and_psor_agree(flat):
+def test_grid_jacobi_and_active_set_agree(flat):
     # same unique fixed point; the gap scales like tol over the contraction
     # gap of the iteration (the stop rule bounds the update, not the error)
     g = build_grid(1, 64, 1.0)
-    a = grid_envelope(flat, 0.25, g, tol=1e-11, scheme="psor")
+    a = grid_envelope(flat, 0.25, g, tol=1e-11, scheme="active-set")
     b = grid_envelope(flat, 0.25, g, tol=1e-11, scheme="jacobi")
     assert a.envelope.sup_diff(b.envelope) < 1e-7
 
@@ -175,10 +176,8 @@ def test_grid_rejects_non_psh(grid128):
 
 def test_monotonicity_in_lam(grid128, flat):
     prev = None
-    warm = None
     for lam in (0.1, 0.2, 0.3, 0.4):
-        res = grid_envelope(flat, lam, grid128, tol=1e-9, warm_start=warm)
-        warm = np.array(res.envelope.values)
+        res = grid_envelope(flat, lam, grid128, tol=1e-9)
         if prev is not None:
             m = prev.deficit.mask & res.deficit.mask
             assert np.all(prev.deficit.values[m] >= res.deficit.values[m]
@@ -189,17 +188,46 @@ def test_monotonicity_in_lam(grid128, flat):
 
 def test_concavity_in_lam(grid128, flat):
     lams = np.linspace(0.05, 0.6, 12)
-    warm = None
     vals = []
     for lam in lams:
-        res = grid_envelope(flat, float(lam), grid128, tol=1e-9,
-                            warm_start=warm)
-        warm = np.array(res.envelope.values)
+        res = grid_envelope(flat, float(lam), grid128, tol=1e-9)
         vals.append(res.deficit.masked_fill(np.nan))
     stack = np.stack(vals)
     second = stack[2:] - 2 * stack[1:-1] + stack[:-2]
     finite = np.isfinite(second)
     assert np.nanmax(second[finite]) < 1e-6
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([32, 48, 64, 96]),
+       coeff=st.complex_numbers(max_magnitude=0.4),
+       power=st.integers(1, 4),
+       lams=st.lists(st.floats(0.05, 0.6), min_size=2, max_size=3,
+                     unique=True))
+def test_grid_exact_discrete_complementarity(n, coeff, power, lams):
+    # v <= g, mean4(v) - v >= -tol (subharmonic), the Jacobi certificate,
+    # and coincidence sets shrinking as lam grows
+    from pshlab.envelope_solver import _jacobi_target, _neighbour_mean
+    from pshlab.field_grid import erode_mask
+    p = Potential(1, [Term("polyrad", 1.0, (1,)),
+                      Term("reharm", coeff, (power,))])
+    grid = build_grid(1, n, 1.0)
+    tol = 1e-10
+    inside = grid.inside_mask()
+    interior = erode_mask(inside)
+    prev = None
+    for lam in sorted(lams):
+        res = grid_envelope(p, lam, grid, tol=tol)
+        v = res.envelope.values
+        g = build_obstacle(p, lam, grid).values
+        assert np.all(v[inside] <= g[inside])
+        assert np.all((_neighbour_mean(v) - v)[interior] >= -tol)
+        tgt = _jacobi_target(v, g, interior, grid.origin_index())
+        assert res.residual < tol
+        assert np.max(np.abs(tgt - v)[interior]) < tol
+        if prev is not None:
+            assert np.all(~res.coincidence | prev.coincidence)
+        prev = res
 
 
 # ---------------------------------------------------------------------------

@@ -594,6 +594,15 @@ def test_leaf_past_r_max_exits_naming_its_anchor(flat_ray_rim, flat):
     trace_leaves(flat_ray_rim, flat, [inside], n_steps=64)
 
 
+@pytest.mark.parametrize("anchor", [0.79 * np.exp(0.3j),
+                                    0.795 * np.exp(0.6j)])
+def test_rim_anchor_without_slope_root_is_outside(flat_ray_rim, flat, anchor):
+    # next to the rim the slope root in ln(lam) can overflow math.exp; at
+    # t = 0 that is an anchor level the ray does not hold
+    with pytest.raises(ValueError, match=r"outside \(0, c\).*leaf of anchor"):
+        trace_leaves(flat_ray_rim, flat, [anchor], n_steps=64)
+
+
 # ---------------------------------------------------------------------------
 # reference: the per-angle orbit read-out that `leaf_boundary` replaced
 # ---------------------------------------------------------------------------
