@@ -381,6 +381,7 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
 def run(cfg: RunConfig, out_dir: str | None = None) -> int:
     """Execute a validated config; returns the process exit code."""
     out = Path(out_dir or cfg.out)
+    (out / "FAILED").unlink(missing_ok=True)   # a marker left by an earlier run
     try:
         if cfg.command == "envelope":
             return _cmd_envelope(cfg, out)

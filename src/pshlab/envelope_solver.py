@@ -317,16 +317,12 @@ def _neighbour_mean(v):
     return out
 
 
-def _jacobi_target(v, g, active, origin):
-    m = _neighbour_mean(v)
-    tgt = np.where(active, np.minimum(g, m), v)
-    if origin is not None:
-        tgt[origin] = m[origin]
-    return tgt
+def _jacobi_target(v, g, active):
+    return np.where(active, np.minimum(g, _neighbour_mean(v)), v)
 
 
 def _jacobi_residual(v, g, interior):
-    tgt = _jacobi_target(v, g, interior, None)
+    tgt = _jacobi_target(v, g, interior)
     return float(np.max(np.abs(np.where(interior, tgt - v, 0.0))))
 
 
@@ -453,7 +449,7 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
             v[origin] = max(v[i + 1, j], v[i - 1, j], v[i, j + 1], v[i, j - 1])
         iters, residual = 0, np.inf
         while iters < max_iters and residual >= tol:
-            tgt = _jacobi_target(v, g, interior, origin)
+            tgt = _jacobi_target(v, g, interior)
             residual = float(np.max(np.abs(np.where(interior, tgt - v, 0.0))))
             v = tgt
             iters += 1

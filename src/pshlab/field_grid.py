@@ -311,16 +311,42 @@ def c2_norm(f: ScalarField, g: ScalarField) -> float:
 # serialization: header + row-major CSV, NaN encodes masked-out
 # ---------------------------------------------------------------------------
 
+CSV_BLOCK = 1 << 16
+CSV_CELL = 25   # any `%.17g` of a double fits in 24 characters, then ","
+
+
 def write_csv(path, array, header: str = "") -> None:
     """Write `array` (2-D, or one 1-D row) as CSV after each `header` line
-    as a `# ` comment.  One `%.17g` row format, applied row by row so that
-    memory does not grow with the file: it round-trips every float and
-    gives the bytes of `f"{v:.17g}"`, nan, inf and -0 included."""
+    as a `# ` comment, each value v as `f"{v:.17g}"`: it round-trips every
+    float, nan, inf and -0 included.
+
+    Rows go out in blocks of at most `CSV_BLOCK` values (or one wider row),
+    so memory does not grow with the file.  A block formats each distinct
+    value once, keyed by its bit pattern (floats; `%.17g` is a function of
+    the bits, so -0 and 0 stay apart) or by value (ints), into fixed-width
+    `%-24.17g,` cells, gathers them through the inverse of `np.unique` and
+    drops the padding.  Ray files repeat values heavily (pixels on one
+    radius are bitwise equal); all-distinct data pays for the sort and the
+    gather on top of the formatting."""
     arr = np.atleast_2d(np.asarray(array))
-    fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(f"# {line}\n" for line in header.splitlines())
-        fh.writelines(fmt % tuple(row.tolist()) for row in arr)
+    keys = arr.view(f"u{arr.itemsize}") if arr.dtype.kind == "f" else arr
+    rows, cols = arr.shape
+    step = max(1, CSV_BLOCK // max(cols, 1))
+    with Path(path).open("wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header.splitlines())
+                 .encode("utf-8"))
+        for r0 in range(0, rows, step):
+            block = keys[r0:r0 + step]
+            uniq, inv = np.unique(block, return_inverse=True)
+            text = (("%-24.17g," * uniq.size)
+                    % tuple(uniq.view(arr.dtype).tolist())).encode("ascii")
+            cells = np.frombuffer(text, f"S{CSV_CELL}")
+            lines = np.full((len(block), cols * CSV_CELL + 1), ord("\n"),
+                            np.uint8)
+            lines[:, :-1] = np.take(cells, inv.reshape(block.shape)).view(
+                np.uint8)
+            lines[:, -2:-1] = ord(" ")   # each row's last comma, if it has one
+            fh.write(lines[lines != ord(" ")])
 
 
 def save_field(f: ScalarField, path) -> None:

@@ -38,6 +38,7 @@ from .field_grid import GridSpec, ScalarField
 from .envelope_solver import EnvelopeResult, grid_envelope, radial_envelope
 
 _NEG_FILL = -1e300
+_LOG_MAX = math.log(np.finfo(float).max)   # the largest x with finite exp(x)
 
 
 @dataclass
@@ -383,10 +384,10 @@ def _slope_crossing(D, lam, t, noise):
         db = Df[jb, sel] + t
         denom = db - da
         good = np.abs(denom) > 1e-30
-        est = np.exp(np.where(good, nu[ja] - da * (nu[jb] - nu[ja])
-                              / np.where(good, denom, 1.0),
-                              np.log(0.5 * (lo + hi))))
-        return np.clip(est, lo, hi)
+        est = np.where(good, nu[ja] - da * (nu[jb] - nu[ja])
+                       / np.where(good, denom, 1.0), np.log(0.5 * (lo + hi)))
+        # exp would overflow past ln(float max); clip takes such roots to hi
+        return np.clip(np.exp(np.minimum(est, _LOG_MAX)), lo, hi)
 
     for j0 in range(nm):
         sel = np.nonzero(flat == j0)[0]

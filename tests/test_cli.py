@@ -176,3 +176,17 @@ def test_main_numerical_failure_exit_code(tmp_path):
                  "--out", str(tmp_path / "fail")])
     assert code == 2
     assert (tmp_path / "fail" / "FAILED").exists()
+
+
+def test_success_clears_failure_marker(tmp_path):
+    """A run that succeeds into a directory an earlier run failed in
+    removes that run's FAILED marker."""
+    failing, passing = tmp_path / "fail.cfg", tmp_path / "ok.cfg"
+    failing.write_text(BASE.replace("tol = 1e-9",
+                                    "tol = 1e-13\nmax_iters = 4"))
+    passing.write_text(BASE)
+    out = str(tmp_path / "out")
+    assert main(["envelope", "--config", str(failing), "--out", out]) == 2
+    assert (tmp_path / "out" / "FAILED").exists()
+    assert main(["envelope", "--config", str(passing), "--out", out]) == 0
+    assert not (tmp_path / "out" / "FAILED").exists()

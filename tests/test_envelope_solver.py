@@ -153,7 +153,7 @@ def test_grid_fixed_point_property(grid128, perturbed):
     inside = grid128.inside_mask()
     from pshlab.field_grid import erode_mask
     active = erode_mask(inside)
-    tgt = _jacobi_target(res.envelope.values, g, active, grid128.origin_index())
+    tgt = _jacobi_target(res.envelope.values, g, active)
     assert np.max(np.abs((tgt - res.envelope.values)[active])) < 1e-10
 
 
@@ -222,7 +222,7 @@ def test_grid_exact_discrete_complementarity(n, coeff, power, lams):
         g = build_obstacle(p, lam, grid).values
         assert np.all(v[inside] <= g[inside])
         assert np.all((_neighbour_mean(v) - v)[interior] >= -tol)
-        tgt = _jacobi_target(v, g, interior, grid.origin_index())
+        tgt = _jacobi_target(v, g, interior)
         assert res.residual < tol
         assert np.max(np.abs(tgt - v)[interior]) < tol
         if prev is not None:

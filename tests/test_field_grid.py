@@ -1,10 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pshlab.field_grid import (GridSpec, ScalarField, build_grid, c2_norm,
-                               ddc_component, load_field, save_field, write_csv)
+from pshlab.field_grid import (CSV_BLOCK, GridSpec, ScalarField, build_grid,
+                               c2_norm, ddc_component, load_field, save_field,
+                               write_csv)
 from pshlab.potential_kit import Potential, Term, builtin_potential
 
 
@@ -154,3 +158,43 @@ def test_write_csv_bytes(tmp_path, array, header):
     for row in np.atleast_2d(array):
         want += ",".join(f"{v:.17g}" for v in row) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
+
+
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0x7FF4000000000ABC, 0xFFF00000DEAD0000]
+CSV_SPECIALS = ([-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                 2.2250738585072009e-308, 1e-310, 0.1, 1 / 3, -1e300,
+                 1.7976931348622157e308]
+                + np.array(NAN_BITS, dtype=np.uint64).view(float).tolist())
+CSV_SHAPES = [(0, 3), (4, 0), (0, 0), (1, 1), (7, 5),
+              (255, 256), (256, 256), (257, 256),   # below, at, above a block
+              (21845, 3), (21846, 3),
+              (2, CSV_BLOCK + 1)]                   # rows wider than a block
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(CSV_SHAPES), ints=st.booleans(),
+       floats=st.lists(st.sampled_from(CSV_SPECIALS) | st.floats(width=64),
+                       min_size=1, max_size=6),
+       integers=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                         min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_repeated_values_bytes(shape, ints, floats, integers, seed):
+    """Arrays drawn from a small pool, so that values repeat: the bytes are
+    still the per-value `f"{v:.17g}"` join, with -0 beside 0 in the first
+    block and NaNs of both signs and several payloads among the values."""
+    rng = np.random.default_rng(seed)
+    if ints:
+        array = rng.choice(np.array(integers, dtype=np.int64), size=shape)
+    else:
+        array = rng.choice(np.array(floats), size=shape)
+        array.ravel()[:2] = [-0.0, 0.0][:array.size]
+        if array.size > 2:
+            array.ravel()[2:7] = rng.choice(CSV_SPECIALS, size=5)[
+                :array.size - 2]
+    want = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                   for row in array.tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.csv"
+        write_csv(path, array)
+        assert path.read_bytes() == want.encode("utf-8")

@@ -5,6 +5,7 @@ both references are kept here."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
+from pshlab import geodesic_legendre
 from pshlab.field_grid import build_grid
 from pshlab.potential_kit import Potential, Term
 from pshlab.envelope_solver import extract_equilibrium, grid_envelope
@@ -592,6 +594,23 @@ def test_leaf_past_r_max_exits_naming_its_anchor(flat_ray_rim, flat):
     assert exc.value.anchor == complex(past)
     assert exc.value.location == complex(past)
     trace_leaves(flat_ray_rim, flat, [inside], n_steps=64)
+
+
+def test_smooth_hamiltonian_rim_roots_do_not_overflow(flat_ray_rim,
+                                                     monkeypatch):
+    # next to the rim some secant roots in ln(lam) pass ln(float max); they
+    # are capped before np.exp, so no overflow warning, and every value is
+    # bitwise what the uncapped exp gave (inf, clipped to the bin's edge)
+    flat_ray_rim._smooth_h_cache = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = smooth_hamiltonian(flat_ray_rim).values
+    flat_ray_rim._smooth_h_cache = None
+    monkeypatch.setattr(geodesic_legendre, "_LOG_MAX", np.inf)
+    with np.errstate(over="ignore"):
+        want = smooth_hamiltonian(flat_ray_rim).values
+    flat_ray_rim._smooth_h_cache = None
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("anchor", [0.79 * np.exp(0.3j),
