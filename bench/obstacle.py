@@ -1,27 +1,27 @@
 """Grid obstacle solves: the cold ladder and the acceptance slice families.
 
-    python bench/obstacle.py --src src --label change
-    python bench/obstacle.py --src /path/to/parent/src --label parent
+    python bench/obstacle.py --src /path/to/parent/src --label exact-steps
+    python bench/obstacle.py --src src --label inexact-steps --ref exact-steps
 
 Ladder: one cold `grid_envelope` solve of the `flat` builtin weight at
 lam = 0.25, tol 1e-10, on the radius-1 grid at 128/256/512 (the
-perfbench ladder).  Per resolution it records the wall time, the
-`iterations` the result reports (solver steps or sweeps, whichever the
-tree counts), the final Jacobi residual and, once a tree labelled
-`parent` has been measured, max |v - v_parent| over the disc.  The
-envelopes are kept as .npy files in bench/_work/ for that comparison.
-
-Families: the slice families the acceptance criteria share, solved the
-way each tree's `geodesic_legendre.grid_slices` solves them (each slice
-warm-started from the previous envelope where `grid_envelope` still takes
-`warm_start`), one slice alive at a time:
+perfbench ladder).  Families: the slice families the acceptance criteria
+share, solved the way `geodesic_legendre.grid_slices` solves them, one
+slice alive at a time:
   * C3: `flat`, lam = 0.8 k / 64, k < 64, 256^2, tol 1e-9;
   * C7/C8: `perturbed`, lam = 0.36 k / 72, k < 72, 512^2, tol 1e-9.
-Per family it records the wall time, the summed `iterations`, the largest
-residual and, where the tree has the conjugate-gradient inner solve
-`envelope_solver._cg`, the seconds spent inside it.  Results merge into
-BENCH_obstacle.json under `--label`, with the machine they ran on; run
-both trees on one machine.
+
+Per ladder solve and per family it records the wall time, the
+finest-level active-set steps (`iterations` of the result), the largest
+Jacobi residual, the seconds inside the conjugate-gradient inner solve
+`envelope_solver._cg` and its iterations, split into loose ones (run
+towards a 2-norm bound above 2 tol) and certificate-level ones (towards
+2 tol).  Every envelope and coincidence set is kept in bench/_work/; once
+the tree labelled `--ref` has been measured, each solve also records
+max |v - v_ref| over the disc and whether its coincidence set equals the
+reference's (for a family: the largest gap and how many slices match).
+Results merge into BENCH_obstacle.json under `--label`, with the machine
+they ran on; run both trees on one machine.
 """
 
 import argparse
@@ -42,8 +42,77 @@ LADDER = (128, 256, 512)
 FAMILIES = {"C3": ("flat", 0.8, 64, 256), "C7_C8": ("perturbed", 0.36, 72, 512)}
 
 
-def ladder(label: str) -> dict:
-    from pshlab.envelope_solver import grid_envelope
+class CountingMatrix:
+    """Counts the products `mat @ x`: one per CG iteration, plus one for
+    the starting residual."""
+
+    def __init__(self, mat):
+        self.mat, self.products = mat, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.mat @ x
+
+
+class InnerSolveMeter:
+    """Replaces `envelope_solver._cg` with a wrapper that adds its time
+    and iterations to `stats`.  Handles both forms of the inner solve: a
+    function `_cg(mat, b, x, atol)` solving to 2 tol, and a coroutine
+    `_cg(mat, b, x)` sent one 2-norm bound after another."""
+
+    def __init__(self, solver, tol):
+        self.solver, self.tol, self.inner = solver, tol, solver._cg
+        self.stats = {"cg_s": 0.0, "cg_loose": 0, "cg_certificate": 0}
+
+    def add(self, atol, t0, mat, products):
+        self.stats["cg_s"] += time.perf_counter() - t0
+        kind = "cg_loose" if atol > 2.0 * self.tol * (1 + 1e-12) else "cg_certificate"
+        self.stats[kind] += mat.products - products
+
+    def coroutine(self, mat, b, x):
+        mat = CountingMatrix(mat)
+        t0 = time.perf_counter()
+        gen = self.inner(mat, b, x)
+        out = next(gen)
+        self.stats["cg_s"] += time.perf_counter() - t0
+        while True:
+            atol = yield out
+            t0, products = time.perf_counter(), mat.products
+            out = gen.send(atol)
+            self.add(atol, t0, mat, products)
+
+    def function(self, mat, b, x, atol):
+        mat = CountingMatrix(mat)
+        t0 = time.perf_counter()
+        try:
+            return self.inner(mat, b, x, atol)
+        finally:
+            self.add(atol, t0, mat, 1)
+
+    def __enter__(self):
+        coroutine = inspect.isgeneratorfunction(self.inner)
+        self.solver._cg = self.coroutine if coroutine else self.function
+        return self.stats
+
+    def __exit__(self, *exc):
+        self.solver._cg = self.inner
+
+
+def keep(label: str, ref: str, name: str, res, inside) -> dict:
+    """Save one solve's envelope and coincidence set; compare with `ref`'s."""
+    v = np.where(inside, res.envelope.values, 0.0)
+    np.savez(WORK / f"{label}_{name}.npz", v=v, coincidence=res.coincidence)
+    path = WORK / f"{ref}_{name}.npz"
+    if label == ref or not path.exists():
+        return {}
+    with np.load(path) as other:
+        return {"max_abs_dv": float(np.max(np.abs(v - other["v"]))),
+                "coincidence_equal": bool(np.array_equal(
+                    res.coincidence, other["coincidence"]))}
+
+
+def ladder(label: str, ref: str) -> dict:
+    from pshlab import envelope_solver
     from pshlab.field_grid import build_grid
     from pshlab.potential_kit import builtin_potential
 
@@ -51,59 +120,45 @@ def ladder(label: str) -> dict:
     out = {}
     for n in LADDER:
         grid = build_grid(1, n, 1.0)
-        t0 = time.perf_counter()
-        res = grid_envelope(flat, 0.25, grid, tol=1e-10)
-        wall = time.perf_counter() - t0
-        v = np.where(grid.inside_mask(), res.envelope.values, 0.0)
-        np.save(WORK / f"ladder_{label}_{n}.npy", v)
-        row = {"wall_s": wall, "iterations": res.iterations,
-               "residual": res.residual, "backend": res.backend}
-        ref = WORK / f"ladder_parent_{n}.npy"
-        if label != "parent" and ref.exists():
-            row["max_abs_dv_vs_parent"] = float(np.max(np.abs(v - np.load(ref))))
-        out[str(n)] = row
+        with InnerSolveMeter(envelope_solver, 1e-10) as stats:
+            t0 = time.perf_counter()
+            res = envelope_solver.grid_envelope(flat, 0.25, grid, tol=1e-10)
+            wall = time.perf_counter() - t0
+        row = {"wall_s": wall, "finest_level_steps": res.iterations,
+               "residual": res.residual, "backend": res.backend, **stats}
+        cmp = keep(label, ref, f"ladder_{n}", res, grid.inside_mask())
+        out[str(n)] = {**row, **{f"{k}_vs_{ref}": x for k, x in cmp.items()}}
     return out
 
 
-def family(name: str, c: float, m: int, n: int) -> dict:
+def family(label: str, ref: str, key: str, name: str, c: float, m: int,
+           n: int) -> dict:
     from pshlab import envelope_solver
     from pshlab.field_grid import build_grid
     from pshlab.potential_kit import builtin_potential
 
     p = builtin_potential(name)
     grid = build_grid(1, n, 1.0)
-    warm_capable = "warm_start" in inspect.signature(
-        envelope_solver.grid_envelope).parameters
-    inner = getattr(envelope_solver, "_cg", None)
-    cg_s = [0.0]
-    if inner is not None:
-        def timed_cg(*args, **kwargs):
-            t = time.perf_counter()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                cg_s[0] += time.perf_counter() - t
-        envelope_solver._cg = timed_cg
-    iterations, residual, warm = 0, 0.0, None
-    t0 = time.perf_counter()
-    try:
+    inside = grid.inside_mask()
+    steps, residual, wall, gaps, equal = 0, 0.0, 0.0, [], 0
+    with InnerSolveMeter(envelope_solver, 1e-9) as stats:
         for k in range(m):
-            kwargs = {"warm_start": warm} if warm_capable else {}
+            t0 = time.perf_counter()
             res = envelope_solver.grid_envelope(p, c * k / m, grid, tol=1e-9,
-                                                require_psh=(k == 0), **kwargs)
-            iterations += res.iterations
+                                                require_psh=(k == 0))
+            wall += time.perf_counter() - t0
+            steps += res.iterations
             residual = max(residual, res.residual)
-            if warm_capable:
-                warm = np.array(res.envelope.values)
-    finally:
-        if inner is not None:
-            envelope_solver._cg = inner
-    wall = time.perf_counter() - t0
-    row = {"wall_s": wall, "iterations_sum": iterations,
-           "residual_max": residual, "warm_started": warm_capable}
-    if inner is not None:
-        row["cg_s"] = cg_s[0]
-        row["cg_share"] = cg_s[0] / wall
+            cmp = keep(label, ref, f"{key}_{k}", res, inside)
+            if cmp:
+                gaps.append(cmp["max_abs_dv"])
+                equal += cmp["coincidence_equal"]
+    row = {"wall_s": wall, "finest_level_steps_sum": steps,
+           "residual_max": residual, **stats,
+           "cg_share": stats["cg_s"] / wall}
+    if gaps:
+        row[f"max_abs_dv_vs_{ref}"] = max(gaps)
+        row[f"coincidence_equal_vs_{ref}"] = f"{equal}/{m}"
     return row
 
 
@@ -113,19 +168,25 @@ def main():
                     help="directory holding the pshlab package to measure")
     ap.add_argument("--label", required=True,
                     help="key of this tree's results, e.g. parent or change")
+    ap.add_argument("--ref", default="parent",
+                    help="label of the measured tree to compare solves with")
     args = ap.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     WORK.mkdir(exist_ok=True)
-    run = {"ladder": ladder(args.label)}
+    run = {"ladder": ladder(args.label, args.ref)}
     for n, r in run["ladder"].items():
         print(f"{args.label} ladder {n}: {r['wall_s']:.3f} s, "
-              f"{r['iterations']} iterations, residual {r['residual']:.2e}")
+              f"{r['finest_level_steps']} finest-level steps, CG "
+              f"{r['cg_loose']} loose + {r['cg_certificate']} certificate, "
+              f"residual {r['residual']:.2e}")
     run["families"] = {}
     for key, (name, c, m, n) in FAMILIES.items():
-        r = family(name, c, m, n)
+        r = family(args.label, args.ref, key, name, c, m, n)
         run["families"][key] = r
         print(f"{args.label} {key} family ({name} {n}^2 x {m}): "
-              f"{r['wall_s']:.1f} s, {r['iterations_sum']} iterations")
+              f"{r['wall_s']:.1f} s, {r['finest_level_steps_sum']} "
+              f"finest-level steps, CG {r['cg_loose']} loose + "
+              f"{r['cg_certificate']} certificate")
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["workload"] = (
         "cold grid_envelope ladder (flat, lam 0.25, tol 1e-10, 128/256/512) "

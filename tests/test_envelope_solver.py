@@ -136,13 +136,36 @@ def test_grid_lam_zero_single_sweep(grid128, flat):
                           flat.sample(grid128).values[inside])
 
 
+def _reference_jacobi(p, lam, grid, tol):
+    """The monotone Jacobi iteration v <- min(g, mean4 v), once the grid
+    solver's second scheme: from the obstacle, the origin node started at
+    its largest neighbour, until the sup of an update is below tol."""
+    from pshlab.envelope_solver import _jacobi_target
+    from pshlab.field_grid import erode_mask
+    g = build_obstacle(p, lam, grid).values
+    inside = grid.inside_mask()
+    interior = erode_mask(inside)
+    v = np.where(inside & np.isfinite(g), g, 0.0)
+    if lam > 0:
+        i, j = o = grid.origin_index()
+        v[o] = max(v[i + 1, j], v[i - 1, j], v[i, j + 1], v[i, j - 1])
+    for _ in range(500_000):
+        tgt = _jacobi_target(v, g, interior)
+        residual = float(np.max(np.abs(np.where(interior, tgt - v, 0.0))))
+        v = tgt
+        if residual < tol:
+            return np.where(inside, v, 0.0)
+    raise AssertionError("reference Jacobi iteration did not converge")
+
+
 def test_grid_jacobi_and_active_set_agree(flat):
     # same unique fixed point; the gap scales like tol over the contraction
     # gap of the iteration (the stop rule bounds the update, not the error)
     g = build_grid(1, 64, 1.0)
-    a = grid_envelope(flat, 0.25, g, tol=1e-11, scheme="active-set")
-    b = grid_envelope(flat, 0.25, g, tol=1e-11, scheme="jacobi")
-    assert a.envelope.sup_diff(b.envelope) < 1e-7
+    a = grid_envelope(flat, 0.25, g, tol=1e-11)
+    b = _reference_jacobi(flat, 0.25, g, tol=1e-11)
+    inside = g.inside_mask()
+    assert np.max(np.abs(a.envelope.values - b)[inside]) < 1e-7
 
 
 def test_grid_fixed_point_property(grid128, perturbed):
@@ -206,7 +229,10 @@ def test_concavity_in_lam(grid128, flat):
                      unique=True))
 def test_grid_exact_discrete_complementarity(n, coeff, power, lams):
     # v <= g, mean4(v) - v >= -tol (subharmonic), the Jacobi certificate,
-    # and coincidence sets shrinking as lam grows
+    # coincidence sets shrinking as lam grows, and the same solve with
+    # exact steps only (no loose CG): certified, the same coincidence set,
+    # envelopes within 1e-7
+    from pshlab import envelope_solver
     from pshlab.envelope_solver import _jacobi_target, _neighbour_mean
     from pshlab.field_grid import erode_mask
     p = Potential(1, [Term("polyrad", 1.0, (1,)),
@@ -228,6 +254,12 @@ def test_grid_exact_discrete_complementarity(n, coeff, power, lams):
         if prev is not None:
             assert np.all(~res.coincidence | prev.coincidence)
         prev = res
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(envelope_solver, "FORCING", 0.0)
+            exact = grid_envelope(p, lam, grid, tol=tol)
+        assert exact.residual < tol
+        assert np.array_equal(exact.coincidence, res.coincidence)
+        assert exact.envelope.sup_diff(res.envelope) < 1e-7
 
 
 # ---------------------------------------------------------------------------
