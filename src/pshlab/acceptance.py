@@ -39,7 +39,8 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .field_grid import ScalarField, build_grid, c2_norm, erode_mask
+from .field_grid import (ScalarField, build_grid, c2_norm, erode_mask,
+                         gradient_sup, neighbour_sum)
 from .potential_kit import (Potential, Term, builtin_potential,
                             field_min_density, glue_to_ball, normalize_chart,
                             regularized_max)
@@ -255,20 +256,14 @@ def _level_set_bands(ray, slices):
         if not diff.any():
             continue
         # one-node band: every differing node touches the boundary of m1
+        # (its interior dilation; rim nodes stay as they are)
         edge = m1 ^ erode_mask(m1)
-        edge = _dilate(edge)
+        edge[1:-1, 1:-1] |= neighbour_sum(edge)
         if (diff & ~edge).any():
             worst = max(worst, 2)
         else:
             worst = max(worst, 1)
     return worst
-
-
-def _dilate(m):
-    out = m.copy()
-    out[1:-1, 1:-1] = (m[1:-1, 1:-1] | m[2:, 1:-1] | m[:-2, 1:-1]
-                       | m[1:-1, 2:] | m[1:-1, :-2])
-    return out
 
 
 def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
@@ -411,8 +406,7 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
         lhs = c2_norm(u, b)
         diff_c2 = c2_norm(a, b)
         # C0 norm of the first partials of a - b
-        dfield = ScalarField(grid, av - bv)
-        grad_sup = _grad_sup(dfield)
+        grad_sup = gradient_sup(av - bv, grid.inside_mask(), h)
         rhs = width + diff_c2 + grad_sup ** 2 / width
         slack = lhs - rhs
         worst_slack = max(worst_slack, slack)
@@ -425,19 +419,6 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     return _result("C11", "regularized max: bound, exact regions, psh", ok,
                    f"worst bound slack {worst_slack:.2e} (allow 2h="
                    f"{2*h:.2e})", t0)
-
-
-def _grad_sup(f: ScalarField) -> float:
-    h = f.grid.h
-    v = f.values
-    m = f.mask.copy()
-    m[1:-1, 1:-1] &= (f.mask[2:, 1:-1] & f.mask[:-2, 1:-1]
-                      & f.mask[1:-1, 2:] & f.mask[1:-1, :-2])
-    m[0, :] = m[-1, :] = m[:, 0] = m[:, -1] = False
-    gx = np.abs(v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
-    gy = np.abs(v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h)
-    inner = m[1:-1, 1:-1]
-    return float(max(gx[inner].max(), gy[inner].max()))
 
 
 def criterion_12(ctx: AcceptanceContext) -> CriterionResult:

@@ -171,10 +171,7 @@ def parse_config(text: str) -> RunConfig:
         cfg.n = cfg.potential.n
 
     # defaults echoed to output metadata
-    for key, attr in (("c", "c"),):
-        if key not in seen:
-            cfg.defaults_used.append(key)
-    for key in ("resolution", "tol", "lambda_nodes", "t_count"):
+    for key in ("c", "resolution", "tol", "lambda_nodes", "t_count"):
         if key not in seen:
             cfg.defaults_used.append(key)
 

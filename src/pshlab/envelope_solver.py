@@ -48,7 +48,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse import csr_array
 
-from .field_grid import GridSpec, ScalarField, build_grid, erode_mask
+from .field_grid import (GridSpec, ScalarField, build_grid, erode_mask,
+                         neighbour_sum)
 from .geometry import (ensure_ccw, marching_squares, points_in_polygon,
                        polygon_area)
 from .potential_kit import validate_strict_psh
@@ -126,30 +127,6 @@ class EnvelopeResult:
 # ---------------------------------------------------------------------------
 # monotone convex minorants in log coordinates
 # ---------------------------------------------------------------------------
-
-def convex_minorant_1d(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Largest convex nondecreasing minorant of samples g(t), evaluated at t.
-
-    Lower convex hull by the monotone chain, then flattened left of its
-    minimum (slope clamped to >= 0 towards -infinity).
-    """
-    t = np.asarray(t, dtype=float)
-    g = np.asarray(g, dtype=float)
-    hull = []  # indices of hull vertices
-    for i in range(len(t)):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            # drop i1 if it lies above the chord i0 -> i
-            if (g[i1] - g[i0]) * (t[i] - t[i0]) >= (g[i] - g[i0]) * (t[i1] - t[i0]):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    th, gh = t[hull], g[hull]
-    vals = np.interp(t, th, gh)
-    k = int(np.argmin(gh))
-    return np.where(t < th[k], gh[k], vals)
-
 
 def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResult:
     """Exact envelope for radial (n=1) and Reinhardt (n=2) weights.
@@ -229,7 +206,7 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
                           degenerate=degenerate)
 
 
-def monotone_convex_minorant_2d(T1, T2, G, eval_pts=None):
+def monotone_convex_minorant_2d(T1, T2, G):
     """Largest convex, componentwise-nondecreasing minorant of samples
     G(t1,t2) on a rectangular grid, evaluated at the grid itself.
 
@@ -261,11 +238,7 @@ def monotone_convex_minorant_2d(T1, T2, G, eval_pts=None):
     eqs = hull.equations  # a*x + b*y + c*z + d = 0, outward normals
     lower = eqs[eqs[:, 2] < -1e-12]
     # z = -(a x + b y + d)/c ; minorant = max over lower faces
-    if eval_pts is None:
-        ex, ey = t1.ravel(), t2.ravel()
-    else:
-        ex, ey = eval_pts
-        ex, ey = np.asarray(ex).ravel(), np.asarray(ey).ravel()
+    ex, ey = t1.ravel(), t2.ravel()
     out = np.full(ex.shape, -np.inf)
     chunk = 2048
     a, b, c, dconst = lower[:, 0], lower[:, 1], lower[:, 2], lower[:, 3]
@@ -273,9 +246,7 @@ def monotone_convex_minorant_2d(T1, T2, G, eval_pts=None):
         sl = slice(start, start + chunk)
         planes = -(np.outer(ex[sl], a) + np.outer(ey[sl], b) + dconst) / c
         out[sl] = planes.max(axis=1)
-    if eval_pts is None:
-        return out.reshape(g.shape)
-    return out
+    return out.reshape(g.shape)
 
 
 def _reinhardt_envelope(p, lam: float, grid: GridSpec | None) -> EnvelopeResult:
@@ -314,8 +285,7 @@ def _reinhardt_envelope(p, lam: float, grid: GridSpec | None) -> EnvelopeResult:
 
 def _neighbour_mean(v):
     out = np.empty_like(v)
-    out[1:-1, 1:-1] = 0.25 * (v[2:, 1:-1] + v[:-2, 1:-1]
-                              + v[1:-1, 2:] + v[1:-1, :-2])
+    out[1:-1, 1:-1] = 0.25 * neighbour_sum(v)
     out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = np.nan
     return out
 
@@ -503,9 +473,9 @@ class SolverError(RuntimeError):
 # equilibrium-set extraction and pole-weight check
 # ---------------------------------------------------------------------------
 
-def extract_equilibrium(result: EnvelopeResult, tol: float | None = None,
-                        refine: bool = False):
-    """Coincidence mask {a >= -tol} and its boundary polyline.
+def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
+    """Coincidence mask {a >= -tol} and its boundary polyline, tol the
+    result's `coincidence_tol`.
 
     The polyline is the marching-squares level curve a = -tol, oriented
     counter-clockwise: on cartesian grids its largest loop around the pole
@@ -515,7 +485,7 @@ def extract_equilibrium(result: EnvelopeResult, tol: float | None = None,
     the pole (useful when the mass/moment integrals need a less biased
     boundary).  Empty complement (lam = 0) yields an empty polyline.
     """
-    tol = result.coincidence_tol if tol is None else tol
+    tol = result.coincidence_tol
     a = result.deficit
     grid = result.grid
     mask = result.envelope.mask & ((a.values >= -tol) | ~a.mask)
@@ -539,8 +509,8 @@ def extract_equilibrium(result: EnvelopeResult, tol: float | None = None,
     return mask, _radial_refined_boundary(result, poly0)
 
 
-def _radial_refined_boundary(result: EnvelopeResult, poly0: np.ndarray,
-                             n_theta: int = 1024) -> np.ndarray:
+def _radial_refined_boundary(result: EnvelopeResult,
+                             poly0: np.ndarray) -> np.ndarray:
     """Relocate the free boundary by the square-root law of the deficit.
 
     The deficit vanishes quadratically at the boundary, so sqrt(-a) is
@@ -555,6 +525,7 @@ def _radial_refined_boundary(result: EnvelopeResult, poly0: np.ndarray,
     a = result.deficit
     ax = grid.axis()
     h = grid.h
+    n_theta = 1024
     q = resample_closed(ensure_ccw(poly0), n_theta)
     th_q = np.arctan2(q[:, 1], q[:, 0])
     r_q = np.hypot(q[:, 0], q[:, 1])
@@ -584,19 +555,18 @@ def _radial_refined_boundary(result: EnvelopeResult, poly0: np.ndarray,
     return np.stack([r_fit * np.cos(th), r_fit * np.sin(th)], axis=1)
 
 
-def maximality_residual(result: EnvelopeResult, band_tol: float | None = None):
+def maximality_residual(result: EnvelopeResult):
     """Sup of |discrete Laplacian of the envelope| over the strict region
-    {v < obstacle - band_tol}: zero for the exact discrete envelope (the
-    fixed point equals the neighbour mean off the contact set), so the
-    value certifies both maximality and interior harmonicity."""
+    {v < obstacle - band_tol}, band_tol = max(10 coincidence_tol, 50 h^2):
+    zero for the exact discrete envelope (the fixed point equals the
+    neighbour mean off the contact set), so the value certifies both
+    maximality and interior harmonicity."""
     grid = result.grid
     h = grid.h
-    if band_tol is None:
-        band_tol = max(10.0 * result.coincidence_tol, 50.0 * h * h)
+    band_tol = max(10.0 * result.coincidence_tol, 50.0 * h * h)
     v = result.envelope.values
     lap = np.full_like(v, np.nan)
-    lap[1:-1, 1:-1] = (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:]
-                       + v[1:-1, :-2] - 4.0 * v[1:-1, 1:-1]) / (h * h)
+    lap[1:-1, 1:-1] = (neighbour_sum(v) - 4.0 * v[1:-1, 1:-1]) / (h * h)
     strict = result.deficit.mask & (result.deficit.values < -band_tol)
     i0 = grid.origin_index()
     if result.lam > 0 and i0 is not None:
@@ -615,10 +585,10 @@ class LelongReport:
     n_nodes: int
 
 
-def lelong_check(result: EnvelopeResult, tol: float = 1e-2,
+def lelong_check(result: EnvelopeResult,
                  annulus=(2.0, 6.0)) -> LelongReport:
     """Fit a ~ s*ln|z|^2 + const on the innermost masked annulus; the pole
-    weight of the deficit must satisfy s >= lam - tol."""
+    weight of the deficit must satisfy s >= lam - 1e-2."""
     if result.grid.n != 1 or result.grid.style != "cartesian":
         raise ValueError("lelong_check runs on n=1 cartesian results")
     if result.lam == 0:
@@ -636,5 +606,5 @@ def lelong_check(result: EnvelopeResult, tol: float = 1e-2,
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     slope, intercept = float(sol[0]), float(sol[1])
     return LelongReport(slope=slope, intercept=intercept,
-                        passed=slope >= result.lam - tol,
+                        passed=slope >= result.lam - 1e-2,
                         n_nodes=int(ring.sum()))

@@ -12,6 +12,11 @@ Conventions
 * Stencils are second-order central differences.  A one-node layer at the
   rim of the masked-in region is dropped from every stencil output rather
   than one-sided-differenced: all estimates here are interior estimates.
+  `neighbour_sum` is the one five-point neighbour pattern of the package:
+  the obstacle solver's four-neighbour mean, the Laplacians of its
+  maximality and fiberwise-degeneracy certificates, the leaf read-out's
+  smoothing pass and the mask dilation of the level-set check all read it.
+  `gradient_sup` is the first-derivative term of `c2_norm`.
 * log-radial grids store t = ln|z|^2 on a uniform grid with floor
   t_min = -40, a working proxy for -infinity: below it every radial
   obstacle with positive pole weight is slack.
@@ -182,8 +187,8 @@ class ScalarField:
         self.values = vals
         self.mask = msk
 
-    def with_values(self, values, mask=None) -> "ScalarField":
-        return ScalarField(self.grid, values, self.mask if mask is None else mask)
+    def with_values(self, values) -> "ScalarField":
+        return ScalarField(self.grid, values, self.mask)
 
     def masked_fill(self, fill: float) -> np.ndarray:
         out = np.array(self.values, copy=True)
@@ -200,6 +205,13 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 # stencils
 # ---------------------------------------------------------------------------
+
+def neighbour_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of the four axis neighbours of each interior node of a 2-D
+    array, shape (n-2, m-2), added in the order +x, -x, +y, -y from the
+    left.  On boolean arrays numpy's add is logical or, so it dilates."""
+    return v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
+
 
 def _central_first(values, axis, h):
     v = np.moveaxis(values, axis, 0)
@@ -289,12 +301,6 @@ def c2_norm(f: ScalarField, g: ScalarField) -> float:
         raise ValueError("empty common mask")
     term0 = float(np.max(np.abs(diff[m0])))
 
-    m1 = erode_mask(m0)
-    best1 = 0.0
-    for ax in range(diff.ndim):
-        d = _central_first(diff, ax, h)
-        best1 = max(best1, float(np.max(np.abs(d[m1]))))
-
     m2 = erode_mask(m0, times=2)
     best2 = 0.0
     for ax in range(diff.ndim):
@@ -304,7 +310,18 @@ def c2_norm(f: ScalarField, g: ScalarField) -> float:
         for a2 in range(a1 + 1, diff.ndim):
             d = _central_mixed(diff, a1, a2, h)
             best2 = max(best2, float(np.max(np.abs(d[m2]))))
-    return term0 + best1 + best2
+    return term0 + gradient_sup(diff, m0, h) + best2
+
+
+def gradient_sup(values: np.ndarray, mask: np.ndarray, h: float) -> float:
+    """sup over erode_mask(mask) of max_i |d_i values|, by central
+    differences: the first-derivative term of `c2_norm`."""
+    m1 = erode_mask(mask)
+    best = 0.0
+    for ax in range(values.ndim):
+        d = _central_first(values, ax, h)
+        best = max(best, float(np.max(np.abs(d[m1]))))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .field_grid import erode_mask
-from .geodesic_legendre import (GeodesicRay, plateau_threshold,
-                                pole_exclusion_radius, rounding_noise,
-                                smooth_hamiltonian)
+from .field_grid import erode_mask, neighbour_sum
+from .geodesic_legendre import (GeodesicRay, _bin_log_means,
+                                plateau_threshold, pole_exclusion_radius,
+                                rounding_noise, smooth_hamiltonian)
 from .geometry import polyline_is_simple, resample_closed
 from .ma_measure import boundary_mass
 
@@ -81,17 +81,6 @@ class LeafExit(RuntimeError):
 LEAF_WINDOW = 8   # slices a sampled-slice leaf reads on each side of its level
 ORBIT_BLOCK = 32   # rays per orbit read-out pass, to bound its memory
 DERIVED_NODES = 4   # slices whose derivative splines a probe keeps
-
-
-def _bin_log_means(lam):
-    """ln of the geometric bin means: the exact abscissae at which the
-    forward differences of a family sample the log of the pole weight."""
-    lam = np.asarray(lam, dtype=float)
-    lo, hi = lam[:-1], lam[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = hi * (np.log(hi) - 1.0) - np.where(lo > 0,
-                                                 lo * (np.log(lo) - 1.0), 0.0)
-    return num / (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +451,12 @@ def _anchor_level(ray: GeodesicRay, z1: complex) -> float:
 # disc boundary and area
 # ---------------------------------------------------------------------------
 
-def leaf_boundary(leaf: Leaf, p=None, n_points: int = 2048) -> np.ndarray:
-    """S^1-orbit closure of the t = 0 endpoint: the level curve of the
-    t = 0 Hamiltonian through the anchor (for radial weights, exactly the
-    circle through it)."""
+def leaf_boundary(leaf: Leaf, p=None) -> np.ndarray:
+    """S^1-orbit closure of the t = 0 endpoint, at 2048 angles: the level
+    curve of the t = 0 Hamiltonian through the anchor (for radial weights,
+    exactly the circle through it)."""
     ray = leaf.ray
+    n_points = 2048
     if leaf.anchor == 0:
         return np.zeros((0, 2))
     if p is not None and getattr(p, "symmetry", "general") == "radial":
@@ -482,8 +472,7 @@ def leaf_boundary(leaf: Leaf, p=None, n_points: int = 2048) -> np.ndarray:
     # level is traced (O(h^2) bias, below the curve's own accuracy)
     if not ray.backend.startswith("oracle"):
         sm = vals.copy()
-        sm[1:-1, 1:-1] = 0.5 * vals[1:-1, 1:-1] + 0.125 * (
-            vals[2:, 1:-1] + vals[:-2, 1:-1] + vals[1:-1, 2:] + vals[1:-1, :-2])
+        sm[1:-1, 1:-1] = 0.5 * vals[1:-1, 1:-1] + 0.125 * neighbour_sum(vals)
         vals = sm
 
     # the orbit encircles the pole once: read it off as a polar graph,

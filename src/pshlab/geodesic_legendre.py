@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_grid import GridSpec, ScalarField
+from .field_grid import GridSpec, ScalarField, neighbour_sum
 from .envelope_solver import EnvelopeResult, grid_envelope, radial_envelope
 
 _NEG_FILL = -1e300
@@ -113,25 +113,25 @@ class GeodesicRay:
 
 
 def default_t_grid(c: float, m: int, grid: GridSpec | None = None,
-                   n_t: int = 96, pad: float = 2.0) -> np.ndarray:
+                   n_t: int = 96) -> np.ndarray:
     """[0, T_max] long enough that every conjugating infimum is attained
-    interiorly: beyond ln(c/lam_1) (lam_1 the first positive node), the
+    interiorly: 2 beyond ln(c/lam_1) (lam_1 the first positive node), the
     range must also cover the pole-adjacent nodes, whose minimizing t
     grows like ln(lam/|z|^2); the closest masked-in node sits at |z| = h."""
     lam1 = c / m
-    t_max = math.log(c / lam1) + pad
+    t_max = math.log(c / lam1) + 2.0
     if grid is not None:
-        t_max = max(t_max, math.log(c / grid.h ** 2) + pad)
+        t_max = max(t_max, math.log(c / grid.h ** 2) + 2.0)
     return np.linspace(0.0, t_max, n_t)
 
 
 def assemble_geodesic(slices, t_grid=None, c: float | None = None,
-                      n_t: int = 96, mono_tol: float = 1e-7) -> GeodesicRay:
+                      n_t: int = 96) -> GeodesicRay:
     """Assemble the ray u(x,t) = max_k (a_k(x) + lam_k t) from envelope slices.
 
     `slices` is a list of (lam, EnvelopeResult-or-ScalarField) with strictly
     increasing lam in [0, c); the family must be pointwise nonincreasing in
-    lam (monotonicity of the envelopes); a violation beyond mono_tol raises,
+    lam (monotonicity of the envelopes); a violation beyond 1e-7 raises,
     naming the offending pair.
     """
     lam_list = []
@@ -159,7 +159,7 @@ def assemble_geodesic(slices, t_grid=None, c: float | None = None,
             raise ValueError("slices live on different grids")
         m = lo.mask & hi.mask
         gap = float(np.max(hi.values[m] - lo.values[m])) if m.any() else 0.0
-        if gap > mono_tol:
+        if gap > 1e-7:
             raise ValueError(
                 f"slice family is not monotone: a[lam={lam_arr[k]:.6g}] < "
                 f"a[lam={lam_arr[k + 1]:.6g}] by {gap:.3g} somewhere")
@@ -256,8 +256,7 @@ class HamiltonianField:
     max_fd_gap: float = float("nan")
 
 
-def hamiltonian(ray: GeodesicRay, fd_check: bool = True,
-                fd_delta: float = 1e-3) -> HamiltonianField:
+def hamiltonian(ray: GeodesicRay, fd_check: bool = True) -> HamiltonianField:
     """H = lam_grid[argmax], the right slope of u(x, .), plus an optional
     cross-check against small-step finite differences of the exact u.
 
@@ -271,7 +270,7 @@ def hamiltonian(ray: GeodesicRay, fd_check: bool = True,
                      np.where(ray.mask(), H[0], 0.0), ray.mask())
     gap = float("nan")
     if fd_check:
-        delta = min(fd_delta, 0.25 * float(np.min(np.diff(ray.t_grid))))
+        delta = min(1e-3, 0.25 * float(np.min(np.diff(ray.t_grid))))
         gap = 0.0
         msk = ray.mask()
         for i, t in enumerate(ray.t_grid):
@@ -351,6 +350,17 @@ def smooth_hamiltonian(ray: GeodesicRay, t: float = 0.0) -> ScalarField:
     return out
 
 
+def _bin_log_means(lam):
+    """ln of the geometric bin means: the exact abscissae at which the
+    forward differences of a family sample the log of the pole weight."""
+    lam = np.asarray(lam, dtype=float)
+    lo, hi = lam[:-1], lam[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = hi * (np.log(hi) - 1.0) - np.where(lo > 0,
+                                                 lo * (np.log(lo) - 1.0), 0.0)
+    return num / (hi - lo)
+
+
 def _slope_crossing(D, lam, t, noise):
     """Solve D(mu) = -t along axis 0 by a two-point secant, vectorized
     over trailing axes; D[k] is the forward difference of the family over
@@ -373,11 +383,7 @@ def _slope_crossing(D, lam, t, noise):
     flat = first.ravel()
     Df = D.reshape(nm, -1)
     res = np.full(flat.shape, lam_top)
-    lo_bin, hi_bin = lam[:-1], lam[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu = (hi_bin * (np.log(hi_bin) - 1.0)
-              - np.where(lo_bin > 0, lo_bin * (np.log(lo_bin) - 1.0), 0.0)) \
-            / (hi_bin - lo_bin)
+    nu = _bin_log_means(lam)
 
     def secant(ja, jb, sel, lo, hi):
         da = Df[ja, sel] + t
@@ -444,14 +450,15 @@ def weak_solution(ray: GeodesicRay, c: float | None = None) -> WeakSolution:
                         cutoff=float(c))
 
 
-def hmae_residual(ray: GeodesicRay, p, band_tol: float | None = None) -> dict:
+def hmae_residual(ray: GeodesicRay, p) -> dict:
     """Degeneracy diagnostics of the ray.
 
     (i) convexity defect: most negative second difference of u in t
     (nonnegative up to rounding, u being a max of affine functions);
     (ii) per slice, the sup of |discrete Laplacian of (phi + a_lam)| over
-    the strict region {a_lam < -band_tol}, excluding the disc of radius
-    `pole_exclusion_radius(lam, h)` where the log stencil is unresolved.
+    the strict region {a_lam < -band_tol}, band_tol = 50 h^2, excluding
+    the disc of radius `pole_exclusion_radius(lam, h)` where the log
+    stencil is unresolved.
     Slice harmonicity off the coincidence set is the fiberwise degeneracy
     of the ray.
     """
@@ -459,8 +466,7 @@ def hmae_residual(ray: GeodesicRay, p, band_tol: float | None = None) -> dict:
     if grid.n != 1 or grid.style != "cartesian":
         raise ValueError("residual diagnostics run on n=1 cartesian rays")
     h = grid.h
-    if band_tol is None:
-        band_tol = 50.0 * h * h
+    band_tol = 50.0 * h * h
 
     u = ray.u_values()
     d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
@@ -477,8 +483,7 @@ def hmae_residual(ray: GeodesicRay, p, band_tol: float | None = None) -> dict:
             continue
         w = phi_vals + fld.masked_fill(np.nan)
         lap = np.full_like(w, np.nan)
-        lap[1:-1, 1:-1] = (w[2:, 1:-1] + w[:-2, 1:-1] + w[1:-1, 2:]
-                           + w[1:-1, :-2] - 4.0 * w[1:-1, 1:-1]) / (h * h)
+        lap[1:-1, 1:-1] = (neighbour_sum(w) - 4.0 * w[1:-1, 1:-1]) / (h * h)
         strict = fld.mask & (fld.values < -band_tol) \
             & (rho > pole_exclusion_radius(lam, h) ** 2)
         strict &= np.isfinite(lap)

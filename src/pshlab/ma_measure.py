@@ -143,9 +143,9 @@ def region_moments(p, grid, region_mask, polyline, k_max: int):
     return moments, area
 
 
-def reproducing_check(p, e: EnvelopeResult, k_max: int = 4,
-                      refine: bool = True) -> MeasureReport:
-    """Moment report over the equilibrium complement B = {deficit < 0}.
+def reproducing_check(p, e: EnvelopeResult, k_max: int = 4) -> MeasureReport:
+    """Moment report over the equilibrium complement B = {deficit < 0},
+    bounded by the refined free boundary.
 
     M_0 is the enclosed mass (should equal the pole weight: the measure
     grows at the injection rate); |M_k|/M_0 for k >= 1 should vanish by
@@ -155,7 +155,7 @@ def reproducing_check(p, e: EnvelopeResult, k_max: int = 4,
         raise ValueError("reproducing check runs on n=1 cartesian results")
     if e.lam == 0:
         raise ValueError("empty equilibrium complement at lam = 0")
-    mask, poly = extract_equilibrium(e, refine=refine)
+    mask, poly = extract_equilibrium(e, refine=True)
     if len(poly) < 3:
         raise ValueError("empty or unresolved equilibrium complement")
     comp = ~mask & e.envelope.mask

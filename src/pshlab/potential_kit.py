@@ -782,12 +782,12 @@ class GlueReport:
     bound_terms: dict
 
 
-def _polar_samples(r_max: float, extra_band=None, n_r=1024, n_theta=64):
-    radii = np.linspace(0.0, r_max, n_r + 1)[1:]
+def _polar_samples(r_max: float, extra_band=None):
+    radii = np.linspace(0.0, r_max, 1025)[1:]
     if extra_band is not None:
         lo, hi = extra_band
         radii = np.unique(np.concatenate([radii, np.linspace(lo, hi, 2048)]))
-    th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     return radii[:, None] * np.exp(1j * th[None, :])
 
 
@@ -872,9 +872,9 @@ def glue_to_ball(chart: NormalizedChart, s: float, w: float,
     return glued, report
 
 
-def suggest_glue_parameters(target_eps: float, chart_radius: float = 1.0):
-    """(s, w) from the asymptotic heuristic: 38 s < eps/2, sigma well inside
-    the chart."""
+def suggest_glue_parameters(target_eps: float):
+    """(s, w) from the asymptotic heuristic: 38 s < eps/2, and w = 1e-3 s
+    keeps sigma = 3 sqrt(w/s) well inside the unit chart."""
     s = target_eps / (2.0 * 38.0) * 0.9
-    w = s * min((chart_radius / 6.0) ** 2, 1e-3)
+    w = s * 1e-3
     return s, w

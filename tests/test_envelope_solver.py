@@ -8,9 +8,9 @@ from scipy.optimize import brentq
 from pshlab.field_grid import build_grid
 from pshlab.potential_kit import Potential, Term, builtin_potential
 from pshlab.envelope_solver import (SolverError, build_obstacle,
-                                    convex_minorant_1d, extract_equilibrium,
-                                    grid_envelope, lelong_check,
-                                    maximality_residual, radial_envelope)
+                                    extract_equilibrium, grid_envelope,
+                                    lelong_check, maximality_residual,
+                                    radial_envelope)
 from pshlab.geometry import polyline_is_simple
 
 
@@ -59,17 +59,6 @@ def test_radial_degenerate_weight_warns(grid128, flat):
     with pytest.warns(UserWarning):
         res = radial_envelope(flat, 1.5, grid128)  # mass of the disc is 1
     assert res.degenerate
-
-
-def test_convex_minorant_helper_matches_closed_form():
-    # hull of samples of e^t - lam*t, flattened left of its minimum
-    lam = 0.25
-    t = np.linspace(-6.0, 0.0, 4001)
-    g = np.exp(t) - lam * t
-    m = convex_minorant_1d(t, g)
-    exact = np.where(t >= math.log(lam), g, lam * (1 - math.log(lam)))
-    # the hull flattens at the sampled argmin: O(dt^2) from the true level
-    assert np.max(np.abs(m - exact)) < 5e-6
 
 
 # ---------------------------------------------------------------------------

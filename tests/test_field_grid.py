@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pshlab.field_grid import (CSV_BLOCK, GridSpec, ScalarField, build_grid,
-                               c2_norm, ddc_component, load_field, save_field,
-                               write_csv)
+                               c2_norm, ddc_component, erode_mask,
+                               gradient_sup, load_field, neighbour_sum,
+                               save_field, write_csv)
 from pshlab.potential_kit import Potential, Term, builtin_potential
 
 
@@ -117,6 +118,103 @@ def test_c2_norm_seminorm_properties(grid128):
 def test_c2_norm_grid_mismatch_raises(grid128, grid96_r2, flat):
     with pytest.raises(ValueError):
         c2_norm(flat.sample(grid128), flat.sample(grid96_r2))
+
+
+def _special_field(rng, shape):
+    """Normal values with nan, +-inf, -0 and 0 sprinkled in."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    pick = rng.random(shape) < 0.3
+    v[pick] = rng.choice(specials, size=int(pick.sum()))
+    return v
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_neighbour_sum_matches_hand_written_stencils_bitwise():
+    """The helper and each caller's former inline stencil agree bit for bit
+    on fields holding nan, +-inf and -0: the plain sum, the solver's
+    four-neighbour mean, the certificates' Laplacian and the leaf
+    read-out's smoothing pass."""
+    from pshlab.envelope_solver import _neighbour_mean
+    rng = np.random.default_rng(20261019)
+    h = 2.0 / 64
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(60):
+            v = _special_field(rng, tuple(rng.integers(3, 40, size=2)))
+            s = neighbour_sum(v)
+            old_sum = v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
+            assert np.array_equal(_bits(s), _bits(old_sum))
+
+            old_mean = np.empty_like(v)
+            old_mean[1:-1, 1:-1] = 0.25 * (v[2:, 1:-1] + v[:-2, 1:-1]
+                                           + v[1:-1, 2:] + v[1:-1, :-2])
+            old_mean[0, :] = old_mean[-1, :] = np.nan
+            old_mean[:, 0] = old_mean[:, -1] = np.nan
+            assert np.array_equal(_bits(_neighbour_mean(v)), _bits(old_mean))
+
+            old_lap = (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:]
+                       + v[1:-1, :-2] - 4.0 * v[1:-1, 1:-1]) / (h * h)
+            assert np.array_equal(_bits((s - 4.0 * v[1:-1, 1:-1]) / (h * h)),
+                                  _bits(old_lap))
+
+            old_smooth = 0.5 * v[1:-1, 1:-1] + 0.125 * (
+                v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2])
+            assert np.array_equal(_bits(0.5 * v[1:-1, 1:-1] + 0.125 * s),
+                                  _bits(old_smooth))
+
+
+def _reference_dilate(m):
+    out = m.copy()
+    out[1:-1, 1:-1] = (m[1:-1, 1:-1] | m[2:, 1:-1] | m[:-2, 1:-1]
+                       | m[1:-1, 2:] | m[1:-1, :-2])
+    return out
+
+
+def test_neighbour_sum_dilation_keeps_the_rim():
+    """On masks, `m[1:-1, 1:-1] |= neighbour_sum(m)` is the level-set
+    check's one-node dilation: it grows the interior and leaves every rim
+    node as it was, where ~erode_mask(~m) would set the whole rim."""
+    rng = np.random.default_rng(7)
+    for density in (0.02, 0.2, 0.7):
+        for _ in range(20):
+            m = rng.random(tuple(rng.integers(3, 40, size=2))) < density
+            m[0, 0], m[-1, 1] = True, False   # rim nodes of both values
+            got = m.copy()
+            got[1:-1, 1:-1] |= neighbour_sum(m)
+            assert got.dtype == bool
+            assert np.array_equal(got, _reference_dilate(m))
+            rim = ~erode_mask(np.ones_like(m))
+            assert np.array_equal(got[rim], m[rim])
+            assert np.array_equal(got[~rim], ~erode_mask(~m)[~rim])
+
+
+def _reference_grad_sup(f: ScalarField) -> float:
+    h = f.grid.h
+    v = f.values
+    m = f.mask.copy()
+    m[1:-1, 1:-1] &= (f.mask[2:, 1:-1] & f.mask[:-2, 1:-1]
+                      & f.mask[1:-1, 2:] & f.mask[1:-1, :-2])
+    m[0, :] = m[-1, :] = m[:, 0] = m[:, -1] = False
+    gx = np.abs(v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
+    gy = np.abs(v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h)
+    inner = m[1:-1, 1:-1]
+    return float(max(gx[inner].max(), gy[inner].max()))
+
+
+def test_gradient_sup_matches_reference_bitwise():
+    """gradient_sup, the first-derivative term of c2_norm, is bitwise the
+    regularized-max criterion's former hand-written gradient sup."""
+    rng = np.random.default_rng(20260808)
+    for _ in range(100):
+        grid = build_grid(1, int(rng.integers(16, 81)), rng.uniform(0.5, 2.0))
+        vals = rng.normal(size=grid.shape) * rng.uniform(1e-3, 1e3)
+        f = ScalarField(grid, vals)
+        want = _reference_grad_sup(f)
+        got = gradient_sup(f.values, f.mask, grid.h)
+        assert _bits(got) == _bits(want)
 
 
 def test_field_invariants():

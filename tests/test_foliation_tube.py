@@ -17,12 +17,12 @@ from pshlab import geodesic_legendre
 from pshlab.field_grid import build_grid
 from pshlab.potential_kit import Potential, Term
 from pshlab.envelope_solver import extract_equilibrium, grid_envelope
-from pshlab.geodesic_legendre import (assemble_geodesic, grid_slices,
-                                      oracle_slices, plateau_threshold,
-                                      smooth_hamiltonian)
+from pshlab.geodesic_legendre import (_bin_log_means, assemble_geodesic,
+                                      grid_slices, oracle_slices,
+                                      plateau_threshold, smooth_hamiltonian)
 from pshlab.foliation_tube import (LEAF_WINDOW, Leaf, LeafExit,
                                    _RadialProbe, _SplineProbe, _anchor_level,
-                                   _bin_log_means, _rhs_factory,
+                                   _rhs_factory,
                                    build_tubular_map, check_pullback,
                                    disc_area, leaf_boundary, polar_anchor_net,
                                    trace_leaf, trace_leaves)

@@ -1,6 +1,8 @@
-"""Every name a `pshlab` module imports is used in that module."""
+"""Every name a `pshlab` module imports is used in that module, and only
+`field_grid` writes out the five-point neighbour slices."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -27,3 +29,18 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+# v[2:, 1:-1], v[:-2, 1:-1], v[1:-1, 2:] and v[1:-1, :-2], spaces allowed
+NEIGHBOUR_SLICE = re.compile(
+    r"\[\s*(?::-2|2:)\s*,\s*1:-1\s*\]|\[\s*1:-1\s*,\s*(?::-2|2:)\s*\]")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_neighbour_slices_only_in_field_grid(path):
+    hits = [n for n, line in enumerate(path.read_text().splitlines(), 1)
+            if NEIGHBOUR_SLICE.search(line)]
+    if path.name == "field_grid.py":
+        assert hits, "field_grid.neighbour_sum no longer matches the pattern"
+    else:
+        assert hits == [], f"use field_grid.neighbour_sum (lines {hits})"
