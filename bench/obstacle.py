@@ -12,14 +12,19 @@ slice alive at a time:
   * C7/C8: `perturbed`, lam = 0.36 k / 72, k < 72, 512^2, tol 1e-9.
 
 Per ladder solve and per family it records the wall time, the
-finest-level active-set steps (`iterations` of the result), the largest
+finest-level active-set steps (`iterations` of the result; for a family
+their sum, largest value and histogram over the slices), the steps over
+all levels (one inner solve each; for a family the largest), the largest
 Jacobi residual, the seconds inside the conjugate-gradient inner solve
-`envelope_solver._cg` and its iterations, split into loose ones (run
-towards a 2-norm bound above 2 tol) and certificate-level ones (towards
-2 tol).  Every envelope and coincidence set is kept in bench/_work/; once
-the tree labelled `--ref` has been measured, each solve also records
-max |v - v_ref| over the disc and whether its coincidence set equals the
-reference's (for a family: the largest gap and how many slices match).
+`envelope_solver._cg` and the seconds outside it (`setup_s`: the rest of
+`grid_envelope`, mostly the Laplace systems, the active-set updates and
+certificates, then the obstacle and the boundary extraction), and the CG
+iterations, split into loose ones (run towards a 2-norm bound above
+2 tol) and certificate-level ones (towards 2 tol).  Every envelope and
+coincidence set is kept in bench/_work/; once the tree labelled `--ref`
+has been measured, each solve also records max |v - v_ref| over the disc
+and whether its coincidence set equals the reference's (for a family:
+the largest gap and how many slices match).
 Results merge into BENCH_obstacle.json under `--label`, with the machine
 they ran on; run both trees on one machine.
 """
@@ -56,13 +61,15 @@ class CountingMatrix:
 
 class InnerSolveMeter:
     """Replaces `envelope_solver._cg` with a wrapper that adds its time
-    and iterations to `stats`.  Handles both forms of the inner solve: a
-    function `_cg(mat, b, x, atol)` solving to 2 tol, and a coroutine
-    `_cg(mat, b, x)` sent one 2-norm bound after another."""
+    and iterations to `stats`, and counts its calls (one per active-set
+    step, over all levels) in `stats["steps"]`.  Handles both forms of the
+    inner solve: a function `_cg(mat, b, x, atol)` solving to 2 tol, and a
+    coroutine `_cg(mat, b, x)` sent one 2-norm bound after another."""
 
     def __init__(self, solver, tol):
         self.solver, self.tol, self.inner = solver, tol, solver._cg
-        self.stats = {"cg_s": 0.0, "cg_loose": 0, "cg_certificate": 0}
+        self.stats = {"cg_s": 0.0, "cg_loose": 0, "cg_certificate": 0,
+                      "steps": 0}
 
     def add(self, atol, t0, mat, products):
         self.stats["cg_s"] += time.perf_counter() - t0
@@ -70,6 +77,7 @@ class InnerSolveMeter:
         self.stats[kind] += mat.products - products
 
     def coroutine(self, mat, b, x):
+        self.stats["steps"] += 1
         mat = CountingMatrix(mat)
         t0 = time.perf_counter()
         gen = self.inner(mat, b, x)
@@ -82,6 +90,7 @@ class InnerSolveMeter:
             self.add(atol, t0, mat, products)
 
     def function(self, mat, b, x, atol):
+        self.stats["steps"] += 1
         mat = CountingMatrix(mat)
         t0 = time.perf_counter()
         try:
@@ -124,8 +133,11 @@ def ladder(label: str, ref: str) -> dict:
             t0 = time.perf_counter()
             res = envelope_solver.grid_envelope(flat, 0.25, grid, tol=1e-10)
             wall = time.perf_counter() - t0
+        all_levels = stats.pop("steps")
         row = {"wall_s": wall, "finest_level_steps": res.iterations,
-               "residual": res.residual, "backend": res.backend, **stats}
+               "steps_all_levels": all_levels,
+               "residual": res.residual, "backend": res.backend, **stats,
+               "setup_s": wall - stats["cg_s"]}
         cmp = keep(label, ref, f"ladder_{n}", res, grid.inside_mask())
         out[str(n)] = {**row, **{f"{k}_vs_{ref}": x for k, x in cmp.items()}}
     return out
@@ -140,22 +152,31 @@ def family(label: str, ref: str, key: str, name: str, c: float, m: int,
     p = builtin_potential(name)
     grid = build_grid(1, n, 1.0)
     inside = grid.inside_mask()
-    steps, residual, wall, gaps, equal = 0, 0.0, 0.0, [], 0
+    steps, all_levels, residual, wall, gaps, equal = [], [], 0.0, 0.0, [], 0
     with InnerSolveMeter(envelope_solver, 1e-9) as stats:
         for k in range(m):
+            before = stats["steps"]
             t0 = time.perf_counter()
             res = envelope_solver.grid_envelope(p, c * k / m, grid, tol=1e-9,
                                                 require_psh=(k == 0))
             wall += time.perf_counter() - t0
-            steps += res.iterations
+            steps.append(res.iterations)
+            all_levels.append(stats["steps"] - before)
             residual = max(residual, res.residual)
             cmp = keep(label, ref, f"{key}_{k}", res, inside)
             if cmp:
                 gaps.append(cmp["max_abs_dv"])
                 equal += cmp["coincidence_equal"]
-    row = {"wall_s": wall, "finest_level_steps_sum": steps,
+    del stats["steps"]
+    row = {"wall_s": wall, "finest_level_steps_sum": sum(steps),
+           "finest_level_steps_max": max(steps),
+           "finest_level_steps_hist": {str(s): steps.count(s)
+                                       for s in sorted(set(steps))},
+           "steps_all_levels_max": max(all_levels),
            "residual_max": residual, **stats,
-           "cg_share": stats["cg_s"] / wall}
+           "cg_share": stats["cg_s"] / wall,
+           "setup_s": wall - stats["cg_s"],
+           "setup_share": 1.0 - stats["cg_s"] / wall}
     if gaps:
         row[f"max_abs_dv_vs_{ref}"] = max(gaps)
         row[f"coincidence_equal_vs_{ref}"] = f"{equal}/{m}"
@@ -176,7 +197,8 @@ def main():
     run = {"ladder": ladder(args.label, args.ref)}
     for n, r in run["ladder"].items():
         print(f"{args.label} ladder {n}: {r['wall_s']:.3f} s, "
-              f"{r['finest_level_steps']} finest-level steps, CG "
+              f"{r['finest_level_steps']} finest-level steps "
+              f"({r['steps_all_levels']} over all levels), CG "
               f"{r['cg_loose']} loose + {r['cg_certificate']} certificate, "
               f"residual {r['residual']:.2e}")
     run["families"] = {}
@@ -184,9 +206,11 @@ def main():
         r = family(args.label, args.ref, key, name, c, m, n)
         run["families"][key] = r
         print(f"{args.label} {key} family ({name} {n}^2 x {m}): "
-              f"{r['wall_s']:.1f} s, {r['finest_level_steps_sum']} "
-              f"finest-level steps, CG {r['cg_loose']} loose + "
-              f"{r['cg_certificate']} certificate")
+              f"{r['wall_s']:.1f} s ({r['setup_share']:.0%} outside CG), "
+              f"{r['finest_level_steps_sum']} finest-level steps (at most "
+              f"{r['finest_level_steps_max']} per slice, "
+              f"{r['steps_all_levels_max']} over all levels), CG "
+              f"{r['cg_loose']} loose + {r['cg_certificate']} certificate")
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["workload"] = (
         "cold grid_envelope ladder (flat, lam 0.25, tol 1e-10, 128/256/512) "

@@ -28,11 +28,11 @@ Two backends:
   It is a linear complementarity problem with an M-matrix, solved exactly
   by the primal-dual active-set method, nested coarse to fine, with a
   conjugate-gradient Laplace solve on the free nodes per step.  Steps are
-  inexact while the active set still moves: after a level's first step
-  the CG stops at max(2 tol, FORCING |r0|_2), r0 the step's starting
-  residual (a constant forcing term, Eisenstat & Walker 1996), and a loose
-  step that leaves the set unchanged continues its CG to 2 tol before the
-  level may end.  Termination is certified on the Jacobi residual
+  inexact while the active set still moves: every step's CG stops at
+  max(2 tol, FORCING |r0|_2), r0 the step's starting residual (a constant
+  forcing term, Eisenstat & Walker 1996), and a loose step that leaves the
+  set unchanged continues its CG to 2 tol before the level may end.
+  Termination is certified on the Jacobi residual
   sup |v - min(obstacle, mean v)| < tol, so the returned field is a fixed
   point of the monotone iteration within tol.
 """
@@ -337,23 +337,46 @@ def _cg(mat, b, x):
         yield math.sqrt(rr)
 
 
+def _prolong(v):
+    """Bilinear interpolation onto the twice-finer grid: fine node 2i is
+    coarse node i, an odd fine node the mean of its two coarse neighbours
+    along each axis, and the last (odd) row and column copy their
+    neighbour."""
+    rows = np.empty((2 * len(v), v.shape[1]))
+    rows[::2], rows[-1] = v, v[-1]
+    rows[1:-1:2] = 0.5 * (v[:-1] + v[1:])
+    out = np.empty((len(rows), 2 * v.shape[1]))
+    out[:, ::2], out[:, -1] = rows, rows[:, -1]
+    out[:, 1:-1:2] = 0.5 * (rows[:, :-1] + rows[:, 1:])
+    return out
+
+
+def _inject(mask):
+    return mask.repeat(2, axis=0).repeat(2, axis=1)
+
+
 def _active_set_solve(g, inside, tol, max_iters):
     """Primal-dual active-set solve of v = min(g, mean4 v), nested coarse
-    to fine; returns (v, steps at the finest level, Jacobi residual)."""
+    to fine; returns (v, steps at the finest level, Jacobi residual).
+    Each finer level starts from the coarser v prolonged bilinearly and
+    from the coarser active set injected; a node whose coarse parent was
+    not interior is seeded by the coarsest level's rule g <= mean4 g."""
     levels = [(g, inside)]
     while len(g) % 4 == 0 and len(g) // 2 >= 16:
         g, inside = g[::2, ::2], inside[::2, ::2]
         levels.append((g, inside))
-    steps, active, v = 0, None, None
+    steps, v = 0, None
     for g, inside in reversed(levels):
         interior = erode_mask(inside)
-        if active is None:
-            active = interior & (g <= _neighbour_mean(g))
+        seeded = g <= _neighbour_mean(g)
+        if v is None:
+            active = interior & seeded
             v = np.where(inside & np.isfinite(g), g, 0.0)
         else:
             active = (interior & np.isfinite(g)
-                      & active.repeat(2, axis=0).repeat(2, axis=1))
-            v = v.repeat(2, axis=0).repeat(2, axis=1)
+                      & np.where(_inject(parent), _inject(active), seeded))
+            v = _prolong(v)
+        parent = interior
         for level_steps in itertools.count(1):
             if steps >= max_iters:
                 raise SolverError(f"more than {max_iters} active-set steps",
@@ -363,8 +386,7 @@ def _active_set_solve(g, inside, tol, max_iters):
             v = np.where(free, v, np.where(inside, g, 0.0))
             x = v[free]
             cg = _cg(*_laplace_system(v, free), x)
-            r0 = next(cg)
-            stop = max(2.0 * tol, FORCING * r0) if level_steps > 1 else 2.0 * tol
+            stop = max(2.0 * tol, FORCING * next(cg))
             while True:
                 cg.send(stop)
                 v[free] = x
@@ -380,7 +402,7 @@ def _active_set_solve(g, inside, tol, max_iters):
 
 
 FORCING = 0.1   # a loose step's CG stops at this share of its starting residual
-MAX_STEPS = 100   # the tier-1 slice families take at most 32 over all levels
+MAX_STEPS = 100   # the tier-1 slice families take at most 30 over all levels
 
 
 def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
@@ -394,14 +416,16 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
     Ito & Kunisch 2002): each step sets v = g on the active set, solves the
     5-point Laplace system on the free nodes by conjugate gradients and
     keeps the active nodes with mean4(v) >= v, adding the free ones with
-    v > g, until the set stops changing.  A level's first step solves to a
-    2-norm residual of 2*tol (a Jacobi residual below tol/2); later steps
-    stop at max(2*tol, FORCING * the step's starting residual), and a loose
-    step that leaves the set unchanged goes on with the same CG to 2*tol
-    and is re-checked, so only a step solved to 2*tol ends a level.  It
-    starts cold from {g <= mean4 g} on the coarsest halving of the grid
-    that stays even and >= 16, each finer level from the coarser active
-    set by injection.  The exit is certified: Jacobi residual < tol.
+    v > g, until the set stops changing.  Every step's CG stops at
+    max(2*tol, FORCING * the step's starting residual), and a loose step
+    that leaves the set unchanged goes on with the same CG to 2*tol (a
+    Jacobi residual below tol/2) and is re-checked, so only a step solved
+    to 2*tol ends a level.  It starts cold from {g <= mean4 g} on the
+    coarsest halving of the grid that stays even and >= 16; each finer
+    level starts from the coarser v interpolated bilinearly and the
+    coarser active set injected, the nodes whose coarse parent was not
+    interior seeded by the same rule g <= mean4 g.  The exit is
+    certified: Jacobi residual < tol.
 
     `max_iters` caps the steps over all levels; `iterations` counts the
     finest level's steps.  Past the cap or the certificate raises

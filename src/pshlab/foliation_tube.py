@@ -110,11 +110,10 @@ class _SplineProbe:
             fld = ray.slices[k]
             vals = fld.masked_fill(np.nan)
             filled = np.where(np.isfinite(vals), vals, 0.0)
-            i0 = grid.origin_index()
+            i, j = i0 = grid.origin_index()
             if not fld.mask[i0]:
-                nb = [(i0[0] + 1, i0[1]), (i0[0] - 1, i0[1]),
-                      (i0[0], i0[1] + 1), (i0[0], i0[1] - 1)]
-                filled[i0] = np.mean([filled[j] for j in nb])
+                window = filled[i - 1:i + 2, j - 1:j + 2]
+                filled[i0] = neighbour_sum(window)[0, 0] / 4
             sp = RectBivariateSpline(ax, ax, filled, kx=3, ky=3)
             self.splines.append(sp)
             self.noise = max(self.noise, rounding_noise(

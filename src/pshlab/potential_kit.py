@@ -782,11 +782,10 @@ class GlueReport:
     bound_terms: dict
 
 
-def _polar_samples(r_max: float, extra_band=None):
-    radii = np.linspace(0.0, r_max, 1025)[1:]
-    if extra_band is not None:
-        lo, hi = extra_band
-        radii = np.unique(np.concatenate([radii, np.linspace(lo, hi, 2048)]))
+def _polar_samples(r_max: float, extra_band):
+    lo, hi = extra_band
+    radii = np.unique(np.concatenate([np.linspace(0.0, r_max, 1025)[1:],
+                                      np.linspace(lo, hi, 2048)]))
     th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     return radii[:, None] * np.exp(1j * th[None, :])
 
@@ -839,7 +838,7 @@ def glue_to_ball(chart: NormalizedChart, s: float, w: float,
 
     # bound chain, measured with the closed-form derivatives on |z| <= sigma
     band = (math.sqrt(max(w / s, 1e-300)) * 0.5, min(sigma, 2.2 * math.sqrt(3 * w / s)))
-    pts_sig = _polar_samples(sigma, extra_band=band)
+    pts_sig = _polar_samples(sigma, band)
     beta_val = lambda z: (1 + s) * (z * z.conj()).real - 2 * w
     t0, t1, t2 = _c2_closed_form(
         lambda z: phi.value(z) - beta_val(z),
@@ -852,7 +851,7 @@ def glue_to_ball(chart: NormalizedChart, s: float, w: float,
     bound_u = w + c2_phi_beta + grad_c0 ** 2 / w
     bound = bound_u / (1.0 + s)
 
-    pts_one = _polar_samples(1.0, extra_band=band)
+    pts_one = _polar_samples(1.0, band)
     a0, a1, a2 = _c2_closed_form(
         lambda z: glued.value(z) - (z * z.conj()).real,
         lambda z: glued.grad(z) - z.conj(),

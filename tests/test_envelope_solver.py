@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from pshlab.field_grid import build_grid
@@ -125,6 +125,33 @@ def test_grid_lam_zero_single_sweep(grid128, flat):
                           flat.sample(grid128).values[inside])
 
 
+@pytest.mark.parametrize("n", [128, 192, 256])
+def test_grid_lam_zero_one_finest_step(flat, n):
+    # g = |z|^2 is subharmonic, so the whole interior is the coincidence
+    # set: the nested start must seed every node active, the new rim-side
+    # nodes of each finer level included
+    res = grid_envelope(flat, 0.0, build_grid(1, n, 1.0), tol=1e-10)
+    assert res.iterations == 1
+
+
+def test_prolong_bilinear():
+    from pshlab.envelope_solver import _prolong
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((12, 10))
+    fine = _prolong(v)
+    assert fine.shape == (24, 20)
+    assert np.array_equal(fine[::2, ::2], v)   # even nodes bitwise
+    # an affine field is reproduced at every fine node but the last (odd)
+    # row and column, which copy their neighbour
+    i, j = np.meshgrid(np.arange(12), np.arange(10), indexing="ij")
+    I, J = np.meshgrid(np.arange(24) / 2, np.arange(20) / 2, indexing="ij")
+    affine = lambda a, b: 0.7 - 1.3 * a + 2.1 * b
+    err = np.abs(_prolong(affine(i, j)) - affine(I, J))[:-1, :-1]
+    assert np.max(err) < 1e-13
+    assert np.array_equal(fine[-1], fine[-2])
+    assert np.array_equal(fine[:, -1], fine[:, -2])
+
+
 def _reference_jacobi(p, lam, grid, tol):
     """The monotone Jacobi iteration v <- min(g, mean4 v), once the grid
     solver's second scheme: from the obstacle, the origin node started at
@@ -211,11 +238,12 @@ def test_concavity_in_lam(grid128, flat):
 
 
 @settings(max_examples=15, deadline=None)
-@given(n=st.sampled_from([32, 48, 64, 96]),
+@given(n=st.sampled_from([32, 48, 64, 96, 128, 192]),
        coeff=st.complex_numbers(max_magnitude=0.4),
        power=st.integers(1, 4),
        lams=st.lists(st.floats(0.05, 0.6), min_size=2, max_size=3,
                      unique=True))
+@example(n=192, coeff=0.3 - 0.2j, power=2, lams=[0.15, 0.4])   # 3 halvings
 def test_grid_exact_discrete_complementarity(n, coeff, power, lams):
     # v <= g, mean4(v) - v >= -tol (subharmonic), the Jacobi certificate,
     # coincidence sets shrinking as lam grows, and the same solve with
