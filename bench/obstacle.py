@@ -1,7 +1,7 @@
 """Grid obstacle solves: the cold ladder and the acceptance slice families.
 
-    python bench/obstacle.py --src /path/to/parent/src --label exact-steps
-    python bench/obstacle.py --src src --label inexact-steps --ref exact-steps
+    python bench/obstacle.py --src /path/to/parent/src --label csr-laplace
+    python bench/obstacle.py --src src --label matrix-free --ref csr-laplace
 
 Ladder: one cold `grid_envelope` solve of the `flat` builtin weight at
 lam = 0.25, tol 1e-10, on the radius-1 grid at 128/256/512 (the
@@ -16,21 +16,22 @@ finest-level active-set steps (`iterations` of the result; for a family
 their sum, largest value and histogram over the slices), the steps over
 all levels (one inner solve each; for a family the largest), the largest
 Jacobi residual, the seconds inside the conjugate-gradient inner solve
-`envelope_solver._cg` and the seconds outside it (`setup_s`: the rest of
-`grid_envelope`, mostly the Laplace systems, the active-set updates and
+`envelope_solver._cg` (the matrix-free one copies its box there) and the
+seconds outside it (`setup_s`: the rest of `grid_envelope`, i.e. the CSR
+Laplace systems of the trees that build them, the active-set updates and
 certificates, then the obstacle and the boundary extraction), and the CG
-iterations, split into loose ones (run towards a 2-norm bound above
-2 tol) and certificate-level ones (towards 2 tol).  Every envelope and
-coincidence set is kept in bench/_work/; once the tree labelled `--ref`
-has been measured, each solve also records max |v - v_ref| over the disc
-and whether its coincidence set equals the reference's (for a family:
-the largest gap and how many slices match).
+iterations (see `InnerSolveMeter`), split into loose ones (run towards a
+2-norm bound above 2 tol) and certificate-level ones (towards 2 tol).
+Every envelope, coincidence set and finest-level step count is kept in
+bench/_work/; once the tree labelled `--ref` has been measured, each
+solve also records max |v - v_ref| over the disc and whether its
+coincidence set and its finest-level steps equal the reference's (for a
+family: the largest gap and how many slices match).
 Results merge into BENCH_obstacle.json under `--label`, with the machine
 they ran on; run both trees on one machine.
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -48,76 +49,80 @@ FAMILIES = {"C3": ("flat", 0.8, 64, 256), "C7_C8": ("perturbed", 0.36, 72, 512)}
 
 
 class CountingMatrix:
-    """Counts the products `mat @ x`: one per CG iteration, plus one for
-    the starting residual."""
+    """Counts the products `mat @ x` in `meter.applied`."""
 
-    def __init__(self, mat):
-        self.mat, self.products = mat, 0
+    def __init__(self, mat, meter):
+        self.mat, self.meter = mat, meter
 
     def __matmul__(self, x):
-        self.products += 1
+        self.meter.applied += 1
         return self.mat @ x
 
 
 class InnerSolveMeter:
     """Replaces `envelope_solver._cg` with a wrapper that adds its time
     and iterations to `stats`, and counts its calls (one per active-set
-    step, over all levels) in `stats["steps"]`.  Handles both forms of the
-    inner solve: a function `_cg(mat, b, x, atol)` solving to 2 tol, and a
-    coroutine `_cg(mat, b, x)` sent one 2-norm bound after another."""
+    step, over all levels) in `stats["steps"]`.  The inner solve is a
+    coroutine sent one 2-norm bound after another, and its iterations are
+    its operator applications past the starting residual's: products of
+    the CSR matrix of `_cg(mat, b, x)`, or calls of the five-point kernel
+    `field_grid.five_point_flat` by the matrix-free `_cg(v, free)`."""
 
     def __init__(self, solver, tol):
         self.solver, self.tol, self.inner = solver, tol, solver._cg
+        self.kernel = getattr(solver, "five_point_flat", None)
+        self.applied = 0
         self.stats = {"cg_s": 0.0, "cg_loose": 0, "cg_certificate": 0,
                       "steps": 0}
 
-    def add(self, atol, t0, mat, products):
-        self.stats["cg_s"] += time.perf_counter() - t0
-        kind = "cg_loose" if atol > 2.0 * self.tol * (1 + 1e-12) else "cg_certificate"
-        self.stats[kind] += mat.products - products
+    def counted_kernel(self, *args):
+        self.applied += 1
+        return self.kernel(*args)
 
-    def coroutine(self, mat, b, x):
+    def coroutine(self, *args):
         self.stats["steps"] += 1
-        mat = CountingMatrix(mat)
+        if self.kernel is None:
+            args = (CountingMatrix(args[0], self),) + args[1:]
         t0 = time.perf_counter()
-        gen = self.inner(mat, b, x)
+        gen = self.inner(*args)
         out = next(gen)
         self.stats["cg_s"] += time.perf_counter() - t0
         while True:
             atol = yield out
-            t0, products = time.perf_counter(), mat.products
+            t0, applied = time.perf_counter(), self.applied
             out = gen.send(atol)
-            self.add(atol, t0, mat, products)
-
-    def function(self, mat, b, x, atol):
-        self.stats["steps"] += 1
-        mat = CountingMatrix(mat)
-        t0 = time.perf_counter()
-        try:
-            return self.inner(mat, b, x, atol)
-        finally:
-            self.add(atol, t0, mat, 1)
+            self.stats["cg_s"] += time.perf_counter() - t0
+            kind = "cg_loose" if atol > 2.0 * self.tol * (1 + 1e-12) else "cg_certificate"
+            self.stats[kind] += self.applied - applied
 
     def __enter__(self):
-        coroutine = inspect.isgeneratorfunction(self.inner)
-        self.solver._cg = self.coroutine if coroutine else self.function
+        self.solver._cg = self.coroutine
+        if self.kernel is not None:
+            self.solver.five_point_flat = self.counted_kernel
         return self.stats
 
     def __exit__(self, *exc):
         self.solver._cg = self.inner
+        if self.kernel is not None:
+            self.solver.five_point_flat = self.kernel
 
 
 def keep(label: str, ref: str, name: str, res, inside) -> dict:
-    """Save one solve's envelope and coincidence set; compare with `ref`'s."""
+    """Save one solve's envelope, coincidence set and finest-level steps;
+    compare them with `ref`'s."""
     v = np.where(inside, res.envelope.values, 0.0)
-    np.savez(WORK / f"{label}_{name}.npz", v=v, coincidence=res.coincidence)
+    np.savez(WORK / f"{label}_{name}.npz", v=v, coincidence=res.coincidence,
+             steps=res.iterations)
     path = WORK / f"{ref}_{name}.npz"
     if label == ref or not path.exists():
         return {}
     with np.load(path) as other:
-        return {"max_abs_dv": float(np.max(np.abs(v - other["v"]))),
-                "coincidence_equal": bool(np.array_equal(
-                    res.coincidence, other["coincidence"]))}
+        cmp = {"max_abs_dv": float(np.max(np.abs(v - other["v"]))),
+               "coincidence_equal": bool(np.array_equal(
+                   res.coincidence, other["coincidence"]))}
+        if "steps" in other:
+            cmp["steps_equal"] = bool(res.iterations == other["steps"])
+        return cmp
 
 
 def ladder(label: str, ref: str) -> dict:
@@ -152,7 +157,8 @@ def family(label: str, ref: str, key: str, name: str, c: float, m: int,
     p = builtin_potential(name)
     grid = build_grid(1, n, 1.0)
     inside = grid.inside_mask()
-    steps, all_levels, residual, wall, gaps, equal = [], [], 0.0, 0.0, [], 0
+    steps, all_levels, residual, wall, gaps = [], [], 0.0, 0.0, []
+    equal = {"coincidence_equal": 0, "steps_equal": 0}
     with InnerSolveMeter(envelope_solver, 1e-9) as stats:
         for k in range(m):
             before = stats["steps"]
@@ -166,7 +172,8 @@ def family(label: str, ref: str, key: str, name: str, c: float, m: int,
             cmp = keep(label, ref, f"{key}_{k}", res, inside)
             if cmp:
                 gaps.append(cmp["max_abs_dv"])
-                equal += cmp["coincidence_equal"]
+                for kind in equal:
+                    equal[kind] += cmp.get(kind, 0)
     del stats["steps"]
     row = {"wall_s": wall, "finest_level_steps_sum": sum(steps),
            "finest_level_steps_max": max(steps),
@@ -179,7 +186,8 @@ def family(label: str, ref: str, key: str, name: str, c: float, m: int,
            "setup_share": 1.0 - stats["cg_s"] / wall}
     if gaps:
         row[f"max_abs_dv_vs_{ref}"] = max(gaps)
-        row[f"coincidence_equal_vs_{ref}"] = f"{equal}/{m}"
+        for kind, count in equal.items():
+            row[f"{kind}_vs_{ref}"] = f"{count}/{m}"
     return row
 
 

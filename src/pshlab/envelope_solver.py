@@ -27,12 +27,12 @@ Two backends:
   sentinel is +inf there; the subharmonicity constraint still applies).
   It is a linear complementarity problem with an M-matrix, solved exactly
   by the primal-dual active-set method, nested coarse to fine, with a
-  conjugate-gradient Laplace solve on the free nodes per step.  Steps are
-  inexact while the active set still moves: every step's CG stops at
-  max(2 tol, FORCING |r0|_2), r0 the step's starting residual (a constant
-  forcing term, Eisenstat & Walker 1996), and a loose step that leaves the
-  set unchanged continues its CG to 2 tol before the level may end.
-  Termination is certified on the Jacobi residual
+  matrix-free conjugate-gradient Laplace solve per step on the free nodes'
+  bounding box.  Steps are inexact while the active set still moves: every
+  step's CG stops at max(2 tol, FORCING |r0|_2), r0 the step's starting
+  residual (a constant forcing term, Eisenstat & Walker 1996), and a loose
+  step that leaves the set unchanged continues its CG to 2 tol before the
+  level may end.  Termination is certified on the Jacobi residual
   sup |v - min(obstacle, mean v)| < tol, so the returned field is a fixed
   point of the monotone iteration within tol.
 """
@@ -46,10 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.sparse import csr_array
 
 from .field_grid import (GridSpec, ScalarField, build_grid, erode_mask,
-                         neighbour_sum)
+                         five_point_flat, neighbour_sum)
 from .geometry import (ensure_ccw, marching_squares, points_in_polygon,
                        polygon_area)
 from .potential_kit import validate_strict_psh
@@ -299,42 +298,42 @@ def _jacobi_residual(v, g, interior):
     return float(np.max(np.abs(np.where(interior, tgt - v, 0.0))))
 
 
-def _laplace_system(v, free):
-    """4I - adjacency on the free nodes (ravel order) and its right-hand
-    side, the sum of each free node's fixed neighbours in v.  Free nodes
-    are interior, so no stencil leaves the array."""
-    idx = np.flatnonzero(free)
-    num = np.full(free.size, -1)
-    num[idx] = np.arange(len(idx))
-    nb = idx + np.array([[0], [1], [-1], [free.shape[1]], [-free.shape[1]]])
-    k, i = np.nonzero(num[nb] >= 0)   # k = 0 is the node itself
-    mat = csr_array((np.where(k == 0, 4.0, -1.0), (i, num[nb[k, i]])),
-                    shape=(len(idx), len(idx)))
-    return mat, np.where(free, 0.0, v).ravel()[nb].sum(axis=0)
-
-
-def _cg(mat, b, x):
-    """Conjugate gradients on mat x = b from x, updated in place.  A
-    coroutine: it yields |b - mat x|_2 at the start; each bound sent to it
-    runs the same Krylov sequence on until the residual is below it (or
-    10 len(b) iterations in all) and yields the residual again.  Inner
-    products by einsum, not threaded BLAS dots, which made a 256^2 solve
-    take 7-33 s, not 0.3 s, on a 2-core host with the other core busy."""
-    r = b - mat @ x
-    p = r.copy()
+def _cg(v, free):
+    """Matrix-free conjugate gradients for the five-point Laplace equation
+    on the free nodes of v, the others fixed: x is the free nodes' bounding
+    box plus one ring (inside the array: free nodes are interior), copied
+    row-major, and `five_point_flat` the operator.  A coroutine: it yields
+    |r0|_2; each bound sent runs the Krylov sequence on until the residual
+    is below it (or 10 iterations per free node in all), writes x back into
+    v's free nodes and yields the residual.  Dots by einsum: threaded BLAS
+    made a 256^2 solve take 7-33 s, not 0.3 s, on a busy 2-core host."""
+    rows = np.flatnonzero(free.any(axis=1))
+    cols = np.flatnonzero(free.any(axis=0))
+    if len(rows) == 0:
+        while True:
+            yield 0.0
+    box = np.s_[rows[0] - 1:rows[-1] + 2, cols[0] - 1:cols[-1] + 2]
+    fbox, vbox = free[box], v[box]
+    x, mask, w = vbox.flatten(), fbox.ravel().astype(float), fbox.shape[1]
+    r, p, q, tmp = (np.empty_like(x) for _ in range(4))
+    five_point_flat(x, w, mask, r, tmp)
+    np.negative(r, out=r)
+    p[:] = r
     rr = np.einsum("i,i", r, r)
+    budget = 10 * np.count_nonzero(fbox)
     atol = yield math.sqrt(rr)
-    for _ in range(10 * len(b)):
-        while rr < atol * atol:
-            atol = yield math.sqrt(rr)
-        q = mat @ p
-        alpha = rr / np.einsum("i,i", p, q)
-        x += alpha * p
-        r -= alpha * q
-        rr, rr_old = np.einsum("i,i", r, r), rr
-        p = r + (rr / rr_old) * p
     while True:
-        yield math.sqrt(rr)
+        while budget and not rr < atol * atol:
+            budget -= 1
+            five_point_flat(p, w, mask, q, tmp)
+            alpha = rr / np.einsum("i,i", p, q)
+            x += np.multiply(p, alpha, out=tmp)
+            r -= np.multiply(q, alpha, out=tmp)
+            rr, rr_old = np.einsum("i,i", r, r), rr
+            p *= rr / rr_old
+            p += r
+        np.copyto(vbox, x.reshape(fbox.shape), where=fbox)
+        atol = yield math.sqrt(rr)
 
 
 def _prolong(v):
@@ -384,12 +383,10 @@ def _active_set_solve(g, inside, tol, max_iters):
             steps += 1
             free = interior & ~active
             v = np.where(free, v, np.where(inside, g, 0.0))
-            x = v[free]
-            cg = _cg(*_laplace_system(v, free), x)
+            cg = _cg(v, free)
             stop = max(2.0 * tol, FORCING * next(cg))
             while True:
                 cg.send(stop)
-                v[free] = x
                 update = interior & np.where(active, _neighbour_mean(v) >= v,
                                              v > g)
                 if stop == 2.0 * tol or not np.array_equal(update, active):
@@ -414,13 +411,13 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
     mean) with Dirichlet data v = g on the rim of the disc and the origin
     node unconstrained, by the primal-dual active-set method (Hintermueller,
     Ito & Kunisch 2002): each step sets v = g on the active set, solves the
-    5-point Laplace system on the free nodes by conjugate gradients and
-    keeps the active nodes with mean4(v) >= v, adding the free ones with
-    v > g, until the set stops changing.  Every step's CG stops at
-    max(2*tol, FORCING * the step's starting residual), and a loose step
-    that leaves the set unchanged goes on with the same CG to 2*tol (a
-    Jacobi residual below tol/2) and is re-checked, so only a step solved
-    to 2*tol ends a level.  It starts cold from {g <= mean4 g} on the
+    5-point Laplace system on the free nodes by matrix-free conjugate
+    gradients on their bounding box, keeps the active nodes with
+    mean4(v) >= v and adds the free ones with v > g, until the set stops
+    changing.  Every step's CG stops at max(2*tol, FORCING * the step's
+    starting residual), and a loose step that leaves the set unchanged
+    goes on with the same CG to 2*tol (a Jacobi residual below tol/2) and
+    is re-checked, so only a step solved to 2*tol ends a level.  It starts cold from {g <= mean4 g} on the
     coarsest halving of the grid that stays even and >= 16; each finer
     level starts from the coarser v interpolated bilinearly and the
     coarser active set injected, the nodes whose coarse parent was not

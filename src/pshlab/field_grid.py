@@ -12,10 +12,10 @@ Conventions
 * Stencils are second-order central differences.  A one-node layer at the
   rim of the masked-in region is dropped from every stencil output rather
   than one-sided-differenced: all estimates here are interior estimates.
-  `neighbour_sum` is the one five-point neighbour pattern of the package:
-  the obstacle solver's four-neighbour mean, the Laplacians of its
-  maximality and fiberwise-degeneracy certificates, the leaf read-out's
-  smoothing pass and the mask dilation of the level-set check all read it.
+  `neighbour_sum` is the one five-point neighbour pattern of the package,
+  `five_point_flat` its row-major form: the solver's mean and CG operator,
+  the Laplacians of its maximality and fiberwise-degeneracy certificates,
+  the leaf read-out's smoothing pass and the level-set check's dilation.
   `gradient_sup` is the first-derivative term of `c2_norm`.
 * log-radial grids store t = ln|z|^2 on a uniform grid with floor
   t_min = -40, a working proxy for -infinity: below it every radial
@@ -211,6 +211,21 @@ def neighbour_sum(v: np.ndarray) -> np.ndarray:
     array, shape (n-2, m-2), added in the order +x, -x, +y, -y from the
     left.  On boolean arrays numpy's add is logical or, so it dilates."""
     return v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
+
+
+def five_point_flat(z, w, mask, out, tmp):
+    """out = mask (4 z - (z[i+w] + z[i-w] + z[i+1] + z[i-1])), z a 2-D array
+    stored row-major, rows of width w, tmp scratch of its size.  Bitwise
+    4 v[1:-1, 1:-1] - neighbour_sum(v) where mask is 1 (same sum order);
+    mask must vanish on the rim and z be finite (column shifts wrap there)."""
+    n = len(z)
+    s = tmp[w:n - w]
+    np.add(z[2 * w:], z[:n - 2 * w], out=s)
+    s += z[w + 1:n - w + 1]
+    s += z[w - 1:n - w - 1]
+    np.multiply(z, 4.0, out=out)
+    out[w:n - w] -= s
+    out *= mask
 
 
 def _central_first(values, axis, h):

@@ -40,7 +40,10 @@ def marching_squares(values: np.ndarray, level: float, x_axis, y_axis) -> list:
     chaining follows them exactly.  Returns a list of (k, 2) vertex arrays,
     the region below the level on their left: closed loops repeat no
     vertex (closure is implicit), open chains end where the curve leaves
-    the grid or the finite cells.
+    the grid or the finite cells.  Saddles keep the table's split, which
+    separates the two corners sharing the centre mean's sign: either split
+    gives non-crossing curves, and the usual decider, joining them, would
+    move every boundary through a saddle and the reference test with it.
     """
     v = np.asarray(values, dtype=float) - level
     xa = np.asarray(x_axis, dtype=float)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import spsolve
 
 from pshlab.field_grid import build_grid
 from pshlab.potential_kit import Potential, Term, builtin_potential
@@ -150,6 +152,82 @@ def test_prolong_bilinear():
     assert np.max(err) < 1e-13
     assert np.array_equal(fine[-1], fine[-2])
     assert np.array_equal(fine[:, -1], fine[:, -2])
+
+
+def _reference_laplace_system(v, free):
+    """The CSR system the active-set steps were solved on before the
+    matrix-free kernel: 4I - adjacency on the free nodes (ravel order) and
+    its right-hand side, the sum of each free node's fixed neighbours in
+    v.  Free nodes are interior, so no stencil leaves the array."""
+    idx = np.flatnonzero(free)
+    num = np.full(free.size, -1)
+    num[idx] = np.arange(len(idx))
+    nb = idx + np.array([[0], [1], [-1], [free.shape[1]], [-free.shape[1]]])
+    k, i = np.nonzero(num[nb] >= 0)   # k = 0 is the node itself
+    mat = csr_array((np.where(k == 0, 4.0, -1.0), (i, num[nb[k, i]])),
+                    shape=(len(idx), len(idx)))
+    return mat, np.where(free, 0.0, v).ravel()[nb].sum(axis=0)
+
+
+def _check_matrix_free_step(v, free):
+    # the matrix-free CG, run to a tight bound, against a direct solve of
+    # the CSR system; the fixed nodes of v stay bitwise as they were
+    from pshlab.envelope_solver import _cg
+    mat, b = _reference_laplace_system(v, free)
+    want = v.copy()
+    if len(b):
+        want[free] = spsolve(mat.tocsc(), b)
+    got = v.copy()
+    cg = _cg(got, free)
+    next(cg)
+    assert cg.send(1e-13) < 1e-13
+    assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+    assert np.array_equal(got[~free], v[~free])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(3, 28),
+       cols=st.integers(3, 28), density=st.floats(0.1, 1.0),
+       edge=st.booleans())
+def test_matrix_free_cg_solves_the_csr_system(seed, rows, cols, density,
+                                              edge):
+    # random free masks on the interior; `edge` puts a free node on row 1
+    # and on column 1, so the box reaches row and column 0
+    rng = np.random.default_rng(seed)
+    free = np.zeros((rows, cols), dtype=bool)
+    free[1:-1, 1:-1] = rng.random((rows - 2, cols - 2)) < density
+    if edge:
+        free[1, rng.integers(1, cols - 1)] = True
+        free[rng.integers(1, rows - 1), 1] = True
+    v = rng.standard_normal((rows, cols))
+    _check_matrix_free_step(v, free)
+
+
+def test_matrix_free_cg_box_holding_the_origin(flat):
+    # a step as the solver sets it up: obstacle values on the fixed nodes,
+    # the origin (g = +inf) free, inside a box that stops short of the rim
+    from pshlab.field_grid import erode_mask
+    grid = build_grid(1, 32, 1.0)
+    g = build_obstacle(flat, 0.3, grid).values
+    inside = grid.inside_mask()
+    i0 = grid.origin_index()
+    rng = np.random.default_rng(11)
+    free = erode_mask(inside) & (grid.rho() < 0.4) & (rng.random(g.shape) < 0.8)
+    free[i0] = True
+    v = np.where(free, 0.0, np.where(inside, g, 0.0))
+    _check_matrix_free_step(v, free)
+    assert not free[:5].any() and not free[:, :5].any()
+
+
+def test_matrix_free_cg_empty_free_set():
+    from pshlab.envelope_solver import _cg
+    v = np.random.default_rng(3).standard_normal((9, 7))
+    before = v.copy()
+    cg = _cg(v, np.zeros(v.shape, dtype=bool))
+    assert next(cg) == 0.0
+    assert cg.send(1e-12) == 0.0
+    assert np.array_equal(v, before)
+    _check_matrix_free_step(v, np.zeros(v.shape, dtype=bool))
 
 
 def _reference_jacobi(p, lam, grid, tol):

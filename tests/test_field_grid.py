@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pshlab.field_grid import (CSV_BLOCK, GridSpec, ScalarField, build_grid,
                                c2_norm, ddc_component, erode_mask,
-                               gradient_sup, load_field, neighbour_sum,
-                               save_field, write_csv)
+                               five_point_flat, gradient_sup, load_field,
+                               neighbour_sum, save_field, write_csv)
 from pshlab.potential_kit import Potential, Term, builtin_potential
 
 
@@ -189,6 +190,31 @@ def test_neighbour_sum_dilation_keeps_the_rim():
             rim = ~erode_mask(np.ones_like(m))
             assert np.array_equal(got[rim], m[rim])
             assert np.array_equal(got[~rim], ~erode_mask(~m)[~rim])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(3, 24), cols=st.integers(3, 24),
+       seed=st.integers(0, 2 ** 32 - 1), share=st.sampled_from([0.2, 1.0]))
+def test_five_point_flat_is_the_neighbour_sum_stencil_bitwise(
+        data, rows, cols, seed, share):
+    """The obstacle solver's flattened kernel, on a row-major buffer, is
+    bit for bit 4 v - neighbour_sum(v) wherever the mask is 1, and zero
+    wherever it is 0, on values of mixed magnitude with this share of
+    -0, 0 and subnormals."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-2, 3, (rows, cols))
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+    pick = rng.random(v.shape) < share
+    v[pick] = rng.choice(specials, size=int(pick.sum()))
+    inner = data.draw(arrays(np.bool_, (rows - 2, cols - 2)))
+    free = np.zeros((rows, cols), dtype=bool)
+    free[1:-1, 1:-1] = inner
+    out, tmp = np.empty(v.size), np.empty(v.size)
+    five_point_flat(v.ravel(), cols, free.ravel().astype(float), out, tmp)
+    out = out.reshape(rows, cols)
+    want = 4.0 * v[1:-1, 1:-1] - neighbour_sum(v)
+    assert np.array_equal(_bits(out[1:-1, 1:-1][inner]), _bits(want[inner]))
+    assert np.all(out[~free] == 0.0)
 
 
 def _reference_grad_sup(f: ScalarField) -> float:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pshlab.field_grid import ScalarField, build_grid
 from pshlab.geodesic_legendre import (assemble_geodesic, certified_lambda,
                                       hamiltonian, hmae_residual,
                                       legendre_slices, oracle_slices,
-                                      smooth_hamiltonian, weak_solution)
+                                      rounding_noise, smooth_hamiltonian,
+                                      weak_solution)
+from pshlab.potential_kit import Potential, Term
 
 
 def _roundtrip(slices, ray):
@@ -118,6 +121,36 @@ def test_hamiltonian_zero_locus(flat_ray_small, grid128):
     assert np.array_equal(H.values == 0.0, arg == 0)
     i0 = grid128.origin_index()
     assert np.all(H.values[:, i0[0], i0[1]] == 0.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(q=st.floats(0.05, 1.0), c=st.floats(0.2, 0.9), m=st.integers(2, 16),
+       n=st.sampled_from([32, 48, 64]), n_t=st.integers(8, 48))
+def test_oracle_ray_monotone_convex_in_t(q, c, m, n, n_t):
+    """On random radial weights |z|^2 + q |z|^4 and oracle lam-grids, u is
+    nondecreasing and convex in t and its argmax nondecreasing in t, up to
+    rounding noise; H >= 0, with H = 0 exactly where the argmax is slice 0."""
+    p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
+    ray = assemble_geodesic(oracle_slices(p, c, m, build_grid(1, n, 1.0)),
+                            c=c, n_t=n_t)
+    msk = ray.mask()
+    t, lam = ray.t_grid, ray.lam_grid
+    u = ray.u_values()[:, msk]
+    arg = ray.argmax_index()[:, msk].astype(int)
+    A = ray.slice_stack()[:, msk]
+    # every u value is one product and one sum of terms at most this large
+    noise = rounding_noise(np.max(np.abs(A[A > -1e299])) + c * ray.t_max)
+    du = np.diff(u, axis=0)
+    assert np.min(du) >= -2.0 * noise
+    dt = np.diff(t)[:, None]
+    assert np.min(np.diff(du / dt, axis=0)) >= -4.0 * noise / np.min(dt)
+    # where the argmax falls, the earlier slice still ties the max
+    i, j = np.nonzero(np.diff(arg, axis=0) < 0)
+    k = arg[i, j]
+    assert np.all(u[i + 1, j] - (A[k, j] + lam[k] * t[i + 1]) <= 2.0 * noise)
+    H = hamiltonian(ray, fd_check=False).values[:, msk]
+    assert np.min(H) >= 0.0
+    assert np.array_equal(H == 0.0, arg == 0)
 
 
 def test_smooth_hamiltonian_flat_exact(flat_ray_small, grid128):

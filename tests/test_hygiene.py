@@ -1,5 +1,6 @@
 """Every name a `pshlab` module imports is used in that module, and only
-`field_grid` writes out the five-point neighbour slices."""
+`field_grid` writes out the five-point neighbour slices, of 2-D arrays and
+of row-major 1-D buffers."""
 
 import ast
 import re
@@ -34,13 +35,20 @@ def test_no_unused_imports(path):
 # v[2:, 1:-1], v[:-2, 1:-1], v[1:-1, 2:] and v[1:-1, :-2], spaces allowed
 NEIGHBOUR_SLICE = re.compile(
     r"\[\s*(?::-2|2:)\s*,\s*1:-1\s*\]|\[\s*1:-1\s*,\s*(?::-2|2:)\s*\]")
+# the same offsets on a row-major buffer of row width w: z[2 * w:] and
+# z[:n - 2 * w] (rows), z[w + 1:n - w + 1] and z[w - 1:n - w - 1] (columns)
+FLAT_OFFSET = re.compile(
+    r"\[\s*2\s*\*\s*\w+\s*:\s*\]|\[\s*:\s*(?:\w+\s*)?-\s*2\s*\*\s*\w+\s*\]"
+    r"|\[\s*(\w+)\s*[-+]\s*1\s*:\s*\w+\s*-\s*\1\s*[-+]\s*1\s*\]")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_neighbour_slices_only_in_field_grid(path):
-    hits = [n for n, line in enumerate(path.read_text().splitlines(), 1)
-            if NEIGHBOUR_SLICE.search(line)]
-    if path.name == "field_grid.py":
-        assert hits, "field_grid.neighbour_sum no longer matches the pattern"
-    else:
-        assert hits == [], f"use field_grid.neighbour_sum (lines {hits})"
+    for pattern, helper in ((NEIGHBOUR_SLICE, "neighbour_sum"),
+                            (FLAT_OFFSET, "five_point_flat")):
+        hits = [n for n, line in enumerate(path.read_text().splitlines(), 1)
+                if pattern.search(line)]
+        if path.name == "field_grid.py":
+            assert hits, f"field_grid.{helper} no longer matches the pattern"
+        else:
+            assert hits == [], f"use field_grid.{helper} (lines {hits})"
