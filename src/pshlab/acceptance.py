@@ -37,11 +37,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .field_grid import (ScalarField, build_grid, c2_norm, erode_mask,
                          gradient_sup, neighbour_sum)
-from .potential_kit import (Potential, Term, builtin_potential,
+from .potential_kit import (Potential, Term, brentq, builtin_potential,
                             field_min_density, glue_to_ball, normalize_chart,
                             regularized_max)
 from .envelope_solver import (extract_equilibrium, grid_envelope,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .field_grid import GridSpec, build_grid, save_field, write_csv
-from .potential_kit import Potential, validate_strict_psh
+from .potential_kit import Potential, brentq, validate_strict_psh
 from .envelope_solver import (MAX_STEPS, EnvelopeResult, extract_equilibrium,
                               grid_envelope, lelong_check, radial_envelope)
 from .geodesic_legendre import (assemble_geodesic, certified_lambda,
@@ -323,7 +323,6 @@ def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
     anchors = []
     for lam in lams:
         if p.symmetry == "radial":
-            from scipy.optimize import brentq
             t_s = brentq(lambda t: p.chi_prime(t) - lam, -200.0, 0.0)
             anchor = float(np.exp(0.5 * t_s)) + 0j
         else:

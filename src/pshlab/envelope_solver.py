@@ -45,13 +45,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .field_grid import (GridSpec, ScalarField, build_grid, erode_mask,
-                         five_point_flat, neighbour_sum)
+from .field_grid import (GridSpec, ScalarField, bilinear, build_grid,
+                         erode_mask, five_point_flat, neighbour_sum)
 from .geometry import (ensure_ccw, marching_squares, points_in_polygon,
                        polygon_area)
-from .potential_kit import validate_strict_psh
+from .potential_kit import brentq, validate_strict_psh
 
 
 @dataclass
@@ -67,6 +66,9 @@ class Obstacle:
     lam: float
     field: ScalarField
     values: np.ndarray
+    phi: np.ndarray   # the weight at the nodes
+    log_rho: np.ndarray   # ln|z|^2 at the nodes, -inf at the origin
+    inside: np.ndarray   # the nodes inside the disc
 
     def __post_init__(self):
         if self.lam < 0:
@@ -77,24 +79,21 @@ def build_obstacle(p, lam: float, grid: GridSpec) -> Obstacle:
     if grid.style != "cartesian" or grid.n != 1:
         raise ValueError("obstacles are sampled on n=1 cartesian grids")
     z = grid.nodes()
-    rho = grid.rho()
-    inside = grid.inside_mask()
+    rho = (z * z.conj()).real   # grid.rho() and inside_mask(), from these z
+    inside = rho < grid.radius ** 2
     i0 = grid.origin_index()
-    if lam == 0:
-        vals = p.value(z)
-    else:
-        with np.errstate(divide="ignore"):
-            vals = p.value(z) - lam * np.log(rho)
-    raw = np.array(vals)
-    if lam > 0:
-        raw[i0] = np.inf
+    phi = p.value(z)
+    with np.errstate(divide="ignore"):
+        log_rho = np.log(rho)
+    raw = np.array(phi if lam == 0 else phi - lam * log_rho)
     mask = inside.copy()
     if lam > 0:
-        mask[i0] = False
+        raw[i0], mask[i0] = np.inf, False
     fld = ScalarField(grid, np.where(mask, raw, 0.0), mask)
     if lam > 0 and not np.all(np.isfinite(raw[mask])):
         raise ValueError("obstacle has non-finite values off the origin")
-    return Obstacle(potential=p, lam=lam, field=fld, values=raw)
+    return Obstacle(potential=p, lam=lam, field=fld, values=raw, phi=phi,
+                    log_rho=log_rho, inside=inside)
 
 
 @dataclass
@@ -153,7 +152,7 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
 
     R2 = grid.radius ** 2
     rho = grid.rho()
-    inside = grid.inside_mask()
+    inside = rho < R2   # grid.inside_mask(), without rebuilding rho
     i0 = grid.origin_index()
     with np.errstate(divide="ignore"):
         s = np.log(rho)
@@ -161,14 +160,11 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
     degenerate = False
     if lam == 0:
         v = np.asarray(p.value(grid.nodes()))
-        a = np.zeros_like(v)
-        coin = inside.copy()
-        res = EnvelopeResult(lam=0.0, potential=p,
-                             envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
-                             deficit=ScalarField(grid, a, inside),
-                             coincidence=coin, boundary=np.zeros((0, 2)),
-                             backend="oracle", tol=0.0, coincidence_tol=1e-12)
-        return res
+        return EnvelopeResult(lam=0.0, potential=p,
+                              envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
+                              deficit=ScalarField(grid, np.zeros_like(v), inside),
+                              coincidence=inside.copy(), boundary=np.zeros((0, 2)),
+                              backend="oracle", tol=0.0, coincidence_tol=1e-12)
 
     t_max = math.log(R2)
     mass_total = float(p.chi_prime(t_max))
@@ -178,18 +174,17 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
         degenerate = True
         t_star = t_max
     else:
-        lo = -200.0
-        t_star = brentq(lambda t: p.chi_prime(t) - lam, lo, t_max,
+        t_star = brentq(lambda t: p.chi_prime(t) - lam, -200.0, t_max,
                         xtol=1e-15, rtol=8.9e-16)
     flat_val = float(p.chi(t_star)) - lam * t_star
 
     with np.errstate(invalid="ignore"):
         outside = s >= t_star
-    v = np.where(outside, p.chi(np.where(np.isfinite(s), s, 0.0))
-                 - lam * np.where(np.isfinite(s), s, 0.0), flat_val)
+    s = np.where(np.isfinite(s), s, 0.0)
+    obstacle = p.chi(s) - lam * s
+    v = np.where(outside, obstacle, flat_val)
     v[i0] = flat_val
-    a = np.where(outside, 0.0, flat_val - (p.chi(np.where(np.isfinite(s), s, 0.0))
-                                           - lam * np.where(np.isfinite(s), s, 0.0)))
+    a = np.where(outside, 0.0, flat_val - obstacle)
     amask = inside.copy()
     amask[i0] = False
     coin = inside & outside
@@ -439,8 +434,8 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
             raise ValueError(f"potential is not strictly psh on the grid "
                              f"(min eigenvalue {cert.min_eig:.3g})")
 
-    g = build_obstacle(p, lam, grid).values   # +inf at the origin only
-    inside = grid.inside_mask()
+    obstacle = build_obstacle(p, lam, grid)
+    g, inside = obstacle.values, obstacle.inside   # g: +inf at the origin only
     interior = erode_mask(inside)
     origin = grid.origin_index() if lam > 0 else None
     if origin is not None and not interior[origin]:
@@ -451,16 +446,10 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
         raise SolverError(f"obstacle solve did not reach tol={tol:g} "
                           f"({iters} steps)", residual=residual)
 
-    rho = grid.rho()
-    with np.errstate(divide="ignore"):
-        logrho = np.log(rho)
-    phi_vals = p.value(grid.nodes())
-    a = v - phi_vals
+    a = v - obstacle.phi
     if lam > 0:
-        a = a + lam * logrho
-    amask = inside.copy()
-    if origin is not None:
-        amask[origin] = False
+        a = a + lam * obstacle.log_rho
+    amask = obstacle.field.mask   # inside, less the origin if lam > 0
     ctol = max(10.0 * tol, 1e-14)
     coin = inside & amask & (a >= -ctol)
     a = np.where(coin, 0.0, a)   # the coincidence set is {a = 0}, exactly
@@ -540,7 +529,6 @@ def _radial_refined_boundary(result: EnvelopeResult,
     field is accurate) is extrapolated to its root.  This trades the
     O(h) contact-set bias of the level curve for an O(h^2)-level one,
     which the mass/moment integrals need."""
-    from scipy.interpolate import RegularGridInterpolator
     from .geometry import resample_closed
     grid = result.grid
     a = result.deficit
@@ -556,13 +544,11 @@ def _radial_refined_boundary(result: EnvelopeResult,
     r0 = np.interp(th, th_s, r_s, period=2.0 * np.pi)
 
     filled = np.where(a.mask, a.values, 0.0)
-    interp = RegularGridInterpolator((ax, ax), filled, method="linear",
-                                     bounds_error=False, fill_value=0.0)
     depths = h * np.array([3.0, 4.5, 6.0, 7.5, 9.0])
     rr = r0[:, None] - depths[None, :]
     pts = np.stack([rr * np.cos(th)[:, None], rr * np.sin(th)[:, None]],
                    axis=-1)
-    s = np.sqrt(np.maximum(-interp(pts.reshape(-1, 2)).reshape(rr.shape), 0.0))
+    s = np.sqrt(np.maximum(-bilinear(ax, filled, pts, 0.0), 0.0))
     # per-ray least squares s ~ m*r + b, boundary at s = 0
     rbar = rr.mean(axis=1, keepdims=True)
     sbar = s.mean(axis=1, keepdims=True)

@@ -17,6 +17,8 @@ Conventions
   the Laplacians of its maximality and fiberwise-degeneracy certificates,
   the leaf read-out's smoothing pass and the level-set check's dilation.
   `gradient_sup` is the first-derivative term of `c2_norm`.
+* `bilinear` reads a 2-D array between its nodes by the linear rule of
+  scipy's RegularGridInterpolator (its `evaluate_linear_2d`), bitwise.
 * log-radial grids store t = ln|z|^2 on a uniform grid with floor
   t_min = -40, a working proxy for -infinity: below it every radial
   obstacle with positive pole weight is slack.
@@ -337,6 +339,26 @@ def gradient_sup(values: np.ndarray, mask: np.ndarray, h: float) -> float:
         d = _central_first(values, ax, h)
         best = max(best, float(np.max(np.abs(d[m1]))))
     return best
+
+
+def bilinear(ax, values, points, fill):
+    """values[i, j], sampled at (ax[i], ax[j]), read bilinearly at `points`
+    shaped (..., 2); `fill` off [ax[0], ax[-1]]^2, nan at nan points.
+    Bitwise RegularGridInterpolator((ax, ax), values, method="linear",
+    bounds_error=False, fill_value=fill): its cells, weights and sums."""
+    x, y = xy = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    i, j = ij = np.searchsorted(ax[1:-1], xy, "right")   # clip(ss(ax) - 1)
+    tx, ty = (xy - ax[ij]) / np.diff(ax)[ij]
+    sx, sy = 1 - tx, 1 - ty
+    n = len(ax)
+    k, v = i * n + j, values.ravel()   # v[k] is values[i, j]
+    out = 0.0 + v[k] * sx * sy
+    out += v[k + 1] * sx * ty
+    out += v[k + n] * tx * sy
+    out += v[k + n + 1] * tx * ty
+    low = np.minimum(x, y)   # nan where x or y is
+    outside = (low < ax[0]) | (np.maximum(x, y) > ax[-1])
+    return np.where(outside & ~np.isnan(low), fill, out)
 
 
 # ---------------------------------------------------------------------------

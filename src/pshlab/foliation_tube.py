@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
-from .field_grid import erode_mask, neighbour_sum
+from .field_grid import bilinear, erode_mask, neighbour_sum
 from .geodesic_legendre import (GeodesicRay, _bin_log_means,
                                 plateau_threshold, pole_exclusion_radius,
                                 rounding_noise, smooth_hamiltonian)
 from .geometry import polyline_is_simple, resample_closed
 from .ma_measure import boundary_mass
+from .potential_kit import brentq
 
 
 @dataclass
@@ -101,6 +101,7 @@ class _SplineProbe:
     sampled slices carry along their free boundaries."""
 
     def __init__(self, ray: GeodesicRay, k_window):
+        from scipy.interpolate import RectBivariateSpline
         grid = ray.spatial_grid
         ax = grid.axis()
         self.k_window = list(k_window)
@@ -175,7 +176,6 @@ class _RadialProbe:
     the free boundary, which sets `noise`."""
 
     def __init__(self, p, lam_grid):
-        from scipy.optimize import brentq
         self.p = p
         self.lam = np.asarray(lam_grid, dtype=float)
         self.k_window = list(range(len(self.lam)))
@@ -479,9 +479,6 @@ def leaf_boundary(leaf: Leaf, p=None) -> np.ndarray:
     # closest to the anchor radius), which is closed and simple by
     # construction; a short circular moving average suppresses what is
     # left of the sub-node jitter
-    from scipy.interpolate import RegularGridInterpolator
-    interp = RegularGridInterpolator((ax, ax), vals, method="linear",
-                                     bounds_error=False, fill_value=ray.cutoff)
     th = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
     rs = np.linspace(4.0 * grid.h, grid.radius - 6.0 * grid.h, 512)
     # libm's cos/sin, as the per-angle read-out had
@@ -489,7 +486,8 @@ def leaf_boundary(leaf: Leaf, p=None) -> np.ndarray:
     radii = np.empty(n_points)
     for b in range(0, n_points, ORBIT_BLOCK):
         cos, sin = trig[b:b + ORBIT_BLOCK].T[:, :, None]
-        f = interp(np.stack([rs * cos, rs * sin], axis=-1)) - leaf.lam_leaf
+        f = bilinear(ax, vals, np.stack([rs * cos, rs * sin], axis=-1),
+                     ray.cutoff) - leaf.lam_leaf
         crossing = f[:, :-1] * f[:, 1:] <= 0
         if not crossing.any(axis=1).all():
             raise LeafExit("no closed orbit at the leaf level: boundary "

@@ -14,7 +14,8 @@ three constructions the rest of the toolkit leans on:
 Potentials are sparse polynomials in (z, zbar), not just samples, so
 derivatives, transition radii, scale factors and equality regions are
 exact.  All evaluators are vectorized
-over complex coordinate arrays and pure.
+over complex coordinate arrays and pure.  `brentq`, a port of scipy's
+`brentq.c` (Brent 1973), solves the radial profile's chi'(t) = lam.
 """
 
 from __future__ import annotations
@@ -427,6 +428,61 @@ class Potential:
         if not terms:
             raise ValueError("empty potential term list")
         return cls(n, terms, name=name)
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=2.0 ** -50, maxiter=100):
+    """Root of f between a and b, where f changes sign, within xtol +
+    rtol |root|, by Brent's method (Brent 1973, ch. 4): a port of scipy's
+    brentq.c with its wrapper's checks, bitwise scipy.optimize.brentq."""
+    if xtol <= 0 or rtol < 2.0 ** -50 or maxiter < 0:   # 2^-50 = 4 eps
+        raise ValueError(f"brentq needs xtol > 0, rtol >= 4 eps and "
+                         f"maxiter >= 0, not {xtol:g}, {rtol:g}, {maxiter}")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN: brentq cannot go on")
+        return fx
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1, fpre) == math.copysign(1, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:   # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:   # C's inf or nan: a bisection below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
 
 
 BUILTIN_POTENTIALS = ("flat", "quartic", "perturbed", "reinhardt2")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pshlab.field_grid import (CSV_BLOCK, GridSpec, ScalarField, build_grid,
-                               c2_norm, ddc_component, erode_mask,
+from pshlab.field_grid import (CSV_BLOCK, GridSpec, ScalarField, bilinear,
+                               build_grid, c2_norm, ddc_component, erode_mask,
                                five_point_flat, gradient_sup, load_field,
                                neighbour_sum, save_field, write_csv)
 from pshlab.potential_kit import Potential, Term, builtin_potential
@@ -215,6 +215,45 @@ def test_five_point_flat_is_the_neighbour_sum_stencil_bitwise(
     want = 4.0 * v[1:-1, 1:-1] - neighbour_sum(v)
     assert np.array_equal(_bits(out[1:-1, 1:-1][inner]), _bits(want[inner]))
     assert np.all(out[~free] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 200), seed=st.integers(0, 2 ** 32 - 1),
+       uniform=st.booleans(), batched=st.booleans())
+def test_bilinear_is_the_linear_regular_grid_interpolator_bitwise(
+        n, seed, uniform, batched):
+    """field_grid.bilinear is bit for bit scipy's RegularGridInterpolator
+    (method="linear", bounds_error=False, fill_value=fill), on uniform
+    and uneven axes, values of mixed magnitude with -0 and 0, at points on
+    nodes, on the last node, between nodes, outside the grid (infinities
+    too) and NaN, shaped (N, 2) and (B, K, 2)."""
+    from scipy.interpolate import RegularGridInterpolator
+    rng = np.random.default_rng(seed)
+    if uniform:
+        ax = -1.0 + (2.0 / n) * np.arange(n)
+    else:
+        ax = np.cumsum(rng.uniform(0.05, 1.0, n)) * 10.0 ** rng.integers(-3, 3)
+        ax -= ax[n // 2]
+    vals = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-5, 5, (n, n))
+    pick = rng.random(vals.shape) < 0.1
+    vals[pick] = rng.choice([-0.0, 0.0], size=int(pick.sum()))
+    lo, hi = ax[0], ax[-1]
+    pts = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (240, 2))
+    pts[:60] = ax[rng.integers(0, n, (60, 2))]
+    pts[60:70, 0] = pts[70:80, 1] = hi
+    pts[80:85, 0] = pts[85:90, 1] = np.nan
+    pts[90:95] = [np.nan, hi + 1.0]
+    pts[95:100] = [np.inf, -np.inf]
+    rng.shuffle(pts)
+    points = pts.reshape((12, 20, 2) if batched else (240, 2))
+    fill = float(rng.normal())
+    with np.errstate(invalid="ignore"):
+        want = RegularGridInterpolator((ax, ax), vals, method="linear",
+                                       bounds_error=False,
+                                       fill_value=fill)(points)
+        got = bilinear(ax, vals, points, fill)
+    assert got.shape == want.shape == points.shape[:-1]
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 def _reference_grad_sup(f: ScalarField) -> float:

@@ -1,9 +1,13 @@
-"""Every name a `pshlab` module imports is used in that module, and only
+"""Every name a `pshlab` module imports is used in that module, only
 `field_grid` writes out the five-point neighbour slices, of 2-D arrays and
-of row-major 1-D buffers."""
+of row-major 1-D buffers, and no module imports scipy at module level, so
+that the CLI's commands load it only where they need it."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,62 @@ def test_neighbour_slices_only_in_field_grid(path):
             assert hits, f"field_grid.{helper} no longer matches the pattern"
         else:
             assert hits == [], f"use field_grid.{helper} (lines {hits})"
+
+
+def _module_level_imports(path):
+    """Top names of the modules `path` imports outside any def or class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_level_scipy_import(path):
+    assert "scipy" not in _module_level_imports(path)
+
+
+# Runs each command in a fresh interpreter through `cli.main`, then prints
+# the scipy modules loaded: the CLI imports scipy only for the grid-backend
+# leaf splines and the Reinhardt hull, which none of these configs reach.
+CLI_RUNS = """
+import sys
+from pathlib import Path
+from pshlab import cli
+out = Path(sys.argv[1])
+grid_weight = "[potential]\\npolyrad 1.0 1\\nreharm 0.25+0.1j 3\\n"
+radial_weight = "[potential]\\npolyrad 1.0 1\\npolyrad 0.5 2\\n"
+runs = {
+    "flow": "backend = grid\\nresolution = 32\\nlambdas = 0.1,0.25\\n"
+            + grid_weight,
+    "envelope": "backend = grid\\nresolution = 32\\nlambda = 0.3\\n"
+                + grid_weight,
+    "geodesic": "backend = grid\\nresolution = 32\\nlambda_nodes = 4\\n"
+                "t_count = 4\\nc = 0.3\\n" + grid_weight,
+    "geodesic-oracle": "backend = oracle\\nresolution = 32\\n"
+                       "lambda_nodes = 6\\nt_count = 6\\nc = 0.8\\n"
+                       + radial_weight,
+    "foliate-oracle": "backend = oracle\\nresolution = 32\\n"
+                      "lambda_nodes = 8\\nlambdas = 0.2\\nanchor_rings = 1\\n"
+                      "anchor_angles = 1\\nc = 0.36\\n" + radial_weight,
+}
+for name, text in runs.items():
+    cfg = out / f"{name}.ini"
+    cfg.write_text(text)
+    command = name.split("-")[0]
+    code = cli.main([command, "--config", str(cfg), "--out", str(out / name)])
+    assert code == 0, (name, code)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", CLI_RUNS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pshlab.field_grid import build_grid
 from pshlab.potential_kit import Potential, Term, builtin_potential
@@ -145,3 +146,17 @@ def test_hot_cells_match_per_segment_sampling(grid128, seed):
     poly = rng.uniform(-1.1, 1.1, size=(int(rng.integers(3, 60)), 2))
     assert np.array_equal(_cells_near_polyline(grid128, poly),
                           _cells_near_polyline_loop(grid128, poly))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(0.05, 1.0), n=st.integers(32, 128),
+       share=st.floats(0.02, 0.9))
+def test_radial_envelope_boundary_encloses_lam(q, n, share):
+    """The equilibrium set of pole weight lam encloses dd^c mass lam: the
+    circulation along the oracle's free boundary is within 2e-3 lam of lam
+    (C6's mass bound 2e-3, taken relative to lam).  The boundary is an
+    inscribed polygon of k >= 128 vertices, off by about (pi/k)^2 lam."""
+    p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
+    lam = share * float(p.chi_prime(0.0))
+    res = radial_envelope(p, lam, build_grid(1, n, 1.0))
+    assert abs(boundary_mass(p, res.boundary) - lam) <= 2e-3 * lam

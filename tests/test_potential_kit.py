@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 
 from pshlab.field_grid import ScalarField, build_grid, c2_norm, ddc_component
-from pshlab.potential_kit import (Potential, Term, builtin_potential,
+from pshlab.potential_kit import (Potential, Term, brentq, builtin_potential,
                                   bump_profile, field_min_density,
                                   glue_to_ball, normalize_chart,
                                   regularized_max, suggest_glue_parameters,
@@ -307,3 +309,65 @@ def test_glue_suggestion_heuristic():
     s, w = suggest_glue_parameters(0.9)
     assert 38.0 * s < 0.45
     assert 3.0 * math.sqrt(w / s) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Brent's root finder against scipy's
+# ---------------------------------------------------------------------------
+
+def _both_brentq(f, a, b, **kw):
+    """repr of the root (bitwise, -0 apart from 0) or the exception type,
+    from potential_kit.brentq and from scipy.optimize.brentq."""
+    out = []
+    for solver in (brentq, scipy_brentq):
+        try:
+            out.append(repr(solver(f, a, b, **kw)))
+        except (ValueError, RuntimeError) as exc:
+            out.append(type(exc))
+    return out
+
+
+# every bracket and tolerance pair brentq is called with in src/pshlab:
+# radial_envelope on discs of radius 1 and 2, _RadialProbe, the foliate
+# command's anchors and acceptance.quartic_anchor
+CHI_BRACKETS = [(-200.0, 0.0, {"xtol": 1e-15, "rtol": 8.9e-16}),
+                (-200.0, math.log(4.0), {"xtol": 1e-15, "rtol": 8.9e-16}),
+                (-200.0, 80.0, {"xtol": 1e-15, "rtol": 8.9e-16}),
+                (-200.0, 0.0, {}), (-80.0, 0.0, {})]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.05, 1.0), share=st.floats(0.01, 0.99))
+def test_brentq_is_scipy_brentq_on_chi_prime_roots(q, share):
+    p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
+    lam = share * float(p.chi_prime(0.0))
+    for a, b, kw in CHI_BRACKETS:
+        ours, theirs = _both_brentq(lambda t: p.chi_prime(t) - lam, a, b, **kw)
+        assert isinstance(ours, str) and ours == theirs
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+       a=st.floats(-10.0, 0.0), b=st.floats(0.0, 10.0),
+       maxiter=st.sampled_from([0, 1, 3, 100]))
+@example(c=[5.6e-304, 0.0, 0.0, 5.6e-304], a=-2.0, b=0.0, maxiter=3)
+def test_brentq_is_scipy_brentq_on_cubics(c, a, b, maxiter):
+    """Roots, same-sign brackets and too few iterations alike, and
+    underflowing values, where a secant step divides by zero (C gives an
+    infinity there, Python raises)."""
+    def f(x):
+        return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+    ours, theirs = _both_brentq(f, a, b, maxiter=maxiter)
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("f, kw, error", [
+    (lambda x: x * x + 1.0, {}, ValueError),               # same-sign bracket
+    (lambda x: math.nan, {}, ValueError),                  # NaN value
+    (lambda x: x ** 3 - 0.3, {"maxiter": 2}, RuntimeError),
+    (lambda x: x, {"rtol": 1e-17}, ValueError),
+    (lambda x: x, {"xtol": 0.0}, ValueError),
+    (lambda x: x, {"maxiter": -1}, ValueError),
+])
+def test_brentq_errors_are_scipys(f, kw, error):
+    assert _both_brentq(f, -1.0, 2.0, **kw) == [error, error]
