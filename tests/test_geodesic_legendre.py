@@ -71,6 +71,18 @@ def test_involution_oracle(flat_ray_small):
     assert _roundtrip(slices, ray) <= 1e-8
 
 
+@settings(max_examples=12, deadline=None)
+@given(q=st.floats(0.05, 1.0), c=st.floats(0.2, 0.9), m=st.integers(2, 24),
+       n=st.sampled_from([32, 48, 64]), n_t=st.integers(8, 48))
+def test_involution_oracle_property(q, c, m, n, n_t):
+    """On random radial weights |z|^2 + q |z|^4 and oracle lam-grids the
+    conjugate of the ray reproduces every slice within C3's 1e-8."""
+    p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
+    slices = oracle_slices(p, c, m, build_grid(1, n, 1.0))
+    ray = assemble_geodesic(slices, c=c, n_t=n_t)
+    assert _roundtrip(slices, ray) <= 1e-8
+
+
 def test_involution_grid(perturbed_slices_small, perturbed_ray_small):
     assert _roundtrip(perturbed_slices_small, perturbed_ray_small) <= 5e-3
 
