@@ -221,8 +221,9 @@ def _solve_envelope(cfg: RunConfig, lam: float) -> EnvelopeResult:
     if backend == "oracle":
         grid = cfg.grid() if (p.n == 1 or cfg.style == "log-radial") else None
         return radial_envelope(p, lam, grid)
+    # parse_config has certified the weight strictly psh on this grid
     return grid_envelope(p, lam, cfg.grid(), tol=cfg.tol,
-                         max_iters=cfg.max_iters)
+                         max_iters=cfg.max_iters, require_psh=False)
 
 
 # ---------------------------------------------------------------------------

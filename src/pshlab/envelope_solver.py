@@ -493,7 +493,9 @@ def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
     With refine=True (cartesian only) it is relocated by the square-root
     vanishing of the deficit at the free boundary, sampled along rays from
     the pole (useful when the mass/moment integrals need a less biased
-    boundary).  Empty complement (lam = 0) yields an empty polyline.
+    boundary); a grid solve's result already holds that level curve as
+    its `boundary`, and it is refined from there.  Empty complement
+    (lam = 0) yields an empty polyline.
     """
     tol = result.coincidence_tol
     a = result.deficit
@@ -501,6 +503,8 @@ def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
     mask = result.envelope.mask & ((a.values >= -tol) | ~a.mask)
     if result.lam == 0:
         return mask, np.zeros((0, 2))
+    if refine and result.backend == "grid-active-set" and len(result.boundary):
+        return mask, _radial_refined_boundary(result, result.boundary)
     cartesian = grid.style == "cartesian"
     ax = grid.axis() if cartesian else grid.t_axis()
     filled = np.where(a.mask, a.values, np.where(result.envelope.mask, -1e30, 0.0))

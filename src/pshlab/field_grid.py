@@ -378,10 +378,11 @@ def write_csv(path, array, header: str = "") -> None:
     so memory does not grow with the file.  A block formats each distinct
     value once, keyed by its bit pattern (floats; `%.17g` is a function of
     the bits, so -0 and 0 stay apart) or by value (ints), into fixed-width
-    `%-24.17g,` cells, gathers them through the inverse of `np.unique` and
-    drops the padding.  Ray files repeat values heavily (pixels on one
-    radius are bitwise equal); all-distinct data pays for the sort and the
-    gather on top of the formatting."""
+    `%-24.17g,` cells, gathers them through the block's inverse index (one
+    stable argsort and a mask of where the sorted keys change) and drops
+    the padding.  Ray files repeat values heavily (pixels on one radius
+    are bitwise equal); all-distinct data pays for the sort and the gather
+    on top of the formatting."""
     arr = np.atleast_2d(np.asarray(array))
     keys = arr.view(f"u{arr.itemsize}") if arr.dtype.kind == "f" else arr
     rows, cols = arr.shape
@@ -391,7 +392,13 @@ def write_csv(path, array, header: str = "") -> None:
                  .encode("utf-8"))
         for r0 in range(0, rows, step):
             block = keys[r0:r0 + step]
-            uniq, inv = np.unique(block, return_inverse=True)
+            order = np.argsort(block, axis=None, kind="stable")
+            srt = block.ravel()[order]
+            first = np.ones(srt.size, bool)
+            np.not_equal(srt[1:], srt[:-1], out=first[1:])
+            uniq = srt[first]
+            inv = np.empty(srt.size, np.intp)
+            inv[order] = np.cumsum(first) - 1
             text = (("%-24.17g," * uniq.size)
                     % tuple(uniq.view(arr.dtype).tolist())).encode("ascii")
             cells = np.frombuffer(text, f"S{CSV_CELL}")

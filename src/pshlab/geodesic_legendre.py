@@ -16,7 +16,10 @@ must reproduce the slices (involution of convex conjugation).  Both
 directions are computed exactly on the piecewise-linear-in-lam model:
 the conjugate minimizes over the breakpoints of u(x, .), not over a
 sampled t-grid, so the round trip is limited only by concavity defects
-of the input family.
+of the input family.  u and the conjugates' candidates are read off a
+per-pixel table of the breakpoints t_k = (a_k - a_{k+1}) / dlam_k (the
+idea of Lucet's linear-time Legendre transform, Numer. Algorithms 16
+(1997)), bitwise equal to the m-fold max per t that they replace.
 
 The Hamiltonian is the t-slope H(x,t) = argmax lam (ties broken upward,
 the right slope of the convex function u(x, .)); it is nondecreasing in
@@ -45,9 +48,11 @@ _LOG_MAX = math.log(np.finfo(float).max)   # the largest x with finite exp(x)
 class GeodesicRay:
     """Slice family {a_lam}, its conjugate potential u(x,t), and grids.
 
-    slices[k] is the deficit field at lam_grid[k]; u and argmax are
-    materialized lazily as (n_t, ny, nx) arrays; cutoff c bounds the
-    lam-grid from above.
+    slices[k] is the deficit field at lam_grid[k]; cutoff c bounds the
+    lam-grid from above.  u(x, .) is piecewise linear with breakpoints
+    t_k(x) = (a_k - a_{k+1}) / dlam_k; u and its argmax at any increasing
+    list of t are read off the table of them (`_read`), and on the t-grid
+    kept as (n_t, ny, nx) arrays once asked for.
     """
 
     spatial_grid: GridSpec
@@ -87,29 +92,106 @@ class GeodesicRay:
     def _materialize(self):
         if self._u is not None:
             return
-        A = self.slice_stack()
-        m = len(self.lam_grid)
-        nt = len(self.t_grid)
-        u = np.empty((nt,) + A.shape[1:], dtype=float)
-        arg = np.empty((nt,) + A.shape[1:], dtype=np.uint16)
-        for i, t in enumerate(self.t_grid):
-            vals = A + self.lam_grid[:, None, None] * t
-            rev = vals[::-1]
-            idx_rev = np.argmax(rev, axis=0)
-            arg[i] = (m - 1 - idx_rev).astype(np.uint16)
-            u[i] = np.take_along_axis(vals, arg[i][None, ...].astype(int),
-                                      axis=0)[0]
-        self._u = u
-        self._argmax = arg
+        shape = (len(self.t_grid),) + self.spatial_grid.shape
+        arg, u = self._read(self.t_grid)
+        self._argmax, self._u = arg.reshape(shape), u.reshape(shape)
 
     def eval_u(self, t):
-        """u(., t) for scalar t, exact sup over the slice family."""
-        A = self.slice_stack()
-        vals = A + self.lam_grid[:, None, None] * float(t)
-        return vals.max(axis=0)
+        """u(., t) for scalar t >= 0, or the (len(t), ny, nx) stack for an
+        increasing array of such t: the sup over the slice family, read off
+        the breakpoint table."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        if ts[0] < 0 or np.any(np.diff(ts) < 0):
+            raise ValueError("t must be nonnegative and increasing")
+        u = self._read(ts)[1].reshape(ts.shape + self.spatial_grid.shape)
+        return u if np.ndim(t) else u[0]
 
     def mask(self) -> np.ndarray:
         return self.slices[0].mask
+
+    def _table(self):
+        """The breakpoint table, flattened over pixels: the breakpoints
+        (m-1, N); which of them are exact ties a_k == a_{k+1}; the pixels
+        whose breakpoints are not finite and nondecreasing (a family that
+        is not its own upper concave hull there, such as the pole with
+        its fill); and max_k |a_k| per pixel, the scale of the rounding.
+        Built afresh for each reader: kept, it would outweigh the argmax."""
+        A = self.slice_stack().reshape(len(self.lam_grid), -1)
+        t_br = A[:-1] - A[1:]
+        tie = t_br == 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            t_br /= np.diff(self.lam_grid)[:, None]
+        hull = np.isfinite(t_br).all(axis=0) \
+            & np.all(t_br[1:] >= t_br[:-1], axis=0)
+        return t_br, tie, ~hull, np.maximum(A.max(axis=0), -A.min(axis=0))
+
+    def _margin(self, scale, t_hi: float):
+        """Per pixel, the distance from a breakpoint t_k beyond which the
+        rounded values a_j + lam_j t, t in [0, t_hi], lie on the side of
+        it that t_k says: the plateau rule at the rounding noise of the
+        scale S = max_k |a_k| + lam_top t_hi and the narrowest lam bin.
+        Each rounded value is off by at most eps S and the rounded t_k by
+        at most 3 eps S / dlam_k, so the rounded difference of slices k+1
+        and k differs from dlam_k (t - t_k) by under 5 eps S, less than
+        the 8 eps S the rule allows.  Closer, a pixel is read by the
+        exact max."""
+        noise = rounding_noise(scale + self.lam_grid[-1] * t_hi)
+        return plateau_threshold(noise, np.min(np.diff(self.lam_grid),
+                                               initial=np.inf))
+
+    def _read(self, ts, table=None):
+        """(argmax as uint16, ties to the upper slice; u = a_arg + lam_arg t)
+        at the increasing t values `ts` >= 0, each (len(ts), N); `table` is
+        `_table()`, built here if not given.
+
+        Where the breakpoints are nondecreasing the argmax at t is
+        #{k : t_k <= t}: a searchsorted of each breakpoint into `ts`, a
+        difference table and a cumulative sum over t.  That is the max of
+        the rounded values when no t lies within `_margin` of a breakpoint
+        other than an exact tie (which never lowers a_k + lam_k t, t >= 0);
+        other pixels keep the exact per-t max (`_upper_max`)."""
+        A = self.slice_stack().reshape(len(self.lam_grid), -1)
+        t_br, tie, exact, scale = self._table() if table is None else table
+        mrg = self._margin(scale, float(ts[-1]))
+        n, N = len(ts), A.shape[1]
+        cols = np.arange(N)
+        pad = np.concatenate(([-np.inf], ts, [np.inf]))
+        counts = np.zeros((n + 1) * N, np.uint16)    # the difference table
+        for k in range(len(t_br)):
+            pos = np.searchsorted(ts, t_br[k])       # t_k <= ts[i] iff i >= pos
+            exact = exact | (~tie[k] & ((pad[pos + 1] - t_br[k] <= mrg)
+                                        | (t_br[k] - pad[pos] <= mrg)))
+            counts[pos * N + cols] += 1              # pixels are distinct in a row
+        del table, t_br, tie                         # free the breakpoints
+        arg = counts.reshape(n + 1, N)[:n]
+        u = np.empty((n, N))
+        flat = A.ravel()
+        for i in range(n):
+            if i:
+                arg[i] += arg[i - 1]
+            k = arg[i].astype(np.intp)
+            u[i] = flat[k * N + cols]
+            u[i] += self.lam_grid[k] * ts[i]
+        ex = np.flatnonzero(exact)
+        if ex.size:
+            arg[:, ex], u[:, ex] = _upper_max(
+                A[:, ex], self.lam_grid, np.broadcast_to(ts[:, None], (n, ex.size)))
+        return arg, u
+
+
+def _upper_max(A, lam, T):
+    """The exact per-t max of a_k + lam_k t over the rows of A (m, P), at
+    the t values T (n, P) of each column: (argmax as uint16, ties to the
+    upper slice; max), each (n, P)."""
+    m, P = A.shape
+    arg = np.empty(T.shape, np.uint16)
+    u = np.empty(T.shape)
+    cols = np.arange(P)
+    for i, t in enumerate(T):
+        vals = A + lam[:, None] * t
+        arg[i] = m - 1 - np.argmax(vals[::-1], axis=0)
+        u[i] = vals[arg[i], cols]
+    return arg, u
 
 
 def default_t_grid(c: float, m: int, grid: GridSpec | None = None,
@@ -202,38 +284,47 @@ def grid_slices(p, c: float, m: int, grid: GridSpec, tol: float = 1e-9):
 def legendre_slices(ray: GeodesicRay, lams) -> list:
     """alpha_lam(x) = min over t in [0, T_max] of (u(x,t) - lam t), exact on
     the piecewise-linear model: the minimum is scanned over the breakpoint
-    set of u(x, .) plus the endpoints, with u evaluated by its defining max.
-    Returns a list of ScalarFields matching `lams`."""
+    set of u(x, .) plus the endpoints.  u at the endpoints is read off the
+    breakpoint table; at a breakpoint t_k inside (0, T_max) it is the larger
+    of the two slices meeting there, the max over the family wherever the
+    neighbouring breakpoints lie beyond `GeodesicRay._margin`; other pixels
+    take the exact max.  Returns a list of ScalarFields matching `lams`."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if np.any(lams < 0) or np.any(lams >= ray.cutoff):
         raise ValueError(f"lam outside [0, {ray.cutoff}): {lams}")
-    A = ray.slice_stack()
-    m, ny, nx = A.shape
+    table = ray._table()
+    t_br, _, exact, scale = table
+    m = len(ray.lam_grid)
+    A = ray.slice_stack().reshape(m, -1)
     lam = ray.lam_grid
     t_lo, t_hi = 0.0, ray.t_max
 
-    # breakpoints between consecutive slices: t_k = (a_k - a_{k+1}) / dlam_k
-    dl = lam[1:] - lam[:-1]
-    with np.errstate(invalid="ignore", over="ignore"):
-        t_br = (A[:-1] - A[1:]) / dl[:, None, None]
-    t_br = np.clip(np.nan_to_num(t_br, nan=t_lo, posinf=t_hi, neginf=t_lo),
-                   t_lo, t_hi)
-
-    n_cand = m + 1
-    U = np.empty((n_cand, ny, nx))
-    T = np.empty((n_cand, ny, nx))
+    T = np.empty((m + 1,) + t_br.shape[1:])
     T[0] = t_lo
-    T[1:m] = t_br
+    T[1:m] = np.clip(np.nan_to_num(t_br, nan=t_lo, posinf=t_hi, neginf=t_lo),
+                     t_lo, t_hi)
     T[m] = t_hi
-    for j in range(n_cand):
-        tj = T[j]
-        vals = A + lam[:, None, None] * tj[None, ...]
-        U[j] = vals.max(axis=0)
+    U = np.empty_like(T)
+    U[[0, m]] = ray._read(np.array([t_lo, t_hi]), table)[1]
+    U[1:m] = np.maximum(A[:-1] + lam[:-1, None] * T[1:m],
+                        A[1:] + lam[1:, None] * T[1:m])
+    inner = (t_br > t_lo) & (t_br < t_hi)
+    U[1:m] = np.where(inner, U[1:m], np.where(t_br <= t_lo, U[0], U[m]))
+    close = np.zeros(A.shape, bool)
+    close[1:-1] = np.diff(t_br, axis=0) <= ray._margin(scale, t_hi)
+    exact = exact | np.any(inner & (close[:-1] | close[1:]), axis=0)
+    ex = np.flatnonzero(exact)
+    if ex.size:
+        U[:, ex] = _upper_max(A[:, ex], lam, T[:, ex])[1]
 
     out = []
     base_mask = ray.mask()
+    shape = ray.spatial_grid.shape
+    buf = np.empty_like(T)
     for lq in lams:
-        conj = (U - lq * T).min(axis=0)
+        np.multiply(T, lq, out=buf)
+        np.subtract(U, buf, out=buf)             # U - lq * T
+        conj = buf.min(axis=0).reshape(shape)
         vals = np.where(base_mask, conj, 0.0)
         out.append(ScalarField(ray.spatial_grid, vals, base_mask))
     return out
@@ -270,25 +361,27 @@ def hamiltonian(ray: GeodesicRay, fd_check: bool = True) -> HamiltonianField:
                      np.where(ray.mask(), H[0], 0.0), ray.mask())
     gap = float("nan")
     if fd_check:
-        delta = min(1e-3, 0.25 * float(np.min(np.diff(ray.t_grid))))
+        t = ray.t_grid
+        delta = min(1e-3, 0.25 * float(np.min(np.diff(t))))
         gap = 0.0
         msk = ray.mask()
-        for i, t in enumerate(ray.t_grid):
-            if i == 0:
-                du = (ray.eval_u(t + delta) - ray.eval_u(t)) / delta
-            elif i == len(ray.t_grid) - 1:
-                du = (ray.eval_u(t) - ray.eval_u(t - delta)) / delta
-            else:
-                du = (ray.eval_u(t + delta) - ray.eval_u(t - delta)) / (2 * delta)
+        # one read at t_0 < t_0 + delta < t_1 - delta < ... < t_last
+        ts = np.column_stack((t - delta, t + delta)).ravel()
+        ts[0], ts[-1] = t[0], t[-1]
+        q = ray.eval_u(ts)
+        for i in range(len(t)):
+            step = delta if i in (0, len(t) - 1) else 2 * delta
+            du = (q[2 * i + 1] - q[2 * i]) / step
             gap = max(gap, float(np.max(np.abs(du - H[i])[msk])))
     return HamiltonianField(t_grid=ray.t_grid, values=H, h0=h0,
                             max_fd_gap=gap)
 
 
-def rounding_noise(scale: float) -> float:
+def rounding_noise(scale):
     """Value noise of data that are exact up to rounding: a few ulps of
-    `scale`, the magnitude of the terms that make up a value."""
-    return 4.0 * np.finfo(float).eps * max(1.0, float(scale))
+    `scale`, the magnitude of the terms that make up a value (elementwise
+    for an array of scales)."""
+    return 4.0 * np.finfo(float).eps * np.maximum(1.0, scale)
 
 
 def plateau_threshold(noise: float, dl):
@@ -304,7 +397,7 @@ def plateau_threshold(noise: float, dl):
     data being read: rounding level for stored slices (exactly 0.0 on the
     coincidence set) and for closed-form slices, the measured
     interpolation ringing for spline-sampled slices."""
-    return 2.0 * float(noise) / np.asarray(dl, dtype=float)
+    return 2.0 * np.asarray(noise, dtype=float) / np.asarray(dl, dtype=float)
 
 
 def pole_exclusion_radius(lam: float, h: float) -> float:

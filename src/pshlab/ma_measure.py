@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope_solver import EnvelopeResult, extract_equilibrium
+from .field_grid import erode_mask
 from .geometry import cell_coverage, expand_ranges, points_in_polygon
 
 
@@ -89,7 +90,8 @@ def _region_cells(grid, mask, poly):
         full = mask.copy()
         inside = mask
 
-    rim = grid.inside_mask() & ~grid.interior_mask()
+    disc = grid.inside_mask()
+    rim = disc & ~erode_mask(disc)
     if (full & rim).any() or (hot & rim & inside).any():
         raise ValueError("region touches the masked-out boundary layer of "
                          "the grid")

@@ -392,6 +392,19 @@ def test_extract_perturbed_simple_closed(grid128, perturbed):
     assert points_in_polygon(np.zeros(1), np.zeros(1), poly)[0]
 
 
+def test_grid_boundary_is_the_level_curve_refine_starts_from(grid128,
+                                                              perturbed):
+    """A grid result's stored boundary is the level curve extraction
+    finds, so refining from it is refining from a fresh extraction."""
+    from pshlab.envelope_solver import _radial_refined_boundary
+    res = grid_envelope(perturbed, 0.2, grid128, tol=1e-9)
+    mask, poly0 = extract_equilibrium(res)
+    assert np.array_equal(res.boundary, poly0)
+    refined_mask, refined = extract_equilibrium(res, refine=True)
+    assert np.array_equal(refined_mask, mask)
+    assert np.array_equal(refined, _radial_refined_boundary(res, poly0))
+
+
 def test_lelong_flat(grid128, flat):
     res = grid_envelope(flat, 0.25, grid128, tol=1e-10)
     rep = lelong_check(res)

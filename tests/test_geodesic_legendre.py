@@ -5,12 +5,193 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pshlab.field_grid import ScalarField, build_grid
-from pshlab.geodesic_legendre import (assemble_geodesic, certified_lambda,
-                                      hamiltonian, hmae_residual,
-                                      legendre_slices, oracle_slices,
-                                      rounding_noise, smooth_hamiltonian,
-                                      weak_solution)
+from pshlab.geodesic_legendre import (GeodesicRay, assemble_geodesic,
+                                      certified_lambda, hamiltonian,
+                                      hmae_residual, legendre_slices,
+                                      oracle_slices, rounding_noise,
+                                      smooth_hamiltonian, weak_solution)
 from pshlab.potential_kit import Potential, Term
+
+
+# ---------------------------------------------------------------------------
+# references: the m-fold maxima the breakpoint table replaced
+# ---------------------------------------------------------------------------
+
+def _reference_materialize(ray):
+    """(argmax, u) on the t-grid by the per-t max over the whole family,
+    ties to the upper slice."""
+    A = ray.slice_stack()
+    m = len(ray.lam_grid)
+    nt = len(ray.t_grid)
+    u = np.empty((nt,) + A.shape[1:], dtype=float)
+    arg = np.empty((nt,) + A.shape[1:], dtype=np.uint16)
+    for i, t in enumerate(ray.t_grid):
+        vals = A + ray.lam_grid[:, None, None] * t
+        rev = vals[::-1]
+        idx_rev = np.argmax(rev, axis=0)
+        arg[i] = (m - 1 - idx_rev).astype(np.uint16)
+        u[i] = np.take_along_axis(vals, arg[i][None, ...].astype(int),
+                                  axis=0)[0]
+    return arg, u
+
+
+def _reference_eval_u(ray, t):
+    A = ray.slice_stack()
+    vals = A + ray.lam_grid[:, None, None] * float(t)
+    return vals.max(axis=0)
+
+
+def _reference_fd_gap(ray):
+    H = ray.lam_grid[_reference_materialize(ray)[0].astype(int)]
+    delta = min(1e-3, 0.25 * float(np.min(np.diff(ray.t_grid))))
+    gap = 0.0
+    msk = ray.mask()
+    for i, t in enumerate(ray.t_grid):
+        if i == 0:
+            du = (_reference_eval_u(ray, t + delta)
+                  - _reference_eval_u(ray, t)) / delta
+        elif i == len(ray.t_grid) - 1:
+            du = (_reference_eval_u(ray, t)
+                  - _reference_eval_u(ray, t - delta)) / delta
+        else:
+            du = (_reference_eval_u(ray, t + delta)
+                  - _reference_eval_u(ray, t - delta)) / (2 * delta)
+        gap = max(gap, float(np.max(np.abs(du - H[i])[msk])))
+    return gap
+
+
+def _reference_legendre(ray, lams):
+    """The candidate loop: u at every breakpoint and endpoint by the max
+    over the whole family, then the min over the candidates."""
+    A = ray.slice_stack()
+    m, ny, nx = A.shape
+    lam = ray.lam_grid
+    t_lo, t_hi = 0.0, ray.t_max
+    dl = lam[1:] - lam[:-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        t_br = (A[:-1] - A[1:]) / dl[:, None, None]
+    t_br = np.clip(np.nan_to_num(t_br, nan=t_lo, posinf=t_hi, neginf=t_lo),
+                   t_lo, t_hi)
+    U = np.empty((m + 1, ny, nx))
+    T = np.empty((m + 1, ny, nx))
+    T[0] = t_lo
+    T[1:m] = t_br
+    T[m] = t_hi
+    for j in range(m + 1):
+        vals = A + lam[:, None, None] * T[j][None, ...]
+        U[j] = vals.max(axis=0)
+    return [np.where(ray.mask(), (U - lq * T).min(axis=0), 0.0)
+            for lq in np.atleast_1d(np.asarray(lams, dtype=float))]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _families(draw):
+    """A slice family on a small grid, nonincreasing in lam, each pixel
+    concave with a zero plateau of random length, plus: pixels with
+    collinear slopes (three slices meeting at one breakpoint), pixels
+    whose slopes are shuffled (not concave), pixels masked out in every
+    slice or above some slice (the -1e300 fill), the pole's pattern (only
+    slice 0 finite), random magnitudes; and a t-grid holding some of the
+    breakpoints exactly and some a few ulps off."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.sampled_from([16, 19]))
+    m = draw(st.integers(2, 12))
+    dyadic = draw(st.booleans())
+    grid = build_grid(1, n, 1.0)
+    N = n * n
+    if dyadic:      # exact values: every breakpoint is an exact tie candidate
+        lam = np.arange(m) / 8.0
+        s = rng.integers(0, 6, size=(m - 1, N)) / 4.0
+    else:
+        lam = np.concatenate(([0.0], np.cumsum(rng.uniform(0.02, 0.2, m - 1))))
+        s = rng.exponential(size=(m - 1, N)) * 10.0 ** rng.uniform(-3, 3)
+    s = np.sort(s, axis=0)
+    plateau = rng.integers(0, m, size=N)
+    s[np.arange(m - 1)[:, None] < plateau[None, :]] = 0.0
+    if m > 2:
+        col = rng.random(N) < 0.2
+        k = rng.integers(0, m - 2, size=N)
+        s[k[col] + 1, col] = s[k[col], col]
+    shuffle = rng.random(N) < 0.1
+    s[:, shuffle] = rng.permuted(s[:, shuffle], axis=0)
+    a = np.zeros((m, N))
+    for k in range(m - 1):
+        a[k + 1] = a[k] - (lam[k + 1] - lam[k]) * s[k]
+    mask = np.ones((m, N), bool)
+    top = rng.integers(1, m + 1, size=N)
+    cut = rng.random(N) < 0.15
+    mask[:, cut] = np.arange(m)[:, None] < top[cut][None, :]
+    mask[:, rng.random(N) < 0.1] = False
+    mask[1:, rng.integers(N)] = False
+    fields = [(lam[k], ScalarField(grid, a[k].reshape(n, n), mask[k].reshape(n, n)))
+              for k in range(m)]
+    c = lam[-1] + 0.1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_br = (a[:-1] - a[1:]) / np.diff(lam)[:, None]
+    t_br = t_br[np.isfinite(t_br) & (t_br > 0) & (t_br < 1e3)]
+    picks = rng.choice(t_br, size=min(t_br.size, 6), replace=False) \
+        if t_br.size else np.zeros(0)
+    ulps = rng.integers(-3, 4, size=picks.size) * np.spacing(picks)
+    picks = np.concatenate((picks, picks + ulps))
+    t_max = max(1.0, float(np.max(t_br, initial=0.0)) * 1.5)
+    t = np.unique(np.concatenate(([0.0], rng.uniform(0.0, t_max, 10), picks)))
+    return assemble_geodesic(fields, t_grid=t, c=c), picks
+
+
+@settings(max_examples=100, deadline=None)
+@given(fam=_families())
+def test_breakpoint_table_bitwise_reference(fam):
+    """The breakpoint table's argmax, u, eval_u, fd gap and conjugates are
+    bitwise the m-fold maxima it replaced, at zero-plateau ties, filled
+    and non-concave pixels, collinear slopes and t on a breakpoint."""
+    ray, picks = fam
+    arg, u = _reference_materialize(ray)
+    assert np.array_equal(ray.argmax_index(), arg)
+    assert np.array_equal(_bits(ray.u_values()), _bits(u))
+    ts = np.unique(np.concatenate(([0.0, ray.t_max], picks)))
+    stack = ray.eval_u(ts)
+    for t, row in zip(ts, stack):
+        ref = _reference_eval_u(ray, t)
+        assert np.array_equal(_bits(ray.eval_u(t)), _bits(ref))
+        assert np.array_equal(_bits(row), _bits(ref))
+    gap = hamiltonian(ray, fd_check=True).max_fd_gap
+    assert np.array_equal(_bits(gap), _bits(_reference_fd_gap(ray)))
+    lams = np.concatenate((ray.lam_grid, [0.5 * ray.cutoff]))
+    for got, ref in zip(legendre_slices(ray, lams),
+                        _reference_legendre(ray, lams)):
+        assert np.array_equal(_bits(got.values), _bits(ref))
+
+
+def test_traced_methods_stay_in_the_class_body():
+    """The benchmark's tracer rebinds these by name in the class dict."""
+    assert "u_values" in vars(GeodesicRay)
+    assert "eval_u" in vars(GeodesicRay)
+
+
+def test_eval_u_rejects_negative_or_decreasing_t(flat_ray_small):
+    _, ray = flat_ray_small
+    with pytest.raises(ValueError, match="nonnegative and increasing"):
+        ray.eval_u(-0.5)
+    with pytest.raises(ValueError, match="nonnegative and increasing"):
+        ray.eval_u(np.array([1.0, 0.5]))
+
+
+def test_breakpoint_table_bitwise_oracle_and_grid(flat_ray_small,
+                                                  perturbed_ray_small):
+    for _, ray in (flat_ray_small, (None, perturbed_ray_small)):
+        arg, u = _reference_materialize(ray)
+        assert np.array_equal(ray.argmax_index(), arg)
+        assert np.array_equal(_bits(ray.u_values()), _bits(u))
+        assert np.array_equal(
+            _bits(hamiltonian(ray, fd_check=True).max_fd_gap),
+            _bits(_reference_fd_gap(ray)))
+        for got, ref in zip(legendre_slices(ray, ray.lam_grid),
+                            _reference_legendre(ray, ray.lam_grid)):
+            assert np.array_equal(_bits(got.values), _bits(ref))
 
 
 def _roundtrip(slices, ray):
