@@ -182,7 +182,7 @@ def test_eval_u_rejects_negative_or_decreasing_t(flat_ray_small):
 
 def test_breakpoint_table_bitwise_oracle_and_grid(flat_ray_small,
                                                   perturbed_ray_small):
-    for _, ray in (flat_ray_small, (None, perturbed_ray_small)):
+    for ray in (flat_ray_small[1], perturbed_ray_small):
         arg, u = _reference_materialize(ray)
         assert np.array_equal(ray.argmax_index(), arg)
         assert np.array_equal(_bits(ray.u_values()), _bits(u))
