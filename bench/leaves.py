@@ -24,8 +24,10 @@ of the net is one batch):
   all 2 leaf anchors plus the 2 x 4 net, of a general-weight grid-backend
   `foliate` command (SAMPLED_CONFIG: 96^2, 16 slices, `reharm`).
 
-A tree with `foliation_tube.trace_leaves` traces each set in one call; a
-tree without it calls `trace_leaf` once per anchor.  The right-hand-side
+The leaf anchors come from the tree's `foliation_tube.level_anchor`, the
+rule `foliate` and C13 use; a tree without it gets a copy of its older
+rule.  A tree with `foliation_tube.trace_leaves` traces each set in one
+call; a tree without it calls `trace_leaf` once per anchor.  The right-hand-side
 calls are counted in a separate, untimed pass, by wrapping the right-hand
 side that `_rhs_factory` builds: one call per RK4 stage and batch (per
 leaf on a tree without batches).  `leaf_rhs` counts evaluations per leaf,
@@ -40,7 +42,6 @@ they ran on; run both trees on one machine.
 import argparse
 import hashlib
 import json
-import math
 import os
 import platform
 import statistics
@@ -49,7 +50,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 HERE = Path(__file__).resolve().parent
 REPEATS = 3
@@ -74,26 +74,36 @@ reharm 0.25+0.1j 3
 """
 
 
+def level_anchor(p, lam, slices, t_lo=-200.0):
+    """The leaf anchor at level lam: the tree's own
+    `foliation_tube.level_anchor`, or on an older tree without it a copy
+    of the rule its `foliate` (t_lo -200) and C13 (t_lo -80) used, with
+    scipy's Brent root of chi'(t) = lam in [t_lo, 0]."""
+    from pshlab import foliation_tube
+    from pshlab.envelope_solver import extract_equilibrium
+
+    if hasattr(foliation_tube, "level_anchor"):
+        return foliation_tube.level_anchor(p, lam, slices)
+    if p.symmetry == "radial":
+        from scipy.optimize import brentq
+        t_s = brentq(lambda t: p.chi_prime(t) - lam, t_lo, 0.0)
+        return float(np.exp(0.5 * t_s)) + 0j
+    k = int(np.argmin([abs(l - lam) for l, _ in slices]))
+    _, poly = extract_equilibrium(slices[k][1])
+    j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
+    return poly[j, 0] + 1j * poly[j, 1]
+
+
 def foliate_anchors(text):
     """The ray and anchors of a `foliate` command, as `foliate` builds
     them."""
     from pshlab import cli
-    from pshlab.envelope_solver import extract_equilibrium
     from pshlab.foliation_tube import polar_anchor_net
 
     cfg = cli.parse_config(text)
     ray, slices = cli._build_ray(cfg)
     p = cfg.potential
-    anchors = []
-    for lam in cfg.lambdas or [cfg.lam]:
-        if p.symmetry == "radial":
-            t_s = brentq(lambda t: p.chi_prime(t) - lam, -200.0, 0.0)
-            anchors.append(float(np.exp(0.5 * t_s)) + 0j)
-        else:
-            k = int(np.argmin([abs(l - lam) for l, _ in slices]))
-            _, poly = extract_equilibrium(slices[k][1])
-            j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
-            anchors.append(poly[j, 0] + 1j * poly[j, 1])
+    anchors = [level_anchor(p, lam, slices) for lam in cfg.lambdas or [cfg.lam]]
     rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
         abs(a) for a in anchors)
     net = polar_anchor_net(rings, cfg.anchor_angles)
@@ -112,8 +122,7 @@ def c13_anchors():
         oracle_slices(p, 0.36, 72, build_grid(1, 64, 1.0)),
         t_grid=default_t_grid(0.36, 72, grid=build_grid(1, 512, 1.0)),
         c=0.36)
-    radii = [math.exp(0.5 * brentq(lambda t: p.chi_prime(t) - lam,
-                                   -80.0, 0.0)) for lam in C13_LEVELS]
+    radii = [abs(level_anchor(p, lam, None, t_lo=-80.0)) for lam in C13_LEVELS]
     return ray, p, list(polar_anchor_net(radii, 8).ravel())
 
 

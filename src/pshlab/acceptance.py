@@ -40,7 +40,7 @@ import numpy as np
 
 from .field_grid import (ScalarField, build_grid, c2_norm, erode_mask,
                          gradient_sup, neighbour_sum)
-from .potential_kit import (Potential, Term, brentq, builtin_potential,
+from .potential_kit import (Potential, Term, builtin_potential,
                             field_min_density, glue_to_ball, normalize_chart,
                             regularized_max)
 from .envelope_solver import (extract_equilibrium, grid_envelope,
@@ -49,7 +49,8 @@ from .geodesic_legendre import (assemble_geodesic, grid_slices, hamiltonian,
                                 legendre_slices, oracle_slices)
 from .ma_measure import reproducing_check
 from .foliation_tube import (build_tubular_map, check_pullback, disc_area,
-                             leaf_boundary, polar_anchor_net, trace_leaves)
+                             leaf_boundary, level_anchor, polar_anchor_net,
+                             trace_leaves)
 
 
 @dataclass
@@ -147,27 +148,17 @@ class AcceptanceContext:
 
     # -- leaves ----------------------------------------------------------
 
-    def quartic_anchor(self, lam):
-        t_s = brentq(lambda t: self.quartic.chi_prime(t) - lam, -80.0, 0.0)
-        return math.exp(0.5 * t_s) + 0j
-
-    def perturbed_anchor(self, lam):
-        lams = [l for l, _ in self.perturbed_leaf_slices]
-        k = int(np.argmin([abs(l - lam) for l in lams]))
-        res = self.perturbed_leaf_slices[k][1]
-        _, poly = extract_equilibrium(res)
-        i = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
-        return poly[i, 0] + 1j * poly[i, 1]
-
     @cached_property
     def leaves(self):
         lams = (0.1, 0.2, 0.3)
         quartic = trace_leaves(
             self.quartic_leaf_ray, self.quartic,
-            [self.quartic_anchor(lam) for lam in lams], n_steps=self.n_steps)
+            [level_anchor(self.quartic, lam, None) for lam in lams],
+            n_steps=self.n_steps)
         perturbed = trace_leaves(
             self.perturbed_leaf_ray, self.perturbed,
-            [self.perturbed_anchor(lam) for lam in lams], n_steps=self.n_steps)
+            [level_anchor(self.perturbed, lam, self.perturbed_leaf_slices)
+             for lam in lams], n_steps=self.n_steps)
         return {(name, lam): leaf for lam, q, pt in zip(lams, quartic, perturbed)
                 for name, leaf in (("quartic", q), ("perturbed", pt))}
 
@@ -450,7 +441,8 @@ def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_13(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     ray = ctx.quartic_leaf_ray
-    radii = [abs(ctx.quartic_anchor(l)) for l in (0.06, 0.12, 0.2, 0.3)]
+    radii = [abs(level_anchor(ctx.quartic, l, None))
+             for l in (0.06, 0.12, 0.2, 0.3)]
     anchors = polar_anchor_net(radii, 8)
     tmap = build_tubular_map(ray, ctx.quartic, anchors)
     dev = check_pullback(tmap, ray, ctx.quartic)

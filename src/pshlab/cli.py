@@ -26,15 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from .field_grid import GridSpec, build_grid, save_field, write_csv
-from .potential_kit import Potential, brentq, validate_strict_psh
+from .potential_kit import Potential, validate_strict_psh
 from .envelope_solver import (MAX_STEPS, EnvelopeResult, extract_equilibrium,
                               grid_envelope, lelong_check, radial_envelope)
 from .geodesic_legendre import (assemble_geodesic, certified_lambda,
                                 grid_slices, hamiltonian, hmae_residual,
                                 oracle_slices, weak_solution)
 from .ma_measure import boundary_mass, ma_mass
-from .foliation_tube import (build_tubular_map, disc_area, polar_anchor_net,
-                             trace_leaves)
+from .foliation_tube import (build_tubular_map, disc_area, level_anchor,
+                             polar_anchor_net, trace_leaves)
 
 
 class ConfigError(ValueError):
@@ -321,17 +321,7 @@ def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
     lams = cfg.lambdas or [cfg.lam]
     leaf_dir = out / "leaves"
     leaf_dir.mkdir(exist_ok=True)
-    anchors = []
-    for lam in lams:
-        if p.symmetry == "radial":
-            t_s = brentq(lambda t: p.chi_prime(t) - lam, -200.0, 0.0)
-            anchor = float(np.exp(0.5 * t_s)) + 0j
-        else:
-            k = int(np.argmin([abs(l - lam) for l, _ in slices]))
-            _, poly = extract_equilibrium(slices[k][1])
-            j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
-            anchor = poly[j, 0] + 1j * poly[j, 1]
-        anchors.append(anchor)
+    anchors = [level_anchor(p, lam, slices) for lam in lams]
     rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
         abs(a) for a in anchors)
     net = polar_anchor_net(rings, cfg.anchor_angles)

@@ -14,8 +14,8 @@ Two backends:
   function is a convex nondecreasing function of t, so the envelope is the
   largest convex nondecreasing minorant of g(t) = chi(t) - lam*t.  For a
   strictly psh radial weight chi is smooth and strictly convex, so the
-  minorant is g flattened left of the unique root of chi'(t) = lam; the
-  root is solved to machine precision, making this backend exact.  For
+  minorant is g flattened left of t* = ln `Potential.level_rho(lam)`,
+  the root of chi'(t) = lam to rounding, making this backend exact.  For
   n=2 Reinhardt weights the same reduction runs in (t1, t2); the monotone
   convex minorant is computed from the lower convex hull of the lifted
   samples (suffix-min prepass plus constant ghost extension enforce the
@@ -50,7 +50,7 @@ from .field_grid import (GridSpec, ScalarField, bilinear, build_grid,
                          erode_mask, five_point_flat, neighbour_sum)
 from .geometry import (ensure_ccw, marching_squares, points_in_polygon,
                        polygon_area)
-from .potential_kit import brentq, validate_strict_psh
+from .potential_kit import validate_strict_psh
 
 
 @dataclass
@@ -130,11 +130,12 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
     """Exact envelope for radial (n=1) and Reinhardt (n=2) weights.
 
     Radial: the minorant of g(t) = chi(t) - lam*t equals g for t >= t*,
-    and the constant g(t*) below, with chi'(t*) = lam solved to machine
-    precision; mapped back to z this is the envelope with coincidence set
-    {|z|^2 >= e^{t*}}.  Reinhardt (n=2): monotone convex minorant of
-    chi(t1,t2) - lam*lse(t1,t2) on the log box, computed from the lower
-    convex hull of the lifted samples.
+    and the constant g(t*) below, t* = ln rho*, rho* = `p.level_rho(lam)`;
+    mapped back to z this is the envelope with coincidence set
+    {|z|^2 >= rho*}, and `boundary` the circle |z|^2 = rho* on 4k vertices
+    (the grid's four-fold symmetry).  Reinhardt (n=2): monotone convex
+    minorant of chi(t1,t2) - lam*lse(t1,t2) on the log box, computed from
+    the lower convex hull of the lifted samples.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -157,7 +158,6 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
     with np.errstate(divide="ignore"):
         s = np.log(rho)
 
-    degenerate = False
     if lam == 0:
         v = np.asarray(p.value(grid.nodes()))
         return EnvelopeResult(lam=0.0, potential=p,
@@ -166,16 +166,12 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
                               coincidence=inside.copy(), boundary=np.zeros((0, 2)),
                               backend="oracle", tol=0.0, coincidence_tol=1e-12)
 
-    t_max = math.log(R2)
-    mass_total = float(p.chi_prime(t_max))
-    if lam >= mass_total:
+    degenerate = lam >= float(p.chi_prime(math.log(R2)))
+    if degenerate:
         warnings.warn("pole weight >= enclosed mass of the disc: coincidence "
                       "set is empty inside; envelope degenerates at the rim")
-        degenerate = True
-        t_star = t_max
-    else:
-        t_star = brentq(lambda t: p.chi_prime(t) - lam, -200.0, t_max,
-                        xtol=1e-15, rtol=8.9e-16)
+    rho_star = R2 if degenerate else p.level_rho(lam)
+    t_star = math.log(rho_star)
     flat_val = float(p.chi(t_star)) - lam * t_star
 
     with np.errstate(invalid="ignore"):
@@ -188,8 +184,8 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
     amask = inside.copy()
     amask[i0] = False
     coin = inside & outside
-    r_star = math.exp(0.5 * t_star)
-    k = max(128, int(2 * math.pi * r_star / grid.h) + 1)
+    r_star = math.sqrt(rho_star)
+    k = 4 * max(32, int(0.5 * math.pi * r_star / grid.h) + 1)
     th = np.linspace(0.0, 2 * math.pi, k, endpoint=False)
     boundary = np.stack([r_star * np.cos(th), r_star * np.sin(th)], axis=1)
     return EnvelopeResult(lam=lam, potential=p,
@@ -484,8 +480,8 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
-    """Coincidence mask {a >= -tol} and its boundary polyline, tol the
-    result's `coincidence_tol`.
+    """Coincidence mask {a >= -tol} (without the pole, where a is masked
+    out) and its boundary polyline, tol the result's `coincidence_tol`.
 
     The polyline is the marching-squares level curve a = -tol, oriented
     counter-clockwise: on cartesian grids its largest loop around the pole
@@ -494,15 +490,18 @@ def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
     vanishing of the deficit at the free boundary, sampled along rays from
     the pole (useful when the mass/moment integrals need a less biased
     boundary); a grid solve's result already holds that level curve as
-    its `boundary`, and it is refined from there.  Empty complement
-    (lam = 0) yields an empty polyline.
+    its `boundary`, and it is refined from there; the radial oracle's
+    exact circle is returned as it is.  Empty complement (lam = 0) yields
+    an empty polyline.
     """
     tol = result.coincidence_tol
     a = result.deficit
     grid = result.grid
-    mask = result.envelope.mask & ((a.values >= -tol) | ~a.mask)
+    mask = result.envelope.mask & a.mask & (a.values >= -tol)
     if result.lam == 0:
         return mask, np.zeros((0, 2))
+    if refine and result.backend == "oracle":   # the exact circle
+        return mask, result.boundary
     if refine and result.backend == "grid-active-set" and len(result.boundary):
         return mask, _radial_refined_boundary(result, result.boundary)
     cartesian = grid.style == "cartesian"

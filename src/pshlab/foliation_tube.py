@@ -25,13 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .envelope_solver import extract_equilibrium
 from .field_grid import bilinear, erode_mask, neighbour_sum
 from .geodesic_legendre import (GeodesicRay, _bin_log_means,
                                 plateau_threshold, pole_exclusion_radius,
                                 rounding_noise, smooth_hamiltonian)
 from .geometry import polyline_is_simple, resample_closed
 from .ma_measure import boundary_mass
-from .potential_kit import brentq
 
 
 @dataclass
@@ -184,8 +184,7 @@ class _RadialProbe:
         for k, lam in enumerate(self.lam):
             if lam == 0:
                 continue
-            t = brentq(lambda s: p.chi_prime(s) - lam, -200.0, 80.0,
-                       xtol=1e-15, rtol=8.9e-16)
+            t = math.log(p.level_rho(lam))
             self.t_star[k] = t
             self.flat[k] = float(p.chi(t)) - lam * t
         fin = np.isfinite(self.t_star)
@@ -358,6 +357,19 @@ def trace_leaves(ray: GeodesicRay, p, anchors, n_steps: int = 2048) -> list:
 def trace_leaf(ray: GeodesicRay, p, z1: complex, n_steps: int = 2048) -> Leaf:
     """The leaf through one t = 0 anchor (see `trace_leaves`)."""
     return trace_leaves(ray, p, [z1], n_steps=n_steps)[0]
+
+
+def level_anchor(p, lam: float, slices) -> complex:
+    """The t = 0 anchor of the leaf at pole weight lam: sqrt(rho*),
+    rho* = `p.level_rho(lam)`, for a radial weight; otherwise the point at
+    angle nearest 0 on the equilibrium boundary of the slice of `slices`
+    (pairs (lam_k, result)) whose weight is nearest lam."""
+    if p.symmetry == "radial":
+        return complex(math.sqrt(p.level_rho(lam)))
+    k = int(np.argmin([abs(l - lam) for l, _ in slices]))
+    _, poly = extract_equilibrium(slices[k][1])
+    j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
+    return complex(poly[j, 0], poly[j, 1])
 
 
 def _trace_batch(ray: GeodesicRay, p, probe, anchors, n_steps: int) -> list:

@@ -14,8 +14,9 @@ three constructions the rest of the toolkit leans on:
 Potentials are sparse polynomials in (z, zbar), not just samples, so
 derivatives, transition radii, scale factors and equality regions are
 exact.  All evaluators are vectorized
-over complex coordinate arrays and pure.  `brentq`, a port of scipy's
-`brentq.c` (Brent 1973), solves the radial profile's chi'(t) = lam.
+over complex coordinate arrays and pure.  A radial weight's level
+`level_rho(lam)` is the rho = |z|^2 where the mass polynomial
+P(rho) = chi'(ln rho) reaches lam: safeguarded Newton in rho.
 """
 
 from __future__ import annotations
@@ -317,6 +318,37 @@ class Potential:
         t = np.asarray(t, dtype=float)
         return sum(c * np.exp(k * t) for k, c in self._chi_table(2))
 
+    def level_rho(self, lam: float) -> float:
+        """rho > 0 with P(rho) = chi'(ln rho) = sum k c_k rho^k, the mass of
+        the disc |z|^2 < rho, equal to lam: the equilibrium boundary is
+        |z|^2 = rho.  Newton in rho, kept in a bracket P(lo) < lam <= P(hi)
+        from [0, 1], its top doubled (up to e^80) until it holds; a step out
+        of it or at a zero derivative bisects it.  Ends when rho stays put."""
+        mass, slope = self._chi_table(1), self._chi_table(2)
+        if not lam > 0:
+            raise ValueError(f"level_rho needs lam > 0, not {lam!r}")
+
+        def mass_at(r):
+            return sum(c * r ** k for k, c in mass)
+        lo, hi = 0.0, 1.0
+        while mass_at(hi) < lam:
+            if hi > math.exp(80.0):
+                raise ValueError(f"no rho up to e^80 has mass {lam!r}")
+            lo, hi = hi, 2.0 * hi
+        rho = hi
+        while True:
+            f = mass_at(rho) - lam
+            if f == 0:
+                return rho
+            lo, hi = (rho, hi) if f < 0 else (lo, rho)
+            d = sum(c * rho ** k for k, c in slope) / rho   # P'(rho)
+            new = rho - f / d if d else math.nan
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+            if new == rho:
+                return rho
+            rho = new
+
     def log_profile(self, t1, t2):
         """Reinhardt profile chi(t1, t2) with phi = chi(ln|z1|^2, ln|z2|^2)."""
         if self.symmetry not in ("radial", "reinhardt") or self.n != 2:
@@ -428,61 +460,6 @@ class Potential:
         if not terms:
             raise ValueError("empty potential term list")
         return cls(n, terms, name=name)
-
-
-def brentq(f, a, b, xtol=2e-12, rtol=2.0 ** -50, maxiter=100):
-    """Root of f between a and b, where f changes sign, within xtol +
-    rtol |root|, by Brent's method (Brent 1973, ch. 4): a port of scipy's
-    brentq.c with its wrapper's checks, bitwise scipy.optimize.brentq."""
-    if xtol <= 0 or rtol < 2.0 ** -50 or maxiter < 0:   # 2^-50 = 4 eps
-        raise ValueError(f"brentq needs xtol > 0, rtol >= 4 eps and "
-                         f"maxiter >= 0, not {xtol:g}, {rtol:g}, {maxiter}")
-
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN: brentq cannot go on")
-        return fx
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if math.copysign(1, fpre) == math.copysign(1, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1, fpre) != math.copysign(1, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:   # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:   # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) \
-                        / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:   # C's inf or nan: a bisection below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry   # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
 
 
 BUILTIN_POTENTIALS = ("flat", "quartic", "perturbed", "reinhardt2")

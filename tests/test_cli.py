@@ -127,6 +127,29 @@ def test_flow_masses_table(tmp_path):
     assert float(meta["lambda_certified"]) > 0.05
 
 
+def _flow_masses(text, out):
+    assert run(parse_config(text), out) == 0
+    return np.loadtxt(out / "masses.csv", delimiter=",", comments="#")
+
+
+def test_grid_flow_mass_is_the_boundary_circulation(tmp_path):
+    """The pole's cell belongs to the equilibrium complement, so the
+    complement's cut-cell mass is the d^c-circulation round its boundary."""
+    rows = _flow_masses("command = flow\nbackend = grid\nresolution = 96\n"
+                        "lambdas = 0.12,0.3\ntol = 1e-9\n[potential]\n"
+                        "polyrad 1.0 1\nreharm 0.3 3\n", tmp_path / "flow")
+    assert np.all(np.abs(rows[:, 1] - rows[:, 2]) < 1e-12)
+
+
+def test_radial_flow_masses_are_the_pole_weights(tmp_path):
+    """On the oracle backend the mass inside the exact circle is lam,
+    within the benchmark's mass tolerance 2e-3."""
+    rows = _flow_masses("command = flow\nresolution = 128\n"
+                        "lambdas = 0.07,0.137,0.2\n[potential]\n"
+                        "polyrad 1.0 1\npolyrad 0.08 2\n", tmp_path / "flow")
+    assert np.all(np.abs(rows[:, 1] - rows[:, 0]) < 2e-3)
+
+
 def test_geodesic_command(tmp_path):
     text = ("command = geodesic\nbackend = oracle\nresolution = 96\n"
             "lambda_nodes = 16\nt_count = 48\nc = 0.6\n"

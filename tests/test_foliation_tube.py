@@ -16,7 +16,8 @@ from scipy.optimize import brentq
 from pshlab import geodesic_legendre
 from pshlab.field_grid import build_grid
 from pshlab.potential_kit import Potential, Term
-from pshlab.envelope_solver import extract_equilibrium, grid_envelope
+from pshlab.envelope_solver import (extract_equilibrium, grid_envelope,
+                                    radial_envelope)
 from pshlab.geodesic_legendre import (_bin_log_means, assemble_geodesic,
                                       grid_slices, oracle_slices,
                                       plateau_threshold, smooth_hamiltonian)
@@ -24,8 +25,8 @@ from pshlab.foliation_tube import (LEAF_WINDOW, Leaf, LeafExit,
                                    _RadialProbe, _SplineProbe, _anchor_level,
                                    _rhs_factory,
                                    build_tubular_map, check_pullback,
-                                   disc_area, leaf_boundary, polar_anchor_net,
-                                   trace_leaf, trace_leaves)
+                                   disc_area, leaf_boundary, level_anchor,
+                                   polar_anchor_net, trace_leaf, trace_leaves)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,19 @@ def quartic_ray(quartic):
 def _anchor(quartic, lam):
     t_s = brentq(lambda t: quartic.chi_prime(t) - lam, -80.0, 0.0)
     return math.exp(0.5 * t_s) + 0j
+
+
+def test_probe_level_and_envelope_circle_are_one_float(quartic):
+    """The radial probe's t*, the oracle's circle and the leaf anchor all
+    read the same rho* = level_rho(lam)."""
+    lams = (0.05, 0.2, 0.3)
+    probe = _RadialProbe(quartic, lams)
+    for k, lam in enumerate(lams):
+        rho = quartic.level_rho(lam)
+        bd = radial_envelope(quartic, lam, build_grid(1, 64, 1.0)).boundary
+        assert probe.t_star[k] == math.log(rho)
+        assert bd[0, 0] == math.sqrt(rho) == level_anchor(quartic, lam, None)
+        assert len(bd) % 4 == 0
 
 
 def test_flat_leaves_constant(flat_ray_small, flat):
@@ -441,6 +455,14 @@ def perturbed_anchors(perturbed_slices_small):
     return [_equilibrium_anchor(perturbed_slices_small, lam, angle)
             for lam, angle in ((0.1, 0.0), (0.2, 0.0), (0.3, 2.0),
                                (0.2, 3.0))]
+
+
+def test_level_anchor_on_a_general_weight(perturbed_slices_small, perturbed,
+                                         perturbed_anchors):
+    """Off radial symmetry the anchor is the boundary point at angle
+    nearest 0 of the nearest slice."""
+    for lam, z in zip((0.1, 0.2), perturbed_anchors):
+        assert level_anchor(perturbed, lam, perturbed_slices_small) == z
 
 
 def test_batched_perturbed_leaves_match_scalar_reference(

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
 
 from pshlab.field_grid import ScalarField, build_grid, c2_norm, ddc_component
-from pshlab.potential_kit import (Potential, Term, brentq, builtin_potential,
+from pshlab.potential_kit import (Potential, Term, builtin_potential,
                                   bump_profile, field_min_density,
                                   glue_to_ball, normalize_chart,
                                   regularized_max, suggest_glue_parameters,
@@ -312,62 +312,68 @@ def test_glue_suggestion_heuristic():
 
 
 # ---------------------------------------------------------------------------
-# Brent's root finder against scipy's
+# the radial level rho*: P(rho*) = lam, P(rho) = chi'(ln rho)
 # ---------------------------------------------------------------------------
 
-def _both_brentq(f, a, b, **kw):
-    """repr of the root (bitwise, -0 apart from 0) or the exception type,
-    from potential_kit.brentq and from scipy.optimize.brentq."""
-    out = []
-    for solver in (brentq, scipy_brentq):
-        try:
-            out.append(repr(solver(f, a, b, **kw)))
-        except (ValueError, RuntimeError) as exc:
-            out.append(type(exc))
-    return out
+EPS = 2.0 ** -52
 
 
-# every bracket and tolerance pair brentq is called with in src/pshlab:
-# radial_envelope on discs of radius 1 and 2, _RadialProbe, the foliate
-# command's anchors and acceptance.quartic_anchor
-CHI_BRACKETS = [(-200.0, 0.0, {"xtol": 1e-15, "rtol": 8.9e-16}),
-                (-200.0, math.log(4.0), {"xtol": 1e-15, "rtol": 8.9e-16}),
-                (-200.0, 80.0, {"xtol": 1e-15, "rtol": 8.9e-16}),
-                (-200.0, 0.0, {}), (-80.0, 0.0, {})]
+def _radial(q, q3):
+    terms = [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))]
+    return Potential(1, terms + ([Term("polyrad", q3, (3,))] if q3 else []))
 
 
-@settings(max_examples=60, deadline=None)
-@given(q=st.floats(0.05, 1.0), share=st.floats(0.01, 0.99))
-def test_brentq_is_scipy_brentq_on_chi_prime_roots(q, share):
-    p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
+radial_weights = st.builds(_radial, st.floats(-0.2, 1.0),
+                           st.none() | st.floats(0.0, 0.5))
+shares = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=radial_weights, share=shares)
+def test_level_rho_solves_the_mass_polynomial(p, share):
+    """P(rho*) = lam within the rounding of P and of one last Newton
+    step, sum k^2 |c_k| rho*^k times a few eps."""
     lam = share * float(p.chi_prime(0.0))
-    for a, b, kw in CHI_BRACKETS:
-        ours, theirs = _both_brentq(lambda t: p.chi_prime(t) - lam, a, b, **kw)
-        assert isinstance(ours, str) and ours == theirs
+    rho = p.level_rho(lam)
+    mass = math.fsum(c * rho ** k for k, c in p._chi_table(1))
+    scale = math.fsum(abs(c) * rho ** k for k, c in p._chi_table(2))
+    assert 0.0 < rho <= 1.0
+    assert abs(mass - lam) <= 4.0 * EPS * scale
 
 
 @settings(max_examples=100, deadline=None)
-@given(c=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
-       a=st.floats(-10.0, 0.0), b=st.floats(0.0, 10.0),
-       maxiter=st.sampled_from([0, 1, 3, 100]))
-@example(c=[5.6e-304, 0.0, 0.0, 5.6e-304], a=-2.0, b=0.0, maxiter=3)
-def test_brentq_is_scipy_brentq_on_cubics(c, a, b, maxiter):
-    """Roots, same-sign brackets and too few iterations alike, and
-    underflowing values, where a secant step divides by zero (C gives an
-    infinity there, Python raises)."""
-    def f(x):
-        return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
-    ours, theirs = _both_brentq(f, a, b, maxiter=maxiter)
-    assert ours == theirs
+@given(p=radial_weights, a=shares, b=shares)
+def test_level_rho_increases_with_lam(p, a, b):
+    lo, hi = sorted((a, b))
+    mass = float(p.chi_prime(0.0))
+    assert p.level_rho(lo * mass) <= p.level_rho(hi * mass)
 
 
-@pytest.mark.parametrize("f, kw, error", [
-    (lambda x: x * x + 1.0, {}, ValueError),               # same-sign bracket
-    (lambda x: math.nan, {}, ValueError),                  # NaN value
-    (lambda x: x ** 3 - 0.3, {"maxiter": 2}, RuntimeError),
-    (lambda x: x, {"rtol": 1e-17}, ValueError),
-    (lambda x: x, {"xtol": 0.0}, ValueError),
-    (lambda x: x, {"maxiter": -1}, ValueError),
+@settings(max_examples=100, deadline=None)
+@given(p=radial_weights, share=st.floats(1e-6, 1.0, exclude_max=True))
+def test_level_rho_is_scipy_brentq_in_t(p, share):
+    """ln rho* is the root of chi'(t) = lam that Brent's method finds,
+    to brentq's own xtol and a few ulps."""
+    lam = share * float(p.chi_prime(0.0))
+    t = scipy_brentq(lambda s: p.chi_prime(s) - lam, -200.0, 0.0,
+                     xtol=1e-15, rtol=8.9e-16)
+    assert abs(math.log(p.level_rho(lam)) - t) <= 1e-15 + 4 * math.ulp(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.0, 1e30, exclude_min=True))
+def test_flat_level_rho_is_lam_bitwise(lam):
+    assert builtin_potential("flat").level_rho(lam) == lam
+
+
+@pytest.mark.parametrize("p, lam, match", [
+    (builtin_potential("flat"), 0.0, "lam > 0"),
+    (builtin_potential("flat"), -0.1, "lam > 0"),
+    (builtin_potential("flat"), math.nan, "lam > 0"),
+    (builtin_potential("perturbed"), 0.1, "not radial"),
+    (builtin_potential("flat"), 1e40, "e\\^80"),   # rho* = 1e40 > e^80
+    (_radial(-0.2, None), 1.0, "e\\^80"),   # P = rho - 0.4 rho^2 <= 0.625
 ])
-def test_brentq_errors_are_scipys(f, kw, error):
-    assert _both_brentq(f, -1.0, 2.0, **kw) == [error, error]
+def test_level_rho_errors(p, lam, match):
+    with pytest.raises(ValueError, match=match):
+        p.level_rho(lam)
