@@ -31,9 +31,12 @@ call; a tree without it calls `trace_leaf` once per anchor.  The right-hand-side
 calls are counted in a separate, untimed pass, by wrapping the right-hand
 side that `_rhs_factory` builds: one call per RK4 stage and batch (per
 leaf on a tree without batches).  `leaf_rhs` counts evaluations per leaf,
-4 per RK4 step of each leaf, which is the same on both trees.  A SHA-256
-of every leaf's `ambient` and `curve` bytes lets two trees be compared
-for bitwise-equal leaves.
+4 per RK4 step each leaf took.  `rk4_steps` is the step count the set
+ran: t_max over the step of its leaves that took one (sampled leaves stop
+early, at their resolved radius, some before their first step).  Trees
+that pick different step counts give different `leaf_rhs` and leaves.  A
+SHA-256 of every leaf's `ambient` and `curve` bytes lets two trees be
+compared for bitwise-equal leaves.
 
 Results merge into BENCH_leaves.json under `--label`, with the machine
 they ran on; run both trees on one machine.
@@ -166,7 +169,10 @@ def measure(ray, p, anchors) -> dict:
     for leaf in leaves:
         digest.update(leaf.ambient.tobytes())
         digest.update(leaf.curve.tobytes())
-    return {"anchors": len(anchors), "wall_s_median": statistics.median(walls),
+    steps = {round(ray.t_max / (leaf.t_samples[1] - leaf.t_samples[0]))
+             for leaf in leaves if len(leaf.t_samples) > 1}
+    return {"anchors": len(anchors), "rk4_steps": max(steps),
+            "wall_s_median": statistics.median(walls),
             "wall_s": walls, "rhs_calls": count_rhs(ray, p, anchors),
             "leaf_rhs": sum(4 * (len(leaf.t_samples) - 1) for leaf in leaves),
             "sha256": digest.hexdigest()}
@@ -192,13 +198,13 @@ def main():
     for name, case in sets.items():
         results[name] = r = measure(*case)
         print(f"{args.label} {name} anchors: {r['wall_s_median']:.3f} s, "
-              f"{r['rhs_calls']} rhs calls, {r['leaf_rhs']} leaf rhs")
+              f"{r['rk4_steps']} RK4 steps, {r['rhs_calls']} rhs calls, "
+              f"{r['leaf_rhs']} leaf rhs")
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["workload"] = (f"foliate-oracle seed {SEED} (1 and 4 anchors); "
                           "C13 net, quartic oracle ray c 0.36, 72 slices, "
                           "t-range of 512^2 (32 anchors); SAMPLED_CONFIG, "
-                          "grid backend (sampled 1 and 10 anchors); 2048 "
-                          "RK4 steps")
+                          "grid backend (sampled 1 and 10 anchors)")
     report.setdefault("runs", {})[args.label] = {
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "cpus": os.cpu_count(),

@@ -81,6 +81,10 @@ class LeafExit(RuntimeError):
 LEAF_WINDOW = 8   # slices a sampled-slice leaf reads on each side of its level
 ORBIT_BLOCK = 32   # rays per orbit read-out pass, to bound its memory
 DERIVED_NODES = 4   # slices whose derivative splines a probe keeps
+SAMPLED_STEPS = 2048   # RK4 steps over t_max on a sampled ray
+# relative error a radial leaf is traced to: five orders below the 1e-5
+# lambda-bin error of its level, which sets what the leaf can resolve
+RADIAL_EPS = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -312,26 +316,37 @@ def _rhs_factory(ray: GeodesicRay, p, probe):
     return rhs, state
 
 
-def trace_leaves(ray: GeodesicRay, p, anchors, n_steps: int = 2048) -> list:
+def trace_leaves(ray: GeodesicRay, p, anchors,
+                 n_steps: int | None = None) -> list:
     """Integrate the leaves through the t = 0 anchors along the real ray,
     by fixed-step RK4 in t (step t_max/n_steps); one Leaf per anchor.
 
     Radial oracle rays trace the full range with closed-form slices.
-    Sampled rays are read through bicubic splines of the slices around
-    the anchor level and stop at the pole-exclusion radius of the heaviest
-    one, inside which their log-pole Laplacians are not resolved; the
-    chart limit is then extrapolated with the e^{-t} rate.  The plateau
-    rule (`plateau_threshold`) at the noise of the data read (rounding, or
-    the splines' measured ringing) splits the slope differences.  Anchors
-    reading the same slices are integrated as one complex vector, each
-    leaf stopping on its own and bitwise the leaf of its anchor alone.
-    An anchor at 0 gives the constant leaf at 0.  The drift of the
-    Hamiltonian from lam_leaf along the trace is reported.  Raises
-    ValueError naming an anchor whose level is not in (0, c), LeafExit
-    naming a leaf that leaves the resolved region or degenerates."""
+    There a leaf solves dx/dt = -x/2 exactly, on which RK4's relative
+    error over [0, T] is T h^4 / 3840 (local error z^5/120 at z = -h/2),
+    so by default they take the ceil(T/h) steps that hold it to
+    `RADIAL_EPS`.  Sampled rays are read through bicubic splines of the
+    slices around the anchor level and stop at the pole-exclusion radius
+    of the heaviest one, inside which their log-pole Laplacians are not
+    resolved; the chart limit is then extrapolated with the e^{-t} rate.
+    Their leaves are limited by the splines' noise, not by the step (the
+    level moves non-monotonically, by up to 2.3e-5, between 256 and 2048
+    steps), so they keep `SAMPLED_STEPS`.  An explicit n_steps applies to
+    every ray.  The plateau rule (`plateau_threshold`) at the noise of
+    the data read (rounding, or the splines' measured ringing) splits the
+    slope differences.  Anchors reading the same slices are integrated as
+    one complex vector, each leaf stopping on its own and bitwise the
+    leaf of its anchor alone.  An anchor at 0 gives the constant leaf at
+    0.  The drift of the Hamiltonian from lam_leaf along the trace is
+    reported.  Raises ValueError naming an anchor whose level is not in
+    (0, c), LeafExit naming a leaf that leaves the resolved region or
+    degenerates."""
     anchors = [complex(z) for z in np.asarray(anchors, dtype=complex).ravel()]
     radial = getattr(p, "symmetry", "general") == "radial" \
         and ray.backend.startswith("oracle")
+    if n_steps is None:
+        n_steps = math.ceil(ray.t_max / (3840.0 * RADIAL_EPS / ray.t_max)
+                            ** 0.25) if radial else SAMPLED_STEPS
     leaves = [None] * len(anchors)
     groups = {}
     for i, z1 in enumerate(anchors):
@@ -354,7 +369,8 @@ def trace_leaves(ray: GeodesicRay, p, anchors, n_steps: int = 2048) -> list:
     return leaves
 
 
-def trace_leaf(ray: GeodesicRay, p, z1: complex, n_steps: int = 2048) -> Leaf:
+def trace_leaf(ray: GeodesicRay, p, z1: complex,
+               n_steps: int | None = None) -> Leaf:
     """The leaf through one t = 0 anchor (see `trace_leaves`)."""
     return trace_leaves(ray, p, [z1], n_steps=n_steps)[0]
 

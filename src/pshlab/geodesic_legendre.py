@@ -562,9 +562,11 @@ def hmae_residual(ray: GeodesicRay, p) -> dict:
     band_tol = 50.0 * h * h
 
     u = ray.u_values()
-    d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    msk = ray.mask()
-    defect = float(max(0.0, -np.min(d2[:, msk]))) if d2.size else 0.0
+    # in place, in the rounding order of u[2:] - 2 u[1:-1] + u[:-2]
+    d2 = -2.0 * u[1:-1]
+    d2 += u[2:]
+    d2 += u[:-2]
+    defect = max(0.0, -float(np.min(d2, where=ray.mask(), initial=np.inf)))
 
     z = grid.nodes()
     phi_vals = p.value(z)

@@ -176,6 +176,14 @@ def test_foliate_command(tmp_path):
     areas = np.loadtxt(out / "areas.csv", delimiter=",", comments="#")
     assert abs(areas[2] - areas[1]) < 2e-2   # area vs leaf level
     assert (out / "tubular.csv").exists()
+    # the RK4 steps of each leaf in leaves/, then of the 2 x 4 net
+    meta = dict(line.split(" = ", 1) for line in
+                (out / "metadata.txt").read_text().splitlines())
+    steps = [int(v) for v in meta["leaf_steps"].split(",")]
+    files = sorted((out / "leaves").glob("leaf_*.csv"))
+    assert len(files) == 1 and len(steps) == len(files) + 8
+    for n, path in zip(steps, files):
+        assert n == len(np.loadtxt(path, delimiter=",", comments="#")) - 1
 
 
 def test_main_exit_codes(tmp_path):

@@ -21,7 +21,8 @@ from pshlab.envelope_solver import (extract_equilibrium, grid_envelope,
 from pshlab.geodesic_legendre import (_bin_log_means, assemble_geodesic,
                                       grid_slices, oracle_slices,
                                       plateau_threshold, smooth_hamiltonian)
-from pshlab.foliation_tube import (LEAF_WINDOW, Leaf, LeafExit,
+from pshlab.foliation_tube import (LEAF_WINDOW, RADIAL_EPS, SAMPLED_STEPS,
+                                   Leaf, LeafExit,
                                    _RadialProbe, _SplineProbe, _anchor_level,
                                    _rhs_factory,
                                    build_tubular_map, check_pullback,
@@ -439,6 +440,38 @@ def test_batched_radial_leaves_match_scalar_reference(radial_rays, name,
     for leaf, z1 in zip(trace_leaves(ray, p, anchors, n_steps=n_steps),
                         anchors):
         _assert_same_leaf(leaf, _reference_trace_leaf(ray, p, z1, n_steps))
+
+
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(["flat", "quartic"]), u=st.floats(0.0, 1.0),
+       angle=st.floats(0.0, 2 * math.pi))
+def test_default_radial_leaf_meets_its_error_bound(radial_rays, name, u,
+                                                   angle):
+    """By default a radial leaf takes the ceil(T/h) RK4 steps with
+    T h^4 / 3840 = RADIAL_EPS, and its level, central-fiber point and
+    last chart point are then within 2 RADIAL_EPS (relative) of a trace
+    with four times the steps."""
+    ray, p, (lo, hi) = radial_rays[name]
+    z1 = _anchor(p, lo * (hi / lo) ** u) * complex(math.cos(angle),
+                                                   math.sin(angle))
+    leaf = trace_leaf(ray, p, z1)
+    n = len(leaf.t_samples) - 1
+    assert n == math.ceil(ray.t_max / (3840.0 * RADIAL_EPS / ray.t_max)
+                          ** 0.25) < SAMPLED_STEPS
+    fine = trace_leaf(ray, p, z1, n_steps=4 * n)
+    for a, b in ((leaf.lam_leaf, fine.lam_leaf),
+                 (leaf.u_limit, fine.u_limit),
+                 (leaf.curve[-1], fine.curve[-1])):
+        assert abs(a - b) <= 2 * RADIAL_EPS * abs(b)
+
+
+def test_default_sampled_leaf_takes_the_sampled_steps(
+        perturbed_ray_small, perturbed, perturbed_anchors):
+    """A leaf on a sampled ray keeps SAMPLED_STEPS = 2048 by default."""
+    z1 = perturbed_anchors[1]
+    _assert_same_leaf(trace_leaf(perturbed_ray_small, perturbed, z1),
+                      trace_leaf(perturbed_ray_small, perturbed, z1,
+                                 n_steps=2048))
 
 
 def _equilibrium_anchor(slices, lam, angle):

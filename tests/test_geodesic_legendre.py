@@ -404,6 +404,11 @@ def test_hmae_residual_perturbed(perturbed_ray_small, perturbed, grid128):
     rep = hmae_residual(perturbed_ray_small, perturbed)
     assert rep["convexity_defect"] <= 1e-10
     assert rep["max_slice_residual"] <= 10.0 * grid128.h
+    # bitwise the defect of the second difference formed out of place
+    u = perturbed_ray_small.u_values()
+    d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
+    assert rep["convexity_defect"] == max(
+        0.0, -float(np.min(d2[:, perturbed_ray_small.mask()])))
 
 
 def test_certified_lambda(perturbed_slices_small):
