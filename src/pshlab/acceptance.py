@@ -231,7 +231,9 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def _level_set_bands(ray, slices):
-    """Worst band width (in nodes) between {deficit<0} and {H0<lam}."""
+    """Worst band width (in nodes) between {deficit<0} and {H0<lam}.  The
+    test is exact: every backend stores its deficit as exactly 0 on its
+    coincidence set (`envelope_solver.contact_tol`)."""
     H = hamiltonian(ray, fd_check=False)
     h0 = H.h0.values
     worst = 0
@@ -239,8 +241,7 @@ def _level_set_bands(ray, slices):
         if k == 0:
             continue
         fld = res.deficit if hasattr(res, "deficit") else res
-        ctol = getattr(res, "coincidence_tol", 1e-12)
-        m1 = fld.mask & (fld.values < -ctol)
+        m1 = fld.mask & (fld.values < 0)
         m2 = fld.mask & (h0 < lam)
         diff = m1 ^ m2
         if not diff.any():

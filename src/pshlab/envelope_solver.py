@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field_grid import (GridSpec, ScalarField, bilinear, build_grid,
-                         erode_mask, five_point_flat, neighbour_sum)
+                         erode_mask, five_point_flat, neighbour_sum,
+                         rounding_noise)
 from .geometry import (ensure_ccw, marching_squares, points_in_polygon,
                        polygon_area)
 from .potential_kit import validate_strict_psh
@@ -96,12 +97,37 @@ def build_obstacle(p, lam: float, grid: GridSpec) -> Obstacle:
                     log_rho=log_rho, inside=inside)
 
 
+def contact_tol(tol: float, scale) -> float:
+    """The one rule for "on the coincidence set": a deficit within
+    max(10 tol, rounding noise of `scale`) of 0 cannot be told from 0, tol
+    the accuracy a backend states for its envelope (0 where exact) and
+    scale the size of the terms that cancel in the deficit."""
+    return max(10.0 * tol, float(rounding_noise(scale)))
+
+
+def strict_residual(v, deficit: ScalarField, ctol: float, keep) -> float:
+    """Sup of |five-point Laplacian of v| over the strict region
+    {deficit < -max(10 ctol, 50 h^2)} within `keep` (0 if it is empty):
+    the contact rule's value ctol widened past the O(h) contact band of a
+    sampled free boundary, the one band of the Laplacian certificates."""
+    h = deficit.grid.h
+    lap = np.full_like(v, np.nan)
+    lap[1:-1, 1:-1] = (neighbour_sum(v) - 4.0 * v[1:-1, 1:-1]) / (h * h)
+    keep = keep & deficit.mask & np.isfinite(lap) \
+        & (deficit.values < -max(10.0 * ctol, 50.0 * h * h))
+    return float(np.max(np.abs(lap[keep]), initial=0.0))
+
+
 @dataclass
 class EnvelopeResult:
     """Envelope v, deficit a = v + lam*ln|z|^2 - phi, coincidence data.
 
     `deficit` masks out the origin when lam > 0 (a -> -inf there).  The
     boundary polyline is ordered, counter-clockwise, implicitly closed.
+    Each backend decides `coincidence` once, by the rule of `contact_tol`
+    (the radial oracle: exactly |z|^2 >= rho*), and stores the deficit as
+    exactly 0 on it and the rule's value as `coincidence_tol`; readers
+    take the stored set, never a tolerance of their own.
     """
 
     lam: float
@@ -164,7 +190,8 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
                               envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
                               deficit=ScalarField(grid, np.zeros_like(v), inside),
                               coincidence=inside.copy(), boundary=np.zeros((0, 2)),
-                              backend="oracle", tol=0.0, coincidence_tol=1e-12)
+                              backend="oracle", tol=0.0,
+                              coincidence_tol=contact_tol(0.0, 0.0))
 
     degenerate = lam >= float(p.chi_prime(math.log(R2)))
     if degenerate:
@@ -192,7 +219,9 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
                           envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
                           deficit=ScalarField(grid, np.where(amask, a, 0.0), amask),
                           coincidence=coin, boundary=boundary,
-                          backend="oracle", tol=0.0, coincidence_tol=1e-12,
+                          backend="oracle", tol=0.0,
+                          coincidence_tol=contact_tol(
+                              0.0, abs(flat_val) + abs(lam * t_star)),
                           degenerate=degenerate)
 
 
@@ -239,6 +268,13 @@ def monotone_convex_minorant_2d(T1, T2, G):
     return out.reshape(g.shape)
 
 
+# The accuracy of the hull minorant: on reinhardt2 at 96^2 log-radial the
+# nodes on the hull have deficits in [-1e-9, -1e-12) on 8 nodes (lam 0.05)
+# and 20 nodes (lam 0.2), and none in [-1e-6, -1e-9).  At lam = 0 the
+# envelope is chi itself, exactly.
+QHULL_TOL = 1e-10
+
+
 def _reinhardt_envelope(p, lam: float, grid: GridSpec | None) -> EnvelopeResult:
     if grid is None:
         grid = build_grid(2, 96, 1.0, "log-radial")
@@ -256,7 +292,8 @@ def _reinhardt_envelope(p, lam: float, grid: GridSpec | None) -> EnvelopeResult:
         env = monotone_convex_minorant_2d(T1, T2, obstacle)
         env = np.minimum(env, obstacle)
     a = env - obstacle
-    ctol = 1e-9 if lam else 1e-12
+    ctol = contact_tol(QHULL_TOL if lam else 0.0,
+                       np.max(np.abs(chi[inside]) + lam * np.abs(lse[inside])))
     coin = inside & (a >= -ctol)
     a = np.where(coin, 0.0, a)   # the coincidence set is {a = 0}, exactly
     res = EnvelopeResult(lam=lam, potential=p,
@@ -446,7 +483,7 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
     if lam > 0:
         a = a + lam * obstacle.log_rho
     amask = obstacle.field.mask   # inside, less the origin if lam > 0
-    ctol = max(10.0 * tol, 1e-14)
+    ctol = contact_tol(tol, np.max(np.abs(g[amask])))
     coin = inside & amask & (a >= -ctol)
     a = np.where(coin, 0.0, a)   # the coincidence set is {a = 0}, exactly
 
@@ -480,10 +517,11 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
-    """Coincidence mask {a >= -tol} (without the pole, where a is masked
-    out) and its boundary polyline, tol the result's `coincidence_tol`.
+    """The result's stored coincidence set (see `contact_tol`; without the
+    pole) and its boundary polyline.
 
-    The polyline is the marching-squares level curve a = -tol, oriented
+    The polyline is the marching-squares level curve a = -tol, tol the
+    result's `coincidence_tol`, oriented
     counter-clockwise: on cartesian grids its largest loop around the pole
     (implicitly closed), on log-radial grids its longest chain.
     With refine=True (cartesian only) it is relocated by the square-root
@@ -497,7 +535,7 @@ def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
     tol = result.coincidence_tol
     a = result.deficit
     grid = result.grid
-    mask = result.envelope.mask & a.mask & (a.values >= -tol)
+    mask = result.coincidence
     if result.lam == 0:
         return mask, np.zeros((0, 2))
     if refine and result.backend == "oracle":   # the exact circle
@@ -566,25 +604,16 @@ def _radial_refined_boundary(result: EnvelopeResult,
 
 
 def maximality_residual(result: EnvelopeResult):
-    """Sup of |discrete Laplacian of the envelope| over the strict region
-    {v < obstacle - band_tol}, band_tol = max(10 coincidence_tol, 50 h^2):
-    zero for the exact discrete envelope (the fixed point equals the
-    neighbour mean off the contact set), so the value certifies both
-    maximality and interior harmonicity."""
-    grid = result.grid
-    h = grid.h
-    band_tol = max(10.0 * result.coincidence_tol, 50.0 * h * h)
-    v = result.envelope.values
-    lap = np.full_like(v, np.nan)
-    lap[1:-1, 1:-1] = (neighbour_sum(v) - 4.0 * v[1:-1, 1:-1]) / (h * h)
-    strict = result.deficit.mask & (result.deficit.values < -band_tol)
-    i0 = grid.origin_index()
+    """`strict_residual` of the envelope at the result's `coincidence_tol`,
+    off the nodes next to the pole: zero for the exact discrete envelope
+    (the fixed point equals the neighbour mean off the contact set), so
+    the value certifies both maximality and interior harmonicity."""
+    keep = erode_mask(result.envelope.mask)
+    i0 = result.grid.origin_index()
     if result.lam > 0 and i0 is not None:
-        strict[i0[0] - 1:i0[0] + 2, i0[1] - 1:i0[1] + 2] = False
-    strict &= erode_mask(result.envelope.mask) & np.isfinite(lap)
-    if not strict.any():
-        return 0.0
-    return float(np.max(np.abs(lap[strict])))
+        keep[i0[0] - 1:i0[0] + 2, i0[1] - 1:i0[1] + 2] = False
+    return strict_residual(result.envelope.values, result.deficit,
+                           result.coincidence_tol, keep)
 
 
 @dataclass

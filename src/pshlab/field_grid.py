@@ -121,10 +121,6 @@ class GridSpec:
         """Boolean mask of nodes strictly inside the domain |z| < R."""
         return self.rho() < self.radius ** 2
 
-    def interior_mask(self) -> np.ndarray:
-        """Inside nodes all of whose axis neighbours are inside (stencil-safe)."""
-        return erode_mask(self.inside_mask())
-
     def origin_index(self):
         """Index of the node closest to z = 0 (exact for even res, dyadic R)."""
         if self.style != "cartesian":
@@ -339,6 +335,13 @@ def gradient_sup(values: np.ndarray, mask: np.ndarray, h: float) -> float:
         d = _central_first(values, ax, h)
         best = max(best, float(np.max(np.abs(d[m1]))))
     return best
+
+
+def rounding_noise(scale):
+    """Value noise of data that are exact up to rounding: a few ulps of
+    `scale`, the magnitude of the terms that make up a value (elementwise
+    for an array of scales)."""
+    return 4.0 * np.finfo(float).eps * np.maximum(1.0, scale)
 
 
 def bilinear(ax, values, points, fill):

@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_grid import GridSpec, ScalarField, neighbour_sum
-from .envelope_solver import EnvelopeResult, grid_envelope, radial_envelope
+from .field_grid import GridSpec, ScalarField, rounding_noise
+from .envelope_solver import (EnvelopeResult, grid_envelope, radial_envelope,
+                              strict_residual)
 
 _NEG_FILL = -1e300
 _LOG_MAX = math.log(np.finfo(float).max)   # the largest x with finite exp(x)
@@ -377,13 +378,6 @@ def hamiltonian(ray: GeodesicRay, fd_check: bool = True) -> HamiltonianField:
                             max_fd_gap=gap)
 
 
-def rounding_noise(scale):
-    """Value noise of data that are exact up to rounding: a few ulps of
-    `scale`, the magnitude of the terms that make up a value (elementwise
-    for an array of scales)."""
-    return 4.0 * np.finfo(float).eps * np.maximum(1.0, scale)
-
-
 def plateau_threshold(noise: float, dl):
     """The plateau rule, shared by every reader of slope differences.
 
@@ -524,14 +518,11 @@ class WeakSolution:
     cutoff: float
 
 
-def weak_solution(ray: GeodesicRay, c: float | None = None) -> WeakSolution:
-    """Phi_w(x,t) = u(x,t) - c t on the region where the maximizing slope
-    stays below the top lam node; outside that region the sup formula is
-    not claimed and the field carries NaN."""
-    if c is None:
-        c = ray.cutoff
-    if abs(c - ray.cutoff) > 1e-12:
-        raise ValueError("cutoff must match the ray")
+def weak_solution(ray: GeodesicRay) -> WeakSolution:
+    """Phi_w(x,t) = u(x,t) - c t, c the ray's cutoff, on the region where
+    the maximizing slope stays below the top lam node; outside that region
+    the sup formula is not claimed and the field carries NaN."""
+    c = ray.cutoff
     u = ray.u_values()
     arg = ray.argmax_index()
     m = len(ray.lam_grid)
@@ -548,18 +539,16 @@ def hmae_residual(ray: GeodesicRay, p) -> dict:
 
     (i) convexity defect: most negative second difference of u in t
     (nonnegative up to rounding, u being a max of affine functions);
-    (ii) per slice, the sup of |discrete Laplacian of (phi + a_lam)| over
-    the strict region {a_lam < -band_tol}, band_tol = 50 h^2, excluding
-    the disc of radius `pole_exclusion_radius(lam, h)` where the log
-    stencil is unresolved.
+    (ii) per slice, the `strict_residual` of phi + a_lam, excluding the
+    disc of radius `pole_exclusion_radius(lam, h)` where the log stencil
+    is unresolved.  Its contact tolerance is 0, as a ray's slices carry no
+    solver tolerance, so the strict region is {a_lam < -50 h^2}.
     Slice harmonicity off the coincidence set is the fiberwise degeneracy
     of the ray.
     """
     grid = ray.spatial_grid
     if grid.n != 1 or grid.style != "cartesian":
         raise ValueError("residual diagnostics run on n=1 cartesian rays")
-    h = grid.h
-    band_tol = 50.0 * h * h
 
     u = ray.u_values()
     # in place, in the rounding order of u[2:] - 2 u[1:-1] + u[:-2]
@@ -576,18 +565,12 @@ def hmae_residual(ray: GeodesicRay, p) -> dict:
         if lam == 0:
             residuals.append(0.0)
             continue
-        w = phi_vals + fld.masked_fill(np.nan)
-        lap = np.full_like(w, np.nan)
-        lap[1:-1, 1:-1] = (neighbour_sum(w) - 4.0 * w[1:-1, 1:-1]) / (h * h)
-        strict = fld.mask & (fld.values < -band_tol) \
-            & (rho > pole_exclusion_radius(lam, h) ** 2)
-        strict &= np.isfinite(lap)
-        residuals.append(float(np.max(np.abs(lap[strict]))) if strict.any()
-                         else 0.0)
+        keep = rho > pole_exclusion_radius(lam, grid.h) ** 2
+        residuals.append(strict_residual(phi_vals + fld.masked_fill(np.nan),
+                                         fld, 0.0, keep))
     return {"convexity_defect": defect,
             "slice_residuals": np.asarray(residuals),
-            "max_slice_residual": float(np.max(residuals)) if residuals else 0.0,
-            "band_tol": band_tol}
+            "max_slice_residual": float(np.max(residuals)) if residuals else 0.0}
 
 
 def certified_lambda(results) -> float:

@@ -649,32 +649,19 @@ def bump_f(s, width: float):
     return bump_profile(np.asarray(s, dtype=float) / width) / width
 
 
-def _blend_m(d, width: float):
-    """M(d) = integral over s of max(d + s, 0) f(s) ds, 64-pt Gauss-Legendre.
+def blend_coefficients(d, width: float):
+    """(M(d), M'(d), M''(d)) for the bump f = `bump_f(., width)`.
 
-    M(d) = d for d >= width, 0 for d <= -width, smooth monotone in between;
-    u = b + M(a - b) realises the regularized max of a and b.
+    M(d) = integral over s of max(d + s, 0) f(s) ds and M'(d) = integral
+    of f over [-d, width], a smooth 0-to-1 switch: M = d and M' = 1 for
+    d >= width, both 0 for d <= -width, and in between one 64-point
+    Gauss-Legendre rule on [-d, width] gives both.  M''(d) = f(d) by
+    evenness of the bump.  u = b + M(a - b) realises the regularized max
+    of a and b.
     """
     d = np.asarray(d, dtype=float)
-    out = np.where(d >= width, d, 0.0)
-    band = np.abs(d) < width
-    if band.any():
-        db = d[band]
-        lo, hi = -db, width          # integrate (d+s) f(s) over s in [-d, w]
-        x, w = _gl64()
-        mid = 0.5 * (lo[:, None] + hi) + 0.5 * (hi - lo[:, None]) * x[None, :]
-        jac = 0.5 * (hi - lo)
-        vals = (db[:, None] + mid) * bump_f(mid, width)
-        out_band = jac * np.sum(w[None, :] * vals, axis=1)
-        out = out.astype(float)
-        out[band] = out_band
-    return out
-
-
-def _blend_m_prime(d, width: float):
-    """M'(d) = integral of f over [-d, width]; a smooth 0-to-1 switch."""
-    d = np.asarray(d, dtype=float)
-    out = np.where(d >= width, 1.0, 0.0)
+    m = np.where(d >= width, d, 0.0)
+    m1 = np.where(d >= width, 1.0, 0.0)
     band = np.abs(d) < width
     if band.any():
         db = d[band]
@@ -682,15 +669,10 @@ def _blend_m_prime(d, width: float):
         x, w = _gl64()
         mid = 0.5 * (lo[:, None] + hi) + 0.5 * (hi - lo[:, None]) * x[None, :]
         jac = 0.5 * (hi - lo)
-        vals = bump_f(mid, width)
-        out = out.astype(float)
-        out[band] = jac * np.sum(w[None, :] * vals, axis=1)
-    return out
-
-
-def blend_coefficients(d, width: float):
-    """(M(d), M'(d), M''(d)) with M''(d) = f(d) by evenness of the bump."""
-    return _blend_m(d, width), _blend_m_prime(d, width), bump_f(d, width)
+        f = bump_f(mid, width)
+        m[band] = jac * np.sum(w[None, :] * ((db[:, None] + mid) * f), axis=1)
+        m1[band] = jac * np.sum(w[None, :] * f, axis=1)
+    return m, m1, bump_f(d, width)
 
 
 def regularized_max(a: ScalarField, b: ScalarField, bump_width: float) -> ScalarField:
@@ -723,7 +705,7 @@ def regularized_max(a: ScalarField, b: ScalarField, bump_width: float) -> Scalar
             raise ValueError(
                 f"hypothesis a < b - bump_width fails on the domain boundary "
                 f"(max a-b = {worst:.6g}, need < {-bump_width:.6g})")
-    u = b.values + _blend_m(np.where(mask, d, 0.0), bump_width)
+    u = b.values + blend_coefficients(np.where(mask, d, 0.0), bump_width)[0]
     # exact branches: u = a where a - b >= width, u = b where b - a >= width
     u = np.where(d >= bump_width, a.values, np.where(d <= -bump_width,
                                                      b.values, u))

@@ -405,6 +405,57 @@ def test_grid_boundary_is_the_level_curve_refine_starts_from(grid128,
     assert np.array_equal(refined, _radial_refined_boundary(res, poly0))
 
 
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.floats(0.05, 1.0), n=st.integers(16, 128).map(lambda k: 2 * k),
+       share=st.floats(0.0, 0.9, exclude_min=True, exclude_max=True))
+def test_radial_contact_set_is_the_stored_set(q, n, share):
+    """The radial oracle's coincidence set is the exact one, extraction
+    returns it as stored, and its tolerance is the rounding noise of the
+    terms that cancel in the deficit, g(t*) and lam t*."""
+    p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
+    lam = share * float(p.chi_prime(0.0))
+    res = radial_envelope(p, lam, build_grid(1, n, 1.0))
+    assert np.array_equal(extract_equilibrium(res)[0], res.coincidence)
+    t_star = math.log(p.level_rho(lam))
+    flat = float(p.chi(t_star)) - lam * t_star
+    assert res.coincidence_tol == 4.0 * EPS * max(1.0, abs(flat)
+                                                  + abs(lam * t_star))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_quartic_nodes_just_inside_the_circle_stay_off_the_set(quartic, n):
+    # 8 nodes lie 1.6e-7 inside the exact circle with a = -1.05e-13: the
+    # exact set leaves them out, and so does extraction
+    res = radial_envelope(quartic, 0.7653174603174603, build_grid(1, n, 1.0))
+    a = res.deficit
+    assert np.count_nonzero(a.mask & ~res.coincidence
+                            & (a.values >= -1e-12)) == 8
+    assert np.array_equal(extract_equilibrium(res)[0], res.coincidence)
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-9, 1e-8])
+def test_grid_contact_tol(perturbed, tol):
+    res = grid_envelope(perturbed, 0.2, build_grid(1, 64, 1.0), tol=tol)
+    assert res.coincidence_tol == max(10.0 * tol, 1e-14)
+    assert np.array_equal(extract_equilibrium(res)[0], res.coincidence)
+    on = res.coincidence
+    assert np.all(res.deficit.values[on] == 0.0)
+    assert np.all(res.deficit.values[res.deficit.mask & ~on]
+                  < -res.coincidence_tol)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.2, 0.5])
+def test_reinhardt_contact_set_is_the_stored_set(lam):
+    res = radial_envelope(builtin_potential("reinhardt2"), lam)
+    if lam:
+        assert res.coincidence_tol == 1e-9
+    assert np.array_equal(extract_equilibrium(res)[0], res.coincidence)
+    assert np.all(res.deficit.values[res.coincidence] == 0.0)
+
+
 def test_lelong_flat(grid128, flat):
     res = grid_envelope(flat, 0.25, grid128, tol=1e-10)
     rep = lelong_check(res)

@@ -387,12 +387,6 @@ def test_weak_solution_flat(flat_ray_small, grid128):
     assert np.max(d_end[sel]) < 0.0
 
 
-def test_weak_solution_cutoff_mismatch(flat_ray_small):
-    _, ray = flat_ray_small
-    with pytest.raises(ValueError):
-        weak_solution(ray, c=ray.cutoff * 0.5)
-
-
 def test_hmae_residual_flat(flat_ray_small, flat, grid128):
     _, ray = flat_ray_small
     rep = hmae_residual(ray, flat)

@@ -1,6 +1,7 @@
 """Every name a `pshlab` module imports is used in that module, only
 `field_grid` writes out the five-point neighbour slices, of 2-D arrays and
-of row-major 1-D buffers, and no module imports scipy at module level, so
+of row-major 1-D buffers, no `EnvelopeResult` takes a literal as its
+coincidence tolerance, and no module imports scipy at module level, so
 that the CLI's commands load it only where they need it."""
 
 import ast
@@ -56,6 +57,35 @@ def test_neighbour_slices_only_in_field_grid(path):
             assert hits, f"field_grid.{helper} no longer matches the pattern"
         else:
             assert hits == [], f"use field_grid.{helper} (lines {hits})"
+
+
+def _is_rule_call(node):
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", None) == "contact_tol"
+
+
+def test_coincidence_tol_only_from_the_rule():
+    """Every `EnvelopeResult(...)` call passes as `coincidence_tol` a call
+    of the rule `contact_tol`, or a name its function assigns from one:
+    no numeric literal, no formula of its own."""
+    calls = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            rules = {t.id for a in ast.walk(fn) if isinstance(a, ast.Assign)
+                     and _is_rule_call(a.value)
+                     for t in a.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", None) == "EnvelopeResult":
+                    [v] = [k.value for k in node.keywords
+                           if k.arg == "coincidence_tol"]
+                    calls.append((path.name, node.lineno, _is_rule_call(v)
+                                  or getattr(v, "id", None) in rules))
+    assert len(calls) >= 4
+    assert [c for c in calls if not c[2]] == []
 
 
 def _module_level_imports(path):

@@ -160,3 +160,20 @@ def test_radial_envelope_boundary_encloses_lam(q, n, share):
     lam = share * float(p.chi_prime(0.0))
     res = radial_envelope(p, lam, build_grid(1, n, 1.0))
     assert abs(boundary_mass(p, res.boundary) - lam) <= 2e-3 * lam
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.floats(0.05, 1.0), r=st.floats(0.0, 0.5),
+       n=st.integers(32, 128).map(lambda k: 2 * k),
+       rho=st.floats(0.02, 0.5))
+def test_radial_moments_vanish(q, r, n, rho):
+    """C6's bounds on the oracle's equilibrium complement, the stored
+    coincidence set's complement bounded by the exact circle |z|^2 = rho:
+    |M_k| / M_0 <= 1e-3 for k = 1..4 and |M_0 - lam| <= 2e-3."""
+    p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,)),
+                      Term("polyrad", r, (3,))])
+    lam = float(p.chi_prime(math.log(rho)))
+    rep = reproducing_check(p, radial_envelope(p, lam, build_grid(1, n, 1.0)),
+                            k_max=4)
+    assert np.all(rep.normalized_moments() <= 1e-3)
+    assert abs(rep.mass - lam) <= 2e-3
