@@ -1,4 +1,5 @@
-"""Leaf tracing: wall time and right-hand-side counts, radial and sampled rays.
+"""Leaf tracing: wall time, samples and right-hand-side calls, radial and
+sampled rays.
 
     python bench/leaves.py --src src --label change
     python bench/leaves.py --src /path/to/parent/src --label parent
@@ -27,16 +28,15 @@ of the net is one batch):
 The leaf anchors come from the tree's `foliation_tube.level_anchor`, the
 rule `foliate` and C13 use; a tree without it gets a copy of its older
 rule.  A tree with `foliation_tube.trace_leaves` traces each set in one
-call; a tree without it calls `trace_leaf` once per anchor.  The right-hand-side
-calls are counted in a separate, untimed pass, by wrapping the right-hand
-side that `_rhs_factory` builds: one call per RK4 stage and batch (per
-leaf on a tree without batches).  `leaf_rhs` counts evaluations per leaf,
-4 per RK4 step each leaf took.  `rk4_steps` is the step count the set
-ran: t_max over the step of its leaves that took one (sampled leaves stop
-early, at their resolved radius, some before their first step).  Trees
-that pick different step counts give different `leaf_rhs` and leaves.  A
-SHA-256 of every leaf's `ambient` and `curve` bytes lets two trees be
-compared for bitwise-equal leaves.
+call; a tree without it calls `trace_leaf` once per anchor.  `samples`
+is the number of t-samples the set's leaves hold, summed over them (a
+leaf traced by RK4 holds one more than the steps it took; sampled leaves
+stop early, at their resolved radius, some before their first step).
+`rhs_calls` counts, in a separate, untimed pass, the calls of the
+right-hand side that `_rhs_factory` builds: one per RK4 stage and batch
+(per leaf on a tree without batches), none for a leaf written in closed
+form.  A SHA-256 of every leaf's `ambient` and `curve` bytes lets two
+trees be compared for bitwise-equal leaves.
 
 Results merge into BENCH_leaves.json under `--label`, with the machine
 they ran on; run both trees on one machine.
@@ -169,12 +169,10 @@ def measure(ray, p, anchors) -> dict:
     for leaf in leaves:
         digest.update(leaf.ambient.tobytes())
         digest.update(leaf.curve.tobytes())
-    steps = {round(ray.t_max / (leaf.t_samples[1] - leaf.t_samples[0]))
-             for leaf in leaves if len(leaf.t_samples) > 1}
-    return {"anchors": len(anchors), "rk4_steps": max(steps),
+    return {"anchors": len(anchors),
+            "samples": sum(len(leaf.t_samples) for leaf in leaves),
             "wall_s_median": statistics.median(walls),
             "wall_s": walls, "rhs_calls": count_rhs(ray, p, anchors),
-            "leaf_rhs": sum(4 * (len(leaf.t_samples) - 1) for leaf in leaves),
             "sha256": digest.hexdigest()}
 
 
@@ -198,8 +196,7 @@ def main():
     for name, case in sets.items():
         results[name] = r = measure(*case)
         print(f"{args.label} {name} anchors: {r['wall_s_median']:.3f} s, "
-              f"{r['rk4_steps']} RK4 steps, {r['rhs_calls']} rhs calls, "
-              f"{r['leaf_rhs']} leaf rhs")
+              f"{r['samples']} samples, {r['rhs_calls']} rhs calls")
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["workload"] = (f"foliate-oracle seed {SEED} (1 and 4 anchors); "
                           "C13 net, quartic oracle ray c 0.36, 72 slices, "

@@ -342,8 +342,9 @@ def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
                            tmap.anchors.ravel().imag], axis=1)
     write_csv(out / "tubular.csv", flat_pairs, header="re_u,im_u,re_T,im_T")
     meta = cfg.echo()
-    # RK4 steps per leaf, the leaves/ files' then the net's: sampled leaves
-    # stop at their resolved radius
+    # samples per leaf less one (its RK4 steps on a sampled ray), the
+    # leaves/ files' then the net's: sampled leaves stop at their resolved
+    # radius
     meta["leaf_steps"] = ",".join(str(len(leaf.t_samples) - 1)
                                   for leaf in leaves)
     _write_kv(out / "metadata.txt", meta)

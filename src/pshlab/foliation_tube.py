@@ -82,16 +82,14 @@ LEAF_WINDOW = 8   # slices a sampled-slice leaf reads on each side of its level
 ORBIT_BLOCK = 32   # rays per orbit read-out pass, to bound its memory
 DERIVED_NODES = 4   # slices whose derivative splines a probe keeps
 SAMPLED_STEPS = 2048   # RK4 steps over t_max on a sampled ray
-# relative error a radial leaf is traced to: five orders below the 1e-5
-# lambda-bin error of its level, which sets what the leaf can resolve
-RADIAL_EPS = 1e-10
 
 
 # ---------------------------------------------------------------------------
 # slice probes, sampled (spline) and radial (closed form): read(x) gives the
-# slice values at the points x (n,) of a batch of leaves, and derivs(j) the
-# Wirtinger gradients (3, n) of slices j[i] + 0..2 and the d^2/dz dzbar
-# (2, n) of slices j[i] + 0..1
+# slice values (n, window) at the points x (n,) of a batch of leaves; the
+# spline probe's derivs(x, j), read only by the RK4 right-hand side, gives
+# the Wirtinger gradients (3, n) of slices j[i] + 0..2 and the
+# d^2/dz dzbar (2, n) of slices j[i] + 0..1
 # ---------------------------------------------------------------------------
 _NODES = np.arange(3)[:, None]
 
@@ -136,24 +134,22 @@ class _SplineProbe:
             for d in ((1, 0), (0, 1), (2, 0), (0, 2))))
 
     def read(self, x):
-        xr, xi = x.real, x.imag
+        return np.array([sp.ev(x.real, x.imag) for sp in self.splines]).T
 
-        def derivs(j):   # leaves sharing a bracket are read together
-            grads = np.empty((3, len(x)), dtype=complex)
-            laps = np.empty((2, len(x)))
-            for jb in set(j.tolist()):
-                i = np.nonzero(j == jb)[0]
-                a, b = xr[i], xi[i]
-                for node in range(3):
-                    gx, gy, lx, ly = self._derived(jb + node)
-                    grads[node, i] = 0.5 * (gx(a, b, grid=False)
-                                            - 1j * gy(a, b, grid=False))
-                    if node < 2:
-                        laps[node, i] = 0.25 * (lx(a, b, grid=False)
-                                                + ly(a, b, grid=False))
-            return grads, laps
-
-        return np.array([sp.ev(xr, xi) for sp in self.splines]).T, derivs
+    def derivs(self, x, j):   # leaves sharing a bracket are read together
+        grads = np.empty((3, len(x)), dtype=complex)
+        laps = np.empty((2, len(x)))
+        for jb in set(j.tolist()):
+            i = np.nonzero(j == jb)[0]
+            a, b = x.real[i], x.imag[i]
+            for node in range(3):
+                gx, gy, lx, ly = self._derived(jb + node)
+                grads[node, i] = 0.5 * (gx(a, b, grid=False)
+                                        - 1j * gy(a, b, grid=False))
+                if node < 2:
+                    laps[node, i] = 0.25 * (lx(a, b, grid=False)
+                                            + ly(a, b, grid=False))
+        return grads, laps
 
 
 def _plateau_ringing(spline, fld, ax) -> float:
@@ -174,7 +170,7 @@ def _plateau_ringing(spline, fld, ax) -> float:
 
 
 class _RadialProbe:
-    """Closed-form slice derivatives for radial weights: inside the
+    """Closed-form slice values for radial weights: inside the
     pole-weight-lam domain a = flat - chi(s) + lam s with s = ln|x|^2.
     The values are exact up to the rounding of the terms that cancel at
     the free boundary, which sets `noise`."""
@@ -195,23 +191,13 @@ class _RadialProbe:
         self.noise = rounding_noise(np.max(
             np.abs(self.flat[fin]) + np.abs(self.lam[fin] * self.t_star[fin]),
             initial=0.0))
-        self.resolve_radius, self.r_max, self.depth_bins = 0.0, np.inf, 0
+        self.depth_bins = 0
 
     def read(self, x):
-        rho = (x * np.conj(x)).real
-        s = np.log(rho)
-        chi, chi1, chi2 = self.p.chi(s), self.p.chi_prime(s), \
-            self.p.chi_second(s)
-
-        def derivs(j):   # d/dz s = 1/z
-            nodes = j + _NODES
-            outside = s >= self.t_star[nodes]
-            return (np.where(outside, 0j, (self.lam[nodes] - chi1) / x),
-                    np.where(outside[:2], 0.0, -chi2 / rho))
-
+        s = np.log((x * np.conj(x)).real)
         sc = s[:, None]
         return np.where(sc < self.t_star,
-                        self.flat - chi[:, None] + self.lam * sc, 0.0), derivs
+                        self.flat - self.p.chi(s)[:, None] + self.lam * sc, 0.0)
 
 
 def _check(ok, msg, x, anchors):   # LeafExit for the first leaf not ok
@@ -222,7 +208,8 @@ def _check(ok, msg, x, anchors):   # LeafExit for the first leaf not ok
 
 def _rhs_factory(ray: GeodesicRay, p, probe):
     """Right-hand side of the leaf equation for a batch of leaves read
-    through one probe; each row gets the IEEE operations of a lone leaf."""
+    through one probe, and `state`, its slope root alone; each row gets
+    the IEEE operations of a lone leaf."""
     lam = ray.lam_grid[probe.k_window]
     if len(lam) < 3:
         raise ValueError("lam window too small for slope differencing")
@@ -244,11 +231,11 @@ def _rhs_factory(ray: GeodesicRay, p, probe):
     no_third = j + 2 >= nd
     real_monomials = getattr(p, "symmetry", "general") != "general"
 
-    def state(x, t, anchors):
-        A, derivs = probe.read(x)
+    def state(x, t, anchors):   # t a scalar or one per point
+        A = probe.read(x)
         rows = np.arange(len(x))
         D = (A[:, 1:] - A[:, :-1]) / dl
-        neg = (D + t) < neg_eps
+        neg = (D + np.reshape(t, (-1, 1))) < neg_eps
         on_plateau = D >= neg_eps
         j0 = np.argmax(neg, axis=1)
         crossing = neg[rows, j0]
@@ -263,8 +250,7 @@ def _rhs_factory(ray: GeodesicRay, p, probe):
         j = np.minimum(np.where(crossing, np.maximum(j0, jp + floor), nd - 2),
                        nd - 2)
         forced = crossing & (kink | deep)
-        nu0, nu1, dnu, dnu12, half02, m0, dmid, lam0, dlam, dl0, dl1 = \
-            brackets[:, j]
+        nu0, nu1, dnu, dnu12, half02, m0, dmid = brackets[:7, j]
         d0, d1, d2 = np.take(D, rows * nd + j + _NODES, mode="clip")
         da, db = d0 + t, d1 + t
         q_lam = (d1 - d0) / dmid
@@ -294,16 +280,18 @@ def _rhs_factory(ray: GeodesicRay, p, probe):
             _check(~sloped | (root != np.nanmax(root[sloped])),
                    "slope root overflows along the leaf", x, anchors)
         lam_star = np.minimum(np.maximum(lam_star, lam[1] * 1e-3), lam[-1])
+        return lam_star, forced, j, q_lam
+
+    def rhs(x, t, anchors):
+        lam_star, forced, j, q_lam = state(x, t, anchors)
         # derivative data only where needed: nodes j..j+2 of the bracket,
         # which by construction sit on the smooth branch of the family
-        (w0, w1, w2), (l0, l1) = derivs(j)
+        (w0, w1, w2), (l0, l1) = probe.derivs(x, j)
+        m0, dmid, lam0, dlam, dl0, dl1 = brackets[5:, j]
         w = (lam_star - m0) / dmid
         q_x = (1.0 - w) * ((w1 - w0) / dl0) + w * ((w2 - w1) / dl1)
         wn = (lam_star - lam0) / dlam
-        return lam_star, q_x, q_lam, (1.0 - wn) * l0 + wn * l1, forced
-
-    def rhs(x, t, anchors):
-        lam_star, q_x, q_lam, a_lap, forced = state(x, t, anchors)
+        a_lap = (1.0 - wn) * l0 + wn * l1
         # |q_x|^2 and complex monomials rounded as scalar, not vector, products
         phi_h = np.real(p.hessian(x)) if real_monomials else np.array(
             [complex(p.hessian(np.asarray(v))).real for v in x])
@@ -318,14 +306,14 @@ def _rhs_factory(ray: GeodesicRay, p, probe):
 
 def trace_leaves(ray: GeodesicRay, p, anchors,
                  n_steps: int | None = None) -> list:
-    """Integrate the leaves through the t = 0 anchors along the real ray,
-    by fixed-step RK4 in t (step t_max/n_steps); one Leaf per anchor.
+    """The leaves through the t = 0 anchors along the real ray, sampled at
+    n_steps + 1 evenly spaced t in [0, t_max]; one Leaf per anchor.
 
-    Radial oracle rays trace the full range with closed-form slices.
-    There a leaf solves dx/dt = -x/2 exactly, on which RK4's relative
-    error over [0, T] is T h^4 / 3840 (local error z^5/120 at z = -h/2),
-    so by default they take the ceil(T/h) steps that hold it to
-    `RADIAL_EPS`.  Sampled rays are read through bicubic splines of the
+    On a radial oracle ray every leaf is the S^1-orbit disc's ray
+    x(t) = z1 e^{-t/2}, so it is written in closed form, by default at
+    the ray's own t-grid (n_steps = len(t_grid) - 1), and only its level
+    is read off the closed-form slices.  Sampled rays are integrated by
+    fixed-step RK4 (step t_max/n_steps) through bicubic splines of the
     slices around the anchor level and stop at the pole-exclusion radius
     of the heaviest one, inside which their log-pole Laplacians are not
     resolved; the chart limit is then extrapolated with the e^{-t} rate.
@@ -334,7 +322,7 @@ def trace_leaves(ray: GeodesicRay, p, anchors,
     steps), so they keep `SAMPLED_STEPS`.  An explicit n_steps applies to
     every ray.  The plateau rule (`plateau_threshold`) at the noise of
     the data read (rounding, or the splines' measured ringing) splits the
-    slope differences.  Anchors reading the same slices are integrated as
+    slope differences.  Anchors reading the same slices are traced as
     one complex vector, each leaf stopping on its own and bitwise the
     leaf of its anchor alone.  An anchor at 0 gives the constant leaf at
     0.  The drift of the Hamiltonian from lam_leaf along the trace is
@@ -345,8 +333,7 @@ def trace_leaves(ray: GeodesicRay, p, anchors,
     radial = getattr(p, "symmetry", "general") == "radial" \
         and ray.backend.startswith("oracle")
     if n_steps is None:
-        n_steps = math.ceil(ray.t_max / (3840.0 * RADIAL_EPS / ray.t_max)
-                            ** 0.25) if radial else SAMPLED_STEPS
+        n_steps = len(ray.t_grid) - 1 if radial else SAMPLED_STEPS
     leaves = [None] * len(anchors)
     groups = {}
     for i, z1 in enumerate(anchors):
@@ -401,6 +388,15 @@ def _trace_batch(ray: GeodesicRay, p, probe, anchors, n_steps: int) -> list:
         if not 0.0 < level < ray.cutoff:
             raise ValueError(f"anchor Hamiltonian {level:.4g} outside (0, c): "
                              f"leaf of anchor {z:.6g} not in the computed ray")
+    if isinstance(probe, _RadialProbe):   # every (leaf, sample) in one read
+        ts = np.linspace(0.0, ray.t_max, n_steps + 1)
+        xs = z1[:, None] * np.exp(-0.5 * ts)
+        lam_trace, forced_trace = state(xs.ravel(), np.tile(ts, n),
+                                        np.repeat(z1, len(ts)))[:2]
+        return [_finish_leaf(ray, complex(z), ts, x, lam, forced, float(level))
+                for z, x, lam, forced, level in zip(
+                    z1, xs, lam_trace.reshape(n, -1),
+                    forced_trace.reshape(n, -1), levels)]
     dt = ray.t_max / n_steps
     xs = np.repeat(z1[:, None], n_steps + 1, axis=1)
     lam_trace = np.empty((n, n_steps))

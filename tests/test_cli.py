@@ -176,7 +176,7 @@ def test_foliate_command(tmp_path):
     areas = np.loadtxt(out / "areas.csv", delimiter=",", comments="#")
     assert abs(areas[2] - areas[1]) < 2e-2   # area vs leaf level
     assert (out / "tubular.csv").exists()
-    # the RK4 steps of each leaf in leaves/, then of the 2 x 4 net
+    # the samples less one of each leaf in leaves/, then of the 2 x 4 net
     meta = dict(line.split(" = ", 1) for line in
                 (out / "metadata.txt").read_text().splitlines())
     steps = [int(v) for v in meta["leaf_steps"].split(",")]

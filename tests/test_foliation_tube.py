@@ -1,7 +1,8 @@
 """Foliation discs and the tubular map.  The batched leaf tracer is
-checked bitwise against the scalar per-leaf RK4 it replaced, and the
-vectorized orbit read-out of `leaf_boundary` against its per-angle loop;
-both references are kept here."""
+checked bitwise against scalar per-leaf references (RK4 on sampled rays,
+the closed form on radial oracle rays), and the vectorized orbit
+read-out of `leaf_boundary` against its per-angle loop; the references
+are kept here."""
 
 import math
 import random
@@ -21,8 +22,7 @@ from pshlab.envelope_solver import (extract_equilibrium, grid_envelope,
 from pshlab.geodesic_legendre import (_bin_log_means, assemble_geodesic,
                                       grid_slices, oracle_slices,
                                       plateau_threshold, smooth_hamiltonian)
-from pshlab.foliation_tube import (LEAF_WINDOW, RADIAL_EPS, SAMPLED_STEPS,
-                                   Leaf, LeafExit,
+from pshlab.foliation_tube import (LEAF_WINDOW, Leaf, LeafExit,
                                    _RadialProbe, _SplineProbe, _anchor_level,
                                    _rhs_factory,
                                    build_tubular_map, check_pullback,
@@ -212,8 +212,8 @@ def test_check_pullback_single_anchor_raises(flat_ray_small, flat):
 # ---------------------------------------------------------------------------
 
 class _ScalarRadialReads:
-    """The radial probe's slice reads at one point, through the scalar
-    chi, chi_prime and chi_second calls."""
+    """The radial probe's slice values at one point, through the scalar
+    chi call."""
 
     def __init__(self, probe, p):
         self.probe, self.p = probe, p
@@ -225,20 +225,6 @@ class _ScalarRadialReads:
         chi = float(self.p.chi(s))
         inside = s < pr.t_star[ks]
         return np.where(inside, pr.flat[ks] - chi + pr.lam[ks] * s, 0.0)
-
-    def eval_grad(self, k, x):
-        lam = self.probe.lam[k]
-        s = np.log((x * np.conj(x)).real)
-        if s >= self.probe.t_star[k]:
-            return 0.0 + 0.0j
-        return (lam - self.p.chi_prime(s)) / x
-
-    def eval_lap(self, k, x):
-        rho = (x * np.conj(x)).real
-        s = np.log(rho)
-        if s >= self.probe.t_star[k]:
-            return 0.0
-        return -self.p.chi_second(s) / rho
 
 
 class _ScalarSplineReads:
@@ -312,6 +298,11 @@ def _reference_rhs_factory(ray, p, noise, reads, k_window, depth_bins):
         else:
             lam_star = mids[j]
         lam_star = float(np.clip(lam_star, lam[1] * 1e-3, lam[-1]))
+        return lam_star, forced, j, q_lam
+
+    def rhs(x, t):
+        lam_star, forced, j, q_lam = state(x, t)
+        xx = np.asarray(x)
         W = [reads.eval_grad(k_window[j + i], xx) for i in range(3)]
         qx_a = (W[1] - W[0]) / dl[j]
         qx_b = (W[2] - W[1]) / dl[j + 1]
@@ -321,10 +312,6 @@ def _reference_rhs_factory(ray, p, noise, reads, k_window, depth_bins):
         L1 = reads.eval_lap(k_window[j + 1], xx)
         wn = (lam_star - lam[j]) / (lam[j + 1] - lam[j])
         a_lap = (1.0 - wn) * L0 + wn * L1
-        return lam_star, q_x, q_lam, a_lap, forced
-
-    def rhs(x, t):
-        lam_star, q_x, q_lam, a_lap, forced = state(x, t)
         phi_h = complex(p.hessian(np.asarray(x, dtype=complex))).real
         denom = q_lam * (phi_h + a_lap) - (q_x * np.conj(q_x)).real
         if not (denom < -1e-12):
@@ -336,7 +323,9 @@ def _reference_rhs_factory(ray, p, noise, reads, k_window, depth_bins):
 
 
 def _reference_trace_leaf(ray, p, z1, n_steps):
-    """One leaf by scalar RK4, one right-hand side at a time."""
+    """One leaf, on a radial oracle ray in closed form with its level read
+    one sample at a time, otherwise by scalar RK4, one right-hand side at
+    a time."""
     z1 = complex(z1)
     t_max = ray.t_max
     if z1 == 0:
@@ -344,7 +333,8 @@ def _reference_trace_leaf(ray, p, z1, n_steps):
         zz = np.zeros_like(ts, dtype=complex)
         return Leaf(anchor=0j, t_samples=ts, curve=zz, ambient=zz,
                     lam_leaf=0.0, h_drift=0.0, u_limit=0j, ray=ray)
-    if p.symmetry == "radial" and ray.backend.startswith("oracle"):
+    radial = p.symmetry == "radial" and ray.backend.startswith("oracle")
+    if radial:
         probe = _RadialProbe(p, ray.lam_grid)
         reads = _ScalarRadialReads(probe, p)
         k_window = list(range(len(ray.lam_grid)))
@@ -360,29 +350,35 @@ def _reference_trace_leaf(ray, p, z1, n_steps):
                                         depth)
     anchor_level, *_ = state(z1, 0.0)
     assert 0.0 < anchor_level < ray.cutoff
-    dt = t_max / n_steps
-    x = z1
-    ts = [0.0]
-    xs = [x]
-    lam_trace = []
-    forced_trace = []
-    t = 0.0
-    for k in range(n_steps):
-        if abs(x) < probe.resolve_radius:
-            break
-        assert not abs(x) > probe.r_max
-        k1, lam_here, forced = rhs(x, t)
-        lam_trace.append(lam_here)
-        forced_trace.append(forced)
-        k2, _, _ = rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3, _, _ = rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4, _, _ = rhs(x + dt * k3, t + dt)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        ts.append(t)
-        xs.append(x)
-    ts = np.asarray(ts)
-    xs = np.asarray(xs, dtype=complex)
+    if radial:   # x(t) = z1 e^{-t/2}, its level read at every sample
+        ts = np.linspace(0.0, t_max, n_steps + 1)
+        xs = z1 * np.exp(-0.5 * ts)
+        lam_trace, forced_trace = zip(*[state(x, t)[:2] for x, t
+                                        in zip(xs.tolist(), ts.tolist())])
+    else:
+        dt = t_max / n_steps
+        x = z1
+        ts = [0.0]
+        xs = [x]
+        lam_trace = []
+        forced_trace = []
+        t = 0.0
+        for k in range(n_steps):
+            if abs(x) < probe.resolve_radius:
+                break
+            assert not abs(x) > probe.r_max
+            k1, lam_here, forced = rhs(x, t)
+            lam_trace.append(lam_here)
+            forced_trace.append(forced)
+            k2, _, _ = rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
+            k3, _, _ = rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
+            k4, _, _ = rhs(x + dt * k3, t + dt)
+            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += dt
+            ts.append(t)
+            xs.append(x)
+        ts = np.asarray(ts)
+        xs = np.asarray(xs, dtype=complex)
     chart = xs * np.exp(0.5 * ts)
     lam_trace = np.asarray(lam_trace)
     natural = ~np.asarray(forced_trace, dtype=bool)
@@ -442,27 +438,26 @@ def test_batched_radial_leaves_match_scalar_reference(radial_rays, name,
         _assert_same_leaf(leaf, _reference_trace_leaf(ray, p, z1, n_steps))
 
 
-@settings(max_examples=8, deadline=None)
-@given(name=st.sampled_from(["flat", "quartic"]), u=st.floats(0.0, 1.0),
-       angle=st.floats(0.0, 2 * math.pi))
-def test_default_radial_leaf_meets_its_error_bound(radial_rays, name, u,
-                                                   angle):
-    """By default a radial leaf takes the ceil(T/h) RK4 steps with
-    T h^4 / 3840 = RADIAL_EPS, and its level, central-fiber point and
-    last chart point are then within 2 RADIAL_EPS (relative) of a trace
-    with four times the steps."""
-    ray, p, (lo, hi) = radial_rays[name]
-    z1 = _anchor(p, lo * (hi / lo) ** u) * complex(math.cos(angle),
-                                                   math.sin(angle))
+def test_default_radial_leaf_takes_the_ray_t_grid(radial_rays):
+    """By default a radial leaf is sampled at the ray's own t-grid."""
+    for ray, p, _ in radial_rays.values():
+        leaf = trace_leaf(ray, p, _anchor(p, 0.1) * complex(0.6, 0.8))
+        assert leaf.t_samples.tobytes() == ray.t_grid.tobytes()
+
+
+def test_radial_leaf_anchored_on_the_free_boundary_keeps_its_level():
+    """An anchor sits on the free boundary of its slice, where the t = 0
+    bracket is forced and the leaf equation's rate reads -0.276, not
+    -0.5; an RK4 step from there leaves this leaf's level by 1.9e-3 and
+    its central-fiber point 2.5e-3 from the anchor."""
+    p = Potential(1, [Term("polyrad", 1.0, (1,)),
+                      Term("polyrad", 0.546265, (2,))])
+    slices = oracle_slices(p, 0.36, 24, build_grid(1, 128, 1.0))
+    ray = assemble_geodesic(slices, c=0.36)
+    z1 = level_anchor(p, 0.317578, slices)
     leaf = trace_leaf(ray, p, z1)
-    n = len(leaf.t_samples) - 1
-    assert n == math.ceil(ray.t_max / (3840.0 * RADIAL_EPS / ray.t_max)
-                          ** 0.25) < SAMPLED_STEPS
-    fine = trace_leaf(ray, p, z1, n_steps=4 * n)
-    for a, b in ((leaf.lam_leaf, fine.lam_leaf),
-                 (leaf.u_limit, fine.u_limit),
-                 (leaf.curve[-1], fine.curve[-1])):
-        assert abs(a - b) <= 2 * RADIAL_EPS * abs(b)
+    assert abs(leaf.lam_leaf - 0.317578) < 1e-4
+    assert abs(leaf.u_limit - z1) <= 1e-12 * abs(z1)
 
 
 def test_default_sampled_leaf_takes_the_sampled_steps(
@@ -534,24 +529,18 @@ def test_complex_monomial_weight_leaves_match_scalar_reference(
         _assert_same_leaf(leaf, _reference_trace_leaf(ray, p, z1, 64))
 
 
-@pytest.mark.parametrize("case", ["quartic", "perturbed", "complex"])
-def test_batched_rhs_matches_scalar_rhs(case, quartic_ray, quartic,
-                                        perturbed_ray_small, perturbed,
+@pytest.mark.parametrize("case", ["perturbed", "complex"])
+def test_batched_rhs_matches_scalar_rhs(case, perturbed_ray_small, perturbed,
                                         complex_monomial_family):
     """Right-hand sides at scattered points around a leaf level, one batch
     against the scalar reference point by point (points where the
     reference finds no bracket, or its slope root overflows, are left
     out)."""
-    if case == "quartic":
-        ray, p = quartic_ray, quartic
-        probe = _RadialProbe(p, ray.lam_grid)
-        reads, depth, r_a = _ScalarRadialReads(probe, p), 0, 0.45
-    else:
-        p, ray = (perturbed, perturbed_ray_small) if case == "perturbed" \
-            else complex_monomial_family[::2]
-        probe = _SplineProbe(ray, range(0, 9))
-        reads, depth, r_a = _ScalarSplineReads(probe), min(int(math.ceil(
-            3.0 * ray.spatial_grid.h / ray.d_lam)), 4), 0.4
+    p, ray = (perturbed, perturbed_ray_small) if case == "perturbed" \
+        else complex_monomial_family[::2]
+    probe = _SplineProbe(ray, range(0, 9))
+    reads, depth, r_a = _ScalarSplineReads(probe), min(int(math.ceil(
+        3.0 * ray.spatial_grid.h / ray.d_lam)), 4), 0.4
     rng = np.random.default_rng(3)
     x = r_a * rng.uniform(0.7, 1.2, 300) * np.exp(2j * math.pi
                                                    * rng.random(300))
