@@ -44,7 +44,8 @@ from .potential_kit import (Potential, Term, builtin_potential,
                             field_min_density, glue_to_ball, normalize_chart,
                             regularized_max)
 from .envelope_solver import (extract_equilibrium, grid_envelope,
-                              maximality_residual, radial_envelope)
+                              grid_envelopes, maximality_residual,
+                              radial_envelope, radial_envelopes)
 from .geodesic_legendre import (assemble_geodesic, grid_slices, hamiltonian,
                                 legendre_slices, oracle_slices)
 from .ma_measure import reproducing_check
@@ -339,8 +340,7 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     worst = 0.0
     h = ctx.grid_main.h
     for p in (ctx.flat, ctx.quartic, ctx.perturbed):
-        for lam in (0.1, 0.25, 0.4):
-            res = grid_envelope(p, lam, ctx.grid_main, tol=1e-10)
+        for res in grid_envelopes(p, (0.1, 0.25, 0.4), ctx.grid_main, tol=1e-10):
             worst = max(worst, maximality_residual(res))
     ok = worst <= 10.0 * h
     return _result("C9", f"maximality residual <= 10h={10*h:.2e}", ok,
@@ -358,12 +358,10 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
         s_low = r1.coincidence
         ok &= bool(np.all(~s_high | s_low))
     # oracle backend, quartic
-    prev = None
-    for lam in np.linspace(0.0, 0.9, 16):
-        res = radial_envelope(ctx.quartic, float(lam), ctx.grid_main)
-        if prev is not None:
-            ok &= bool(np.all(~res.coincidence | prev.coincidence))
-        prev = res
+    sweep = radial_envelopes(ctx.quartic, np.linspace(0.0, 0.9, 16).tolist(),
+                             ctx.grid_main)
+    for r1, r2 in zip(sweep[:-1], sweep[1:]):
+        ok &= bool(np.all(~r2.coincidence | r1.coincidence))
     return _result("C10", "equilibrium-set monotonicity (exact inclusion)",
                    ok, "16-weight sweeps, grid and oracle backends", t0)
 

@@ -28,7 +28,7 @@ import numpy as np
 from .field_grid import GridSpec, build_grid, save_field, write_csv
 from .potential_kit import Potential, validate_strict_psh
 from .envelope_solver import (MAX_STEPS, EnvelopeResult, extract_equilibrium,
-                              grid_envelope, lelong_check, radial_envelope)
+                              grid_envelopes, lelong_check, radial_envelopes)
 from .geodesic_legendre import (assemble_geodesic, certified_lambda,
                                 grid_slices, hamiltonian, hmae_residual,
                                 oracle_slices, weak_solution)
@@ -213,17 +213,17 @@ def _emit_envelope(res: EnvelopeResult, out: Path, cfg: RunConfig):
     _write_kv(out / "metadata.txt", meta)
 
 
-def _solve_envelope(cfg: RunConfig, lam: float) -> EnvelopeResult:
+def _solve_envelopes(cfg: RunConfig, lams) -> list:
     backend = cfg.backend
     p = cfg.potential
     if backend == "auto":
         backend = "oracle" if p.symmetry in ("radial", "reinhardt") else "grid"
     if backend == "oracle":
         grid = cfg.grid() if (p.n == 1 or cfg.style == "log-radial") else None
-        return radial_envelope(p, lam, grid)
+        return radial_envelopes(p, lams, grid)
     # parse_config has certified the weight strictly psh on this grid
-    return grid_envelope(p, lam, cfg.grid(), tol=cfg.tol,
-                         max_iters=cfg.max_iters, require_psh=False)
+    return grid_envelopes(p, lams, cfg.grid(), tol=cfg.tol,
+                          max_iters=cfg.max_iters, require_psh=False)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def _solve_envelope(cfg: RunConfig, lam: float) -> EnvelopeResult:
 # ---------------------------------------------------------------------------
 
 def _cmd_envelope(cfg: RunConfig, out: Path) -> int:
-    res = _solve_envelope(cfg, cfg.lam)
+    [res] = _solve_envelopes(cfg, [cfg.lam])
     _emit_envelope(res, out, cfg)
     rep = lelong_check(res) if (cfg.lam > 0 and res.grid.n == 1
                                 and res.grid.style == "cartesian") else None
@@ -249,10 +249,8 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("flow needs a nonempty `lambdas` list")
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    results = []
-    for i, lam in enumerate(lams):
-        res = _solve_envelope(cfg, lam)
-        results.append(res)
+    results = _solve_envelopes(cfg, lams)
+    for i, (lam, res) in enumerate(zip(lams, results)):
         write_csv(out / f"boundary_{i:03d}.csv", res.boundary,
                   header=f"x,y lambda={lam:.17g}")
         if res.grid.n == 1 and res.grid.style == "cartesian" and lam > 0 \

@@ -77,6 +77,12 @@ class Obstacle:
 
 
 def build_obstacle(p, lam: float, grid: GridSpec) -> Obstacle:
+    return next(_obstacles(p, [lam], grid))
+
+
+def _obstacles(p, lams, grid: GridSpec):
+    """The obstacle at each lam in turn; z, |z|^2, the disc, the weight and
+    ln|z|^2 are evaluated once, and each obstacle is phi - lam*ln|z|^2."""
     if grid.style != "cartesian" or grid.n != 1:
         raise ValueError("obstacles are sampled on n=1 cartesian grids")
     z = grid.nodes()
@@ -86,15 +92,14 @@ def build_obstacle(p, lam: float, grid: GridSpec) -> Obstacle:
     phi = p.value(z)
     with np.errstate(divide="ignore"):
         log_rho = np.log(rho)
-    raw = np.array(phi if lam == 0 else phi - lam * log_rho)
-    mask = inside.copy()
-    if lam > 0:
-        raw[i0], mask[i0] = np.inf, False
-    fld = ScalarField(grid, np.where(mask, raw, 0.0), mask)
-    if lam > 0 and not np.all(np.isfinite(raw[mask])):
-        raise ValueError("obstacle has non-finite values off the origin")
-    return Obstacle(potential=p, lam=lam, field=fld, values=raw, phi=phi,
-                    log_rho=log_rho, inside=inside)
+    for lam in lams:
+        raw = np.array(phi if lam == 0 else phi - lam * log_rho)
+        mask = inside.copy()
+        if lam > 0:
+            raw[i0], mask[i0] = np.inf, False
+        fld = ScalarField(grid, np.where(mask, raw, 0.0), mask)   # checks it finite
+        yield Obstacle(potential=p, lam=lam, field=fld, values=raw, phi=phi,
+                       log_rho=log_rho, inside=inside)
 
 
 def contact_tol(tol: float, scale) -> float:
@@ -163,66 +168,70 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
     minorant of chi(t1,t2) - lam*lse(t1,t2) on the log box, computed from
     the lower convex hull of the lifted samples.
     """
-    if lam < 0:
+    return radial_envelopes(p, [lam], grid)[0]
+
+
+def radial_envelopes(p, lams, grid: GridSpec | None = None) -> list:
+    """`radial_envelope` at each lam of `lams`; on n=1 grids |z|^2, the masks,
+    s = ln|z|^2 and chi(s) once for the family, chi(s) - lam*s per lam."""
+    if any(lam < 0 for lam in lams):
         raise ValueError("lam must be >= 0")
-    sym = p.symmetry
-    if sym == "general":
+    if p.symmetry == "general":
         raise ValueError("potential lacks radial/reinhardt symmetry: "
                          "use grid_envelope")
     if p.n == 2:
-        return _reinhardt_envelope(p, lam, grid)
-
+        return [_reinhardt_envelope(p, lam, grid) for lam in lams]
     if grid is None:
         grid = build_grid(1, 256, 1.0, "cartesian")
     if grid.n != 1 or grid.style != "cartesian":
         raise ValueError("radial oracle returns fields on n=1 cartesian grids")
-
     R2 = grid.radius ** 2
     rho = grid.rho()
     inside = rho < R2   # grid.inside_mask(), without rebuilding rho
     i0 = grid.origin_index()
-    with np.errstate(divide="ignore"):
-        s = np.log(rho)
-
-    if lam == 0:
-        v = np.asarray(p.value(grid.nodes()))
-        return EnvelopeResult(lam=0.0, potential=p,
-                              envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
-                              deficit=ScalarField(grid, np.zeros_like(v), inside),
-                              coincidence=inside.copy(), boundary=np.zeros((0, 2)),
-                              backend="oracle", tol=0.0,
-                              coincidence_tol=contact_tol(0.0, 0.0))
-
-    degenerate = lam >= float(p.chi_prime(math.log(R2)))
-    if degenerate:
-        warnings.warn("pole weight >= enclosed mass of the disc: coincidence "
-                      "set is empty inside; envelope degenerates at the rim")
-    rho_star = R2 if degenerate else p.level_rho(lam)
-    t_star = math.log(rho_star)
-    flat_val = float(p.chi(t_star)) - lam * t_star
-
-    with np.errstate(invalid="ignore"):
-        outside = s >= t_star
-    s = np.where(np.isfinite(s), s, 0.0)
-    obstacle = p.chi(s) - lam * s
-    v = np.where(outside, obstacle, flat_val)
-    v[i0] = flat_val
-    a = np.where(outside, 0.0, flat_val - obstacle)
     amask = inside.copy()
     amask[i0] = False
-    coin = inside & outside
-    r_star = math.sqrt(rho_star)
-    k = 4 * max(32, int(0.5 * math.pi * r_star / grid.h) + 1)
-    th = np.linspace(0.0, 2 * math.pi, k, endpoint=False)
-    boundary = np.stack([r_star * np.cos(th), r_star * np.sin(th)], axis=1)
-    return EnvelopeResult(lam=lam, potential=p,
-                          envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
-                          deficit=ScalarField(grid, np.where(amask, a, 0.0), amask),
-                          coincidence=coin, boundary=boundary,
-                          backend="oracle", tol=0.0,
-                          coincidence_tol=contact_tol(
-                              0.0, abs(flat_val) + abs(lam * t_star)),
-                          degenerate=degenerate)
+    with np.errstate(divide="ignore"):
+        s = np.log(rho)   # -inf at the origin only
+    s0 = np.where(np.isfinite(s), s, 0.0)
+    chi, mass = p.chi(s0), float(p.chi_prime(math.log(R2)))
+    del rho   # its complex buffer, held through the family, raised peak RSS
+    out = []
+    for lam in lams:
+        if lam == 0:   # the weight itself, in contact on the whole disc
+            v = np.asarray(p.value(grid.nodes()))
+            out.append(EnvelopeResult(
+                lam=0.0, potential=p,
+                envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
+                deficit=ScalarField(grid, np.zeros_like(v), inside),
+                coincidence=inside.copy(), boundary=np.zeros((0, 2)),
+                backend="oracle", tol=0.0, coincidence_tol=contact_tol(0.0, 0.0)))
+            continue
+        degenerate = lam >= mass
+        if degenerate:
+            warnings.warn("pole weight >= enclosed mass of the disc: coincidence "
+                          "set is empty inside; envelope degenerates at the rim")
+        rho_star = R2 if degenerate else p.level_rho(lam)
+        t_star = math.log(rho_star)
+        flat_val = float(p.chi(t_star)) - lam * t_star
+        outside = s >= t_star
+        obstacle = chi - lam * s0
+        v = np.where(outside, obstacle, flat_val)
+        v[i0] = flat_val
+        a = np.where(outside, 0.0, flat_val - obstacle)
+        r_star = math.sqrt(rho_star)
+        k = 4 * max(32, int(0.5 * math.pi * r_star / grid.h) + 1)
+        th = np.linspace(0.0, 2 * math.pi, k, endpoint=False)
+        out.append(EnvelopeResult(
+            lam=lam, potential=p,
+            envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
+            deficit=ScalarField(grid, np.where(amask, a, 0.0), amask),
+            coincidence=inside & outside,
+            boundary=np.stack([r_star * np.cos(th), r_star * np.sin(th)], axis=1),
+            backend="oracle", tol=0.0,
+            coincidence_tol=contact_tol(0.0, abs(flat_val) + abs(lam * t_star)),
+            degenerate=degenerate))
+    return out
 
 
 def monotone_convex_minorant_2d(T1, T2, G):
@@ -457,53 +466,55 @@ def grid_envelope(p, lam: float, grid: GridSpec, tol: float = 1e-10,
     SolverError with the residual; an empty interior coincidence set warns
     (`degenerate`).
     """
+    return grid_envelopes(p, [lam], grid, tol, max_iters, require_psh)[0]
+
+
+def grid_envelopes(p, lams, grid: GridSpec, tol: float = 1e-10,
+                   max_iters: int = MAX_STEPS,
+                   require_psh: bool = True) -> list:
+    """`grid_envelope` at each lam of `lams`, each a cold solve; the
+    certificate, the weight, ln|z|^2 and the masks are evaluated once."""
     if grid.n != 1 or grid.style != "cartesian":
         raise ValueError("grid_envelope runs on n=1 cartesian grids")
-    if lam < 0:
+    if any(lam < 0 for lam in lams):
         raise ValueError("lam must be >= 0")
     if require_psh:
         cert = validate_strict_psh(p, grid)
         if not cert.valid:
             raise ValueError(f"potential is not strictly psh on the grid "
                              f"(min eigenvalue {cert.min_eig:.3g})")
+    out = []
+    for obstacle in _obstacles(p, lams, grid):
+        lam, g, inside = obstacle.lam, obstacle.values, obstacle.inside
+        interior = erode_mask(inside)   # holds the origin: resolution >= 16
+        v, iters, residual = _active_set_solve(g, inside, tol, max_iters)
+        if not residual < tol:   # a nan residual fails too
+            raise SolverError(f"obstacle solve did not reach tol={tol:g} "
+                              f"({iters} steps)", residual=residual)
+        a = v - obstacle.phi
+        if lam > 0:
+            a = a + lam * obstacle.log_rho
+        amask = obstacle.field.mask   # inside, less the origin if lam > 0
+        ctol = contact_tol(tol, np.max(np.abs(g[amask])))
+        coin = inside & amask & (a >= -ctol)
+        a = np.where(coin, 0.0, a)   # the coincidence set is {a = 0}, exactly
 
-    obstacle = build_obstacle(p, lam, grid)
-    g, inside = obstacle.values, obstacle.inside   # g: +inf at the origin only
-    interior = erode_mask(inside)
-    origin = grid.origin_index() if lam > 0 else None
-    if origin is not None and not interior[origin]:
-        raise ValueError("origin is not an interior node of this grid")
+        degenerate = lam > 0 and not (coin & interior).any()
+        if degenerate:
+            warnings.warn("empty coincidence set inside the disc: envelope "
+                          "degenerates near the rim; no structural claims apply")
 
-    v, iters, residual = _active_set_solve(g, inside, tol, max_iters)
-    if not residual < tol:   # a nan residual fails too
-        raise SolverError(f"obstacle solve did not reach tol={tol:g} "
-                          f"({iters} steps)", residual=residual)
-
-    a = v - obstacle.phi
-    if lam > 0:
-        a = a + lam * obstacle.log_rho
-    amask = obstacle.field.mask   # inside, less the origin if lam > 0
-    ctol = contact_tol(tol, np.max(np.abs(g[amask])))
-    coin = inside & amask & (a >= -ctol)
-    a = np.where(coin, 0.0, a)   # the coincidence set is {a = 0}, exactly
-
-    degenerate = False
-    if lam > 0 and not (coin & interior).any():
-        warnings.warn("empty coincidence set inside the disc: envelope "
-                      "degenerates near the rim; no structural claims apply")
-        degenerate = True
-
-    res = EnvelopeResult(lam=lam, potential=p,
-                         envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
-                         deficit=ScalarField(grid, np.where(amask, a, 0.0), amask),
-                         coincidence=coin, boundary=np.zeros((0, 2)),
-                         backend="grid-active-set", tol=tol,
-                         coincidence_tol=ctol, iterations=iters,
-                         residual=residual, degenerate=degenerate)
-    if lam > 0 and not degenerate:
-        _, poly = extract_equilibrium(res)
-        res.boundary = poly
-    return res
+        res = EnvelopeResult(lam=lam, potential=p,
+                             envelope=ScalarField(grid, np.where(inside, v, 0.0), inside),
+                             deficit=ScalarField(grid, np.where(amask, a, 0.0), amask),
+                             coincidence=coin, boundary=np.zeros((0, 2)),
+                             backend="grid-active-set", tol=tol,
+                             coincidence_tol=ctol, iterations=iters,
+                             residual=residual, degenerate=degenerate)
+        if lam > 0 and not degenerate:
+            res.boundary = extract_equilibrium(res)[1]
+        out.append(res)
+    return out
 
 
 class SolverError(RuntimeError):

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field_grid import GridSpec, ScalarField, rounding_noise
-from .envelope_solver import (EnvelopeResult, grid_envelope, radial_envelope,
-                              strict_residual)
+from .envelope_solver import (EnvelopeResult, grid_envelopes,
+                              radial_envelopes, strict_residual)
 
 _NEG_FILL = -1e300
 _LOG_MAX = math.log(np.finfo(float).max)   # the largest x with finite exp(x)
@@ -257,25 +257,17 @@ def assemble_geodesic(slices, t_grid=None, c: float | None = None,
 
 
 def oracle_slices(p, c: float, m: int, grid: GridSpec):
-    """Closed-form slice family for a radial weight: list of
-    (lam, deficit ScalarField) on the lam-grid {k c / m}."""
-    out = []
-    for k in range(m):
-        lam = c * k / m
-        res = radial_envelope(p, lam, grid)
-        out.append((lam, res))
-    return out
+    """Closed-form slice family for a radial weight: (lam, EnvelopeResult)
+    pairs on the lam-grid {k c / m}, by one `radial_envelopes` call."""
+    lams = [c * k / m for k in range(m)]
+    return list(zip(lams, radial_envelopes(p, lams, grid)))
 
 
 def grid_slices(p, c: float, m: int, grid: GridSpec, tol: float = 1e-9):
-    """Solver slice family, each slice a cold nested solve; the weight is
-    checked for strict psh once, at the first slice."""
-    out = []
-    for k in range(m):
-        lam = c * k / m
-        res = grid_envelope(p, lam, grid, tol=tol, require_psh=(k == 0))
-        out.append((lam, res))
-    return out
+    """Solver slice family on the same lam-grid, by one `grid_envelopes`
+    call: cold nested solves, the weight checked for strict psh once."""
+    lams = [c * k / m for k in range(m)]
+    return list(zip(lams, grid_envelopes(p, lams, grid, tol=tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +412,14 @@ def smooth_hamiltonian(ray: GeodesicRay, t: float = 0.0) -> ScalarField:
     cache = getattr(ray, "_smooth_h_cache", None)
     if cache is not None and cache[0] == float(t):
         return cache[1]
-    if len(ray.lam_grid) < 2:
-        msk = ray.mask()
-        out = ScalarField(ray.spatial_grid, np.zeros(ray.spatial_grid.shape), msk)
-        ray._smooth_h_cache = (float(t), out)
-        return out
-    A = ray.slice_stack()
-    lam = ray.lam_grid
-    D = (A[1:] - A[:-1]) / (lam[1:] - lam[:-1])[:, None, None]
-    scale = max(float(np.max(np.abs(s.values[s.mask]), initial=0.0))
-                for s in ray.slices)
-    vals = _slope_crossing(D, lam, float(t), rounding_noise(scale))
+    vals = np.zeros(ray.spatial_grid.shape)
+    if len(ray.lam_grid) >= 2:
+        A = ray.slice_stack()
+        lam = ray.lam_grid
+        D = (A[1:] - A[:-1]) / (lam[1:] - lam[:-1])[:, None, None]
+        scale = max(float(np.max(np.abs(s.values[s.mask]), initial=0.0))
+                    for s in ray.slices)
+        vals = _slope_crossing(D, lam, float(t), rounding_noise(scale))
     msk = ray.mask()
     out = ScalarField(ray.spatial_grid, np.where(msk, vals, 0.0), msk)
     ray._smooth_h_cache = (float(t), out)
@@ -486,10 +475,8 @@ def _slope_crossing(D, lam, t, noise):
         sel = np.nonzero(flat == j0)[0]
         if sel.size == 0:
             continue
-        if j0 == 0:
-            plateau = np.ones(sel.shape, dtype=bool)
-        else:
-            plateau = Df[j0 - 1, sel] >= -eps[j0 - 1]
+        plateau = Df[j0 - 1, sel] >= -eps[j0 - 1] if j0 else \
+            np.ones(sel.shape, dtype=bool)
         if j0 + 2 < nm:
             ks = sel[plateau]
             if ks.size:
@@ -524,12 +511,8 @@ def weak_solution(ray: GeodesicRay) -> WeakSolution:
     the sup formula is not claimed and the field carries NaN."""
     c = ray.cutoff
     u = ray.u_values()
-    arg = ray.argmax_index()
-    m = len(ray.lam_grid)
-    claimed = arg.astype(int) < (m - 1)
-    claimed = claimed & ray.mask()[None, ...]
-    vals = u - c * ray.t_grid[:, None, None]
-    vals = np.where(claimed, vals, np.nan)
+    claimed = (ray.argmax_index() < len(ray.lam_grid) - 1) & ray.mask()
+    vals = np.where(claimed, u - c * ray.t_grid[:, None, None], np.nan)
     return WeakSolution(t_grid=ray.t_grid, values=vals, claimed=claimed,
                         cutoff=float(c))
 
@@ -557,17 +540,12 @@ def hmae_residual(ray: GeodesicRay, p) -> dict:
     d2 += u[:-2]
     defect = max(0.0, -float(np.min(d2, where=ray.mask(), initial=np.inf)))
 
-    z = grid.nodes()
-    phi_vals = p.value(z)
+    phi_vals = p.value(grid.nodes())
     rho = grid.rho()
-    residuals = []
-    for lam, fld in zip(ray.lam_grid, ray.slices):
-        if lam == 0:
-            residuals.append(0.0)
-            continue
-        keep = rho > pole_exclusion_radius(lam, grid.h) ** 2
-        residuals.append(strict_residual(phi_vals + fld.masked_fill(np.nan),
-                                         fld, 0.0, keep))
+    residuals = [0.0 if lam == 0 else strict_residual(
+        phi_vals + fld.masked_fill(np.nan), fld, 0.0,
+        rho > pole_exclusion_radius(lam, grid.h) ** 2)
+        for lam, fld in zip(ray.lam_grid, ray.slices)]
     return {"convexity_defect": defect,
             "slice_residuals": np.asarray(residuals),
             "max_slice_residual": float(np.max(residuals)) if residuals else 0.0}

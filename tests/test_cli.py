@@ -150,6 +150,24 @@ def test_radial_flow_masses_are_the_pole_weights(tmp_path):
     assert np.all(np.abs(rows[:, 1] - rows[:, 0]) < 2e-3)
 
 
+def test_grid_flow_is_the_single_lam_runs_bytewise(tmp_path):
+    """A grid `flow` over three lam solves them as one family; each
+    boundary file and masses row is byte for byte the one-lam run's."""
+    head = "command = flow\nbackend = grid\nresolution = 64\ntol = 1e-9\n"
+    weight = "[potential]\npolyrad 1.0 1\nreharm 0.25+0.1j 3\n"
+    lams = ["0.1", "0.2", "0.3"]
+    fam = tmp_path / "family"
+    assert run(parse_config(head + f"lambdas = {','.join(lams)}\n" + weight),
+               fam) == 0
+    rows = (fam / "masses.csv").read_text().splitlines()
+    for i, lam in enumerate(lams):
+        one = tmp_path / f"one{i}"
+        assert run(parse_config(head + f"lambdas = {lam}\n" + weight), one) == 0
+        assert (fam / f"boundary_{i:03d}.csv").read_bytes() == \
+            (one / "boundary_000.csv").read_bytes()
+        assert rows[1 + i] == (one / "masses.csv").read_text().splitlines()[1]
+
+
 def test_geodesic_command(tmp_path):
     text = ("command = geodesic\nbackend = oracle\nresolution = 96\n"
             "lambda_nodes = 16\nt_count = 48\nc = 0.6\n"

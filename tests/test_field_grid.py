@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pshlab.field_grid import (CSV_BLOCK, GridSpec, ScalarField, bilinear,
-                               build_grid, c2_norm, ddc_component, erode_mask,
+from pshlab.field_grid import (CSV_BLOCK, GridSpec, ScalarField, _cells,
+                               bilinear, build_grid, c2_norm, ddc_component, erode_mask,
                                five_point_flat, gradient_sup, load_field,
                                neighbour_sum, save_field, write_csv)
 from pshlab.potential_kit import Potential, Term, builtin_potential
@@ -254,6 +254,33 @@ def test_bilinear_is_the_linear_regular_grid_interpolator_bitwise(
         got = bilinear(ax, vals, points, fill)
     assert got.shape == want.shape == points.shape[:-1]
     assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 1100), radius=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       jitter=st.sampled_from([0.0, 0.0, 0.3, 0.45, 3.0]))
+def test_bilinear_cells_are_the_binary_search_cells(n, radius, seed, jitter):
+    """`bilinear`'s cell (the guess from the spacing, one comparison each
+    way) is the binary search's cell `searchsorted(ax[1:-1], x, "right")`,
+    kept here as the reference: on grid axes, on axes whose nodes are
+    moved by `jitter` cells (at most a quarter: the guess; more: the
+    search), at nodes and one ulp either side, on the rim, between nodes,
+    off the grid, at infinities and at nan."""
+    rng = np.random.default_rng(seed)
+    ax = -radius + (2.0 * radius / n) * np.arange(n)   # GridSpec.axis()
+    if jitter:
+        ax = ax + rng.uniform(-0.5, 0.5, n) * jitter * (2.0 * radius / n)
+        ax.sort()
+    nodes = ax[rng.integers(0, n, 200)]
+    x = np.concatenate([nodes, np.nextafter(nodes, np.inf),
+                        np.nextafter(nodes, -np.inf), ax[[0, -1]],
+                        rng.uniform(ax[0], ax[-1], 200),
+                        rng.uniform(-3.0 * radius, 3.0 * radius, 100),
+                        [np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0]])
+    rng.shuffle(x)
+    xy = x.reshape(2, -1)
+    assert np.array_equal(_cells(ax, xy), np.searchsorted(ax[1:-1], xy, "right"))
 
 
 def _reference_grad_sup(f: ScalarField) -> float:

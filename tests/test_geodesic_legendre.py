@@ -4,13 +4,81 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pshlab.field_grid import ScalarField, build_grid
+from pshlab.envelope_solver import grid_envelope, radial_envelope
+from pshlab.field_grid import GridSpec, ScalarField, build_grid
 from pshlab.geodesic_legendre import (GeodesicRay, assemble_geodesic,
-                                      certified_lambda, hamiltonian,
-                                      hmae_residual, legendre_slices,
-                                      oracle_slices, rounding_noise,
-                                      smooth_hamiltonian, weak_solution)
+                                      certified_lambda, grid_slices,
+                                      hamiltonian, hmae_residual,
+                                      legendre_slices, oracle_slices,
+                                      rounding_noise, smooth_hamiltonian,
+                                      weak_solution)
 from pshlab.potential_kit import Potential, Term
+
+
+# ---------------------------------------------------------------------------
+# slice families: one evaluation of the lam-independent fields, bitwise the
+# single-lam envelopes
+# ---------------------------------------------------------------------------
+
+def _assert_same_envelope(fam, one, solver_fields=False):
+    assert fam.lam == one.lam and fam.backend == one.backend
+    for f, o in ((fam.envelope, one.envelope), (fam.deficit, one.deficit)):
+        assert np.array_equal(f.values, o.values)
+        assert np.array_equal(f.mask, o.mask)
+    assert np.array_equal(fam.coincidence, one.coincidence)
+    assert np.array_equal(fam.boundary, one.boundary)
+    assert fam.coincidence_tol == one.coincidence_tol
+    assert fam.degenerate == one.degenerate
+    if solver_fields:
+        assert fam.iterations == one.iterations
+        assert fam.residual == one.residual
+
+
+def test_oracle_slices_are_the_single_lam_envelopes_bitwise(quartic):
+    """Every slice of `oracle_slices` is bitwise `radial_envelope` at its
+    lam, lam = 0 and a degenerate lam (>= 2, the quartic's disc mass)
+    included, and the degenerate slice still warns."""
+    grid = build_grid(1, 64, 1.0)
+    with pytest.warns(UserWarning, match="enclosed mass"):
+        slices = oracle_slices(quartic, 2.5, 5, grid)   # lam 0, 0.5, ..., 2
+    assert [lam for lam, _ in slices] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    for lam, res in slices[:-1]:
+        _assert_same_envelope(res, radial_envelope(quartic, lam, grid))
+    with pytest.warns(UserWarning, match="enclosed mass"):
+        one = radial_envelope(quartic, 2.0, grid)
+    assert one.degenerate
+    _assert_same_envelope(slices[-1][1], one)
+
+
+def test_grid_slices_are_the_single_lam_solves_bitwise(perturbed):
+    """Every slice of `grid_slices` (64^2, three lam) is bitwise the cold
+    `grid_envelope` solve at its lam, steps and residual included."""
+    grid = build_grid(1, 64, 1.0)
+    slices = grid_slices(perturbed, 0.45, 3, grid, tol=1e-9)
+    for lam, res in slices:
+        _assert_same_envelope(res, grid_envelope(perturbed, lam, grid, tol=1e-9),
+                              solver_fields=True)
+
+
+def test_oracle_slices_evaluate_the_grid_once(quartic, monkeypatch):
+    """|z|^2 and chi(ln|z|^2) on the whole grid are evaluated once per
+    family, not once per slice."""
+    grid = build_grid(1, 64, 1.0)
+    calls = {"rho": 0, "chi": 0}
+    rho, chi = GridSpec.rho, type(quartic).chi
+
+    def counted_rho(self):
+        calls["rho"] += 1
+        return rho(self)
+
+    def counted_chi(self, t):
+        calls["chi"] += np.shape(t) == grid.shape
+        return chi(self, t)
+
+    monkeypatch.setattr(GridSpec, "rho", counted_rho)
+    monkeypatch.setattr(type(quartic), "chi", counted_chi)
+    assert len(oracle_slices(quartic, 0.8, 12, grid)) == 12
+    assert calls == {"rho": 1, "chi": 1}
 
 
 # ---------------------------------------------------------------------------
