@@ -152,12 +152,13 @@ class GeodesicRay:
         other than an exact tie (which never lowers a_k + lam_k t, t >= 0);
         other pixels keep the exact per-t max (`_upper_max`)."""
         A = self.slice_stack().reshape(len(self.lam_grid), -1)
+        n, N = len(ts), A.shape[1]
+        # kept arrays first: the table, freed after, leaves no hole under them
+        counts, u = np.zeros((n + 1) * N, np.uint16), np.empty((n, N))
         t_br, tie, exact, scale = self._table() if table is None else table
         mrg = self._margin(scale, float(ts[-1]))
-        n, N = len(ts), A.shape[1]
         cols = np.arange(N)
         pad = np.concatenate(([-np.inf], ts, [np.inf]))
-        counts = np.zeros((n + 1) * N, np.uint16)    # the difference table
         for k in range(len(t_br)):
             pos = np.searchsorted(ts, t_br[k])       # t_k <= ts[i] iff i >= pos
             exact = exact | (~tie[k] & ((pad[pos + 1] - t_br[k] <= mrg)
@@ -165,7 +166,6 @@ class GeodesicRay:
             counts[pos * N + cols] += 1              # pixels are distinct in a row
         del table, t_br, tie                         # free the breakpoints
         arg = counts.reshape(n + 1, N)[:n]
-        u = np.empty((n, N))
         flat = A.ravel()
         for i in range(n):
             if i:
@@ -349,7 +349,7 @@ def hamiltonian(ray: GeodesicRay, fd_check: bool = True) -> HamiltonianField:
     u the gap is bounded by the local slope spread, at most one lam bin
     away from a breakpoint."""
     arg = ray.argmax_index()
-    H = ray.lam_grid[arg.astype(int)]
+    H = np.take(ray.lam_grid, arg, out=np.empty(arg.shape))   # intp copy freed above H
     h0 = ScalarField(ray.spatial_grid,
                      np.where(ray.mask(), H[0], 0.0), ray.mask())
     gap = float("nan")
@@ -509,12 +509,12 @@ def weak_solution(ray: GeodesicRay) -> WeakSolution:
     """Phi_w(x,t) = u(x,t) - c t, c the ray's cutoff, on the region where
     the maximizing slope stays below the top lam node; outside that region
     the sup formula is not claimed and the field carries NaN."""
-    c = ray.cutoff
     u = ray.u_values()
     claimed = (ray.argmax_index() < len(ray.lam_grid) - 1) & ray.mask()
-    vals = np.where(claimed, u - c * ray.t_grid[:, None, None], np.nan)
+    vals = np.subtract(u, ray.cutoff * ray.t_grid[:, None, None], where=claimed,
+                       out=np.full(u.shape, np.nan))   # one stack, not two
     return WeakSolution(t_grid=ray.t_grid, values=vals, claimed=claimed,
-                        cutoff=float(c))
+                        cutoff=float(ray.cutoff))
 
 
 def hmae_residual(ray: GeodesicRay, p) -> dict:
