@@ -58,10 +58,11 @@ from pshlab.geodesic_legendre import (assemble_geodesic, grid_slices,
 from pshlab.potential_kit import builtin_potential
 
 cfg = cli.parse_config(sys.argv[2])
+# parse_config stores the cutoff in cfg.c; older trees compute it on demand
+c = cfg.cutoff() if hasattr(cfg, "cutoff") else cfg.c
 grid = build_grid(1, 256, 1.0)
 families = {
-    "geodesic-oracle": (cli._build_ray(cfg)[1],
-                        dict(c=cfg.cutoff(), n_t=cfg.t_count)),
+    "geodesic-oracle": (cli._build_ray(cfg)[1], dict(c=c, n_t=cfg.t_count)),
     "flat-256": (oracle_slices(builtin_potential("flat"), 0.8, 64, grid),
                  dict(c=0.8)),
     "perturbed-256": (grid_slices(builtin_potential("perturbed"), 0.8, 64,

@@ -30,8 +30,7 @@ from .potential_kit import Potential, validate_strict_psh
 from .envelope_solver import (MAX_STEPS, EnvelopeResult, extract_equilibrium,
                               grid_envelopes, lelong_check, radial_envelopes)
 from .geodesic_legendre import (assemble_geodesic, certified_lambda,
-                                grid_slices, hamiltonian, hmae_residual,
-                                oracle_slices, weak_solution)
+                                hamiltonian, hmae_residual, weak_solution)
 from .ma_measure import boundary_mass, ma_mass
 from .foliation_tube import (build_tubular_map, disc_area, level_anchor,
                              polar_anchor_net, trace_leaves)
@@ -45,10 +44,10 @@ _COMMANDS = ("envelope", "flow", "geodesic", "foliate", "verify")
 
 _KEY_TYPES = {
     "command": str, "backend": str, "n": int, "resolution": int,
-    "radius": float, "style": str, "lambda": float, "lambdas": str,
+    "radius": float, "lambda": float, "lambdas": str,
     "c": float, "tol": float, "max_iters": int, "out": str,
     "t_count": int, "lambda_nodes": int, "anchor_rings": int,
-    "anchor_angles": int, "quick": int,
+    "anchor_angles": int,
 }
 
 
@@ -59,7 +58,6 @@ class RunConfig:
     n: int = 1
     resolution: int = 256
     radius: float = 1.0
-    style: str = "cartesian"
     lam: float = 0.25
     lambdas: list = field(default_factory=list)
     c: float | None = None
@@ -75,28 +73,18 @@ class RunConfig:
     defaults_used: list = field(default_factory=list)
 
     def grid(self) -> GridSpec:
-        return build_grid(self.n, self.resolution, self.radius, self.style)
-
-    def cutoff(self) -> float:
-        if self.c is not None:
-            return self.c
-        p = self.potential
-        if getattr(p, "symmetry", "general") in ("radial",) and p.n == 1:
-            mass = float(p.chi_prime(np.log(self.radius ** 2)))
-        else:
-            # enclosed mass of the disc from the boundary circulation
-            th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-            r = 0.98 * self.radius
-            circ = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-            mass = boundary_mass(p, circ)
-        return 0.8 * mass
+        """Cartesian for n = 1, log-radial for n = 2: the one grid each
+        backend runs on."""
+        return build_grid(self.n, self.resolution, self.radius,
+                          "cartesian" if self.n == 1 else "log-radial")
 
     def echo(self) -> dict:
         d = {"command": self.command, "backend": self.backend, "n": self.n,
              "resolution": self.resolution, "radius": self.radius,
-             "style": self.style, "lambda": self.lam,
+             "style": self.grid().style, "lambda": self.lam,
              "lambdas": ",".join(f"{v:g}" for v in self.lambdas),
-             "c": self.cutoff(), "tol": self.tol, "max_iters": self.max_iters,
+             "c": float("nan") if self.c is None else self.c,
+             "tol": self.tol, "max_iters": self.max_iters,
              "t_count": self.t_count,
              "lambda_nodes": self.lambda_nodes,
              "defaults_used": ",".join(self.defaults_used)}
@@ -154,8 +142,6 @@ def parse_config(text: str) -> RunConfig:
             if parsed <= 0:
                 raise ConfigError(f"line {lineno}: tol must be positive")
             cfg.tol = parsed
-        elif key == "quick":
-            cfg.quick = bool(parsed)
         else:
             setattr(cfg, key, parsed)
 
@@ -175,18 +161,28 @@ def parse_config(text: str) -> RunConfig:
         if key not in seen:
             cfg.defaults_used.append(key)
 
-    # validation that needs the assembled config
-    if cfg.n == 1 and cfg.style == "cartesian":
-        cert = validate_strict_psh(cfg.potential, cfg.grid())
+    # validation that needs the assembled config; n = 2 takes no default c
+    try:
+        grid = cfg.grid()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if cfg.n == 1:
+        p = cfg.potential
+        cert = validate_strict_psh(p, grid)
         if not cert.valid:
             raise ConfigError(
                 f"potential is not strictly plurisubharmonic on the grid "
                 f"(min Hessian eigenvalue {cert.min_eig:.3g})")
-    cutoff = cfg.cutoff()
-    lam_all = list(cfg.lambdas) + ([cfg.lam] if cfg.command != "flow" else [])
-    for lv in lam_all:
-        if lv >= cutoff and cfg.command in ("geodesic", "foliate"):
-            raise ConfigError(f"lambda exceeds cutoff: {lv} >= c = {cutoff}")
+        if cfg.c is None:   # 0.8 of the disc's enclosed mass
+            if p.symmetry == "radial":
+                mass = float(p.chi_prime(np.log(cfg.radius ** 2)))
+            else:
+                # enclosed mass of the disc from the boundary circulation
+                th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+                r = 0.98 * cfg.radius
+                circ = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+                mass = boundary_mass(p, circ)
+            cfg.c = 0.8 * mass
     return cfg
 
 
@@ -214,13 +210,13 @@ def _emit_envelope(res: EnvelopeResult, out: Path, cfg: RunConfig):
 
 
 def _solve_envelopes(cfg: RunConfig, lams) -> list:
+    """The one route from a config to its envelopes at `lams`."""
     backend = cfg.backend
     p = cfg.potential
     if backend == "auto":
-        backend = "oracle" if p.symmetry in ("radial", "reinhardt") else "grid"
+        backend = "grid" if p.symmetry == "general" else "oracle"
     if backend == "oracle":
-        grid = cfg.grid() if (p.n == 1 or cfg.style == "log-radial") else None
-        return radial_envelopes(p, lams, grid)
+        return radial_envelopes(p, lams, cfg.grid())
     # parse_config has certified the weight strictly psh on this grid
     return grid_envelopes(p, lams, cfg.grid(), tol=cfg.tol,
                           max_iters=cfg.max_iters, require_psh=False)
@@ -233,8 +229,7 @@ def _solve_envelopes(cfg: RunConfig, lams) -> list:
 def _cmd_envelope(cfg: RunConfig, out: Path) -> int:
     [res] = _solve_envelopes(cfg, [cfg.lam])
     _emit_envelope(res, out, cfg)
-    rep = lelong_check(res) if (cfg.lam > 0 and res.grid.n == 1
-                                and res.grid.style == "cartesian") else None
+    rep = lelong_check(res) if cfg.lam > 0 and cfg.n == 1 else None
     if rep is not None:
         _write_kv(out / "pole_check.txt",
                   {"slope": f"{rep.slope:.17g}",
@@ -253,8 +248,7 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> int:
     for i, (lam, res) in enumerate(zip(lams, results)):
         write_csv(out / f"boundary_{i:03d}.csv", res.boundary,
                   header=f"x,y lambda={lam:.17g}")
-        if res.grid.n == 1 and res.grid.style == "cartesian" and lam > 0 \
-                and not res.degenerate:
+        if cfg.n == 1 and lam > 0 and not res.degenerate:
             mask, poly = extract_equilibrium(res, refine=True)
             comp = ~mask & res.envelope.mask
             m0 = ma_mass(cfg.potential, region_mask=comp, grid=res.grid,
@@ -272,17 +266,10 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> int:
 
 
 def _build_ray(cfg: RunConfig):
-    p = cfg.potential
-    c = cfg.cutoff()
-    grid = cfg.grid()
-    backend = cfg.backend
-    if backend == "auto":
-        backend = "oracle" if p.symmetry == "radial" else "grid"
-    if backend == "oracle":
-        slices = oracle_slices(p, c, cfg.lambda_nodes, grid)
-    else:
-        slices = grid_slices(p, c, cfg.lambda_nodes, grid, tol=cfg.tol)
-    ray = assemble_geodesic(slices, c=c, n_t=cfg.t_count)
+    m = cfg.lambda_nodes
+    lams = [cfg.c * k / m for k in range(m)]
+    slices = list(zip(lams, _solve_envelopes(cfg, lams)))
+    ray = assemble_geodesic(slices, c=cfg.c, n_t=cfg.t_count)
     return ray, slices
 
 
@@ -374,6 +361,13 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> int:
     out = Path(out_dir or cfg.out)
     (out / "FAILED").unlink(missing_ok=True)   # a marker left by an earlier run
     try:
+        if cfg.command in ("geodesic", "foliate"):   # refused before any solve
+            if cfg.n != 1:
+                raise ConfigError(f"{cfg.command} needs an n = 1 weight")
+            for lv in cfg.lambdas + [cfg.lam]:
+                if lv >= cfg.c:
+                    raise ConfigError(
+                        f"lambda exceeds cutoff: {lv} >= c = {cfg.c}")
         if cfg.command == "envelope":
             return _cmd_envelope(cfg, out)
         if cfg.command == "flow":

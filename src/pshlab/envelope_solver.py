@@ -46,9 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_grid import (GridSpec, ScalarField, bilinear, build_grid,
-                         erode_mask, five_point_flat, neighbour_sum,
-                         rounding_noise)
+from .field_grid import (GridSpec, ScalarField, bilinear, erode_mask,
+                         five_point_flat, neighbour_sum, rounding_noise)
 from .geometry import (ensure_ccw, marching_squares, points_in_polygon,
                        polygon_area)
 from .potential_kit import validate_strict_psh
@@ -157,7 +156,7 @@ class EnvelopeResult:
 # monotone convex minorants in log coordinates
 # ---------------------------------------------------------------------------
 
-def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResult:
+def radial_envelope(p, lam: float, grid: GridSpec) -> EnvelopeResult:
     """Exact envelope for radial (n=1) and Reinhardt (n=2) weights.
 
     Radial: the minorant of g(t) = chi(t) - lam*t equals g for t >= t*,
@@ -171,7 +170,7 @@ def radial_envelope(p, lam: float, grid: GridSpec | None = None) -> EnvelopeResu
     return radial_envelopes(p, [lam], grid)[0]
 
 
-def radial_envelopes(p, lams, grid: GridSpec | None = None) -> list:
+def radial_envelopes(p, lams, grid: GridSpec) -> list:
     """`radial_envelope` at each lam of `lams`; on n=1 grids |z|^2, the masks,
     s = ln|z|^2 and chi(s) once for the family, chi(s) - lam*s per lam."""
     if any(lam < 0 for lam in lams):
@@ -181,8 +180,6 @@ def radial_envelopes(p, lams, grid: GridSpec | None = None) -> list:
                          "use grid_envelope")
     if p.n == 2:
         return [_reinhardt_envelope(p, lam, grid) for lam in lams]
-    if grid is None:
-        grid = build_grid(1, 256, 1.0, "cartesian")
     if grid.n != 1 or grid.style != "cartesian":
         raise ValueError("radial oracle returns fields on n=1 cartesian grids")
     R2 = grid.radius ** 2
@@ -284,9 +281,7 @@ def monotone_convex_minorant_2d(T1, T2, G):
 QHULL_TOL = 1e-10
 
 
-def _reinhardt_envelope(p, lam: float, grid: GridSpec | None) -> EnvelopeResult:
-    if grid is None:
-        grid = build_grid(2, 96, 1.0, "log-radial")
+def _reinhardt_envelope(p, lam: float, grid: GridSpec) -> EnvelopeResult:
     if grid.n != 2 or grid.style != "log-radial":
         raise ValueError("reinhardt backend returns fields on n=2 log-radial grids")
     t = grid.t_axis()

@@ -41,7 +41,7 @@ class Leaf:
     curve holds the chart coordinate z(t) = x(t) e^{t/2}; ambient holds
     x(t).  lam_leaf is the Hamiltonian value at the anchor; h_drift the
     measured |H(x(t), t) - lam_leaf| sup along the trace; u_limit the
-    extrapolated central-fiber coordinate; area is filled by disc_area.
+    extrapolated central-fiber coordinate.
     """
 
     anchor: complex
@@ -52,7 +52,6 @@ class Leaf:
     h_drift: float
     u_limit: complex
     ray: GeodesicRay = field(repr=False, default=None)
-    area: float = float("nan")
     anchor_level: float = float("nan")
 
 
@@ -64,8 +63,6 @@ class TubularMap:
 
     u_points: np.ndarray
     anchors: np.ndarray
-    lam_values: np.ndarray
-    shape: tuple | None = None
 
 
 class LeafExit(RuntimeError):
@@ -458,7 +455,7 @@ def _finish_leaf(ray, z1, ts, xs, lam_trace, forced_trace, anchor_level):
 
 def _anchor_level(ray: GeodesicRay, z1: complex) -> float:
     """Hamiltonian level of the anchor from the smooth t=0 field."""
-    h0 = smooth_hamiltonian(ray, 0.0)
+    h0 = smooth_hamiltonian(ray)
     grid = ray.spatial_grid
     ax = grid.axis()
     i = np.clip(np.searchsorted(ax, z1.real) - 1, 0, len(ax) - 2)
@@ -486,7 +483,7 @@ def leaf_boundary(leaf: Leaf, p=None) -> np.ndarray:
         r = abs(leaf.anchor)
         th = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
         return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    h0 = smooth_hamiltonian(ray, 0.0)
+    h0 = smooth_hamiltonian(ray)
     grid = ray.spatial_grid
     ax = grid.axis()
     vals = np.where(h0.mask, h0.values, ray.cutoff)
@@ -539,10 +536,7 @@ def disc_area(leaf: Leaf, p) -> float:
     i.e. the enclosed dd^c mass of that curve."""
     if leaf.anchor == 0:
         return 0.0
-    poly = leaf_boundary(leaf, p)
-    area = boundary_mass(p, poly)
-    leaf.area = area
-    return area
+    return boundary_mass(p, leaf_boundary(leaf, p))
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +554,12 @@ def build_tubular_map(ray: GeodesicRay, p, anchors,
     0 maps to 0.  Two central-fiber points closer than a node spacing
     raise (leaves are disjoint)."""
     arr = np.asarray(anchors, dtype=complex)
-    shape = arr.shape if arr.ndim == 2 else None
     flat = arr.ravel()
     if leaves is None:
         leaves = trace_leaves(ray, p, flat)
     elif [leaf.anchor for leaf in leaves] != flat.tolist():
         raise ValueError("leaves are not those of the anchors in ravel order")
     us = np.array([leaf.u_limit for leaf in leaves], dtype=complex)
-    lams = np.array([leaf.lam_leaf for leaf in leaves], dtype=float)
     nz = us[np.abs(flat) > 0]
     if len(nz) > 1:
         duv = np.abs(nz[:, None] - nz[None, :])
@@ -576,8 +568,7 @@ def build_tubular_map(ray: GeodesicRay, p, anchors,
             raise ValueError("two leaves reached the same central-fiber "
                              "point within a node spacing: sampled "
                              "correspondence is not injective")
-    return TubularMap(u_points=us.reshape(arr.shape), anchors=arr,
-                      lam_values=lams.reshape(arr.shape), shape=shape)
+    return TubularMap(u_points=us.reshape(arr.shape), anchors=arr)
 
 
 def polar_anchor_net(radii, n_angles: int) -> np.ndarray:
@@ -595,12 +586,12 @@ def check_pullback(tmap: TubularMap, ray: GeodesicRay, p) -> float:
     spacing and is reported, not hidden.  The central-fiber density is
     closed-form for radial weights and fitted from the slice family's
     pole intercepts otherwise."""
-    if tmap.shape is None or tmap.shape[0] < 2 or tmap.shape[1] < 3:
-        raise ValueError("anchor net too coarse for differencing: need a "
-                         "polar net with >= 2 radii and >= 3 angles")
     U = tmap.u_points
     Z = tmap.anchors
-    nr, na = tmap.shape
+    if Z.ndim != 2 or Z.shape[0] < 2 or Z.shape[1] < 3:
+        raise ValueError("anchor net too coarse for differencing: need a "
+                         "polar net with >= 2 radii and >= 3 angles")
+    nr, na = Z.shape
     dens_N = _central_fiber_density(ray, p)
 
     worst = 0.0

@@ -398,20 +398,20 @@ def pole_exclusion_radius(lam: float, h: float) -> float:
     return m * h
 
 
-def smooth_hamiltonian(ray: GeodesicRay, t: float = 0.0) -> ScalarField:
-    """Off-grid Hamiltonian by solving  d/dlam a_lam(x) + t = 0  on the
+def smooth_hamiltonian(ray: GeodesicRay) -> ScalarField:
+    """Off-grid t = 0 Hamiltonian by solving  d/dlam a_lam(x) = 0  on the
     midpoint slope grid of the slice family.
 
     The slope differences D_k = (a_{k+1} - a_k)/dlam sit at midpoints
-    lam_{k+1/2} and decrease in k (concavity).  The crossing of D = -t is
+    lam_{k+1/2} and decrease in k (concavity).  The crossing of D = 0 is
     located by linear interpolation through the first two points past the
     plateau, which recovers the square-root touch of the deficit at the
     free boundary without the half-bin bias of a floor argmax.  The
     plateau is told apart by `plateau_threshold` at the rounding noise of
     the stored slices.  Values clamp to [0, lam_top]."""
     cache = getattr(ray, "_smooth_h_cache", None)
-    if cache is not None and cache[0] == float(t):
-        return cache[1]
+    if cache is not None:
+        return cache
     vals = np.zeros(ray.spatial_grid.shape)
     if len(ray.lam_grid) >= 2:
         A = ray.slice_stack()
@@ -419,10 +419,10 @@ def smooth_hamiltonian(ray: GeodesicRay, t: float = 0.0) -> ScalarField:
         D = (A[1:] - A[:-1]) / (lam[1:] - lam[:-1])[:, None, None]
         scale = max(float(np.max(np.abs(s.values[s.mask]), initial=0.0))
                     for s in ray.slices)
-        vals = _slope_crossing(D, lam, float(t), rounding_noise(scale))
+        vals = _slope_crossing(D, lam, 0.0, rounding_noise(scale))
     msk = ray.mask()
     out = ScalarField(ray.spatial_grid, np.where(msk, vals, 0.0), msk)
-    ray._smooth_h_cache = (float(t), out)
+    ray._smooth_h_cache = out
     return out
 
 

@@ -36,7 +36,7 @@ def test_parse_unknown_key_line_numbered():
 
 
 @pytest.mark.parametrize("key", ["threads", "lambda_count", "leaf_anchors",
-                                 "k_max"])
+                                 "k_max", "style", "quick"])
 def test_parse_removed_keys_rejected(key):
     with pytest.raises(ConfigError, match=f"line 2: unknown key {key!r}"):
         parse_config(f"command = envelope\n{key} = 2\n[potential]\nbuiltin flat\n")
@@ -49,11 +49,49 @@ def test_threads_flag_removed(tmp_path):
         main(["envelope", "--config", str(cfg), "--threads", "2"])
 
 
-def test_parse_lambda_exceeds_cutoff():
+def test_parse_lambda_exceeds_cutoff(tmp_path):
+    # the check runs against the command that runs, so in `run`
     text = ("command = geodesic\nlambda = 0.9\nc = 0.5\n"
             "[potential]\nbuiltin flat\n")
+    cfg = parse_config(text)
     with pytest.raises(ConfigError, match="lambda exceeds cutoff"):
-        parse_config(text)
+        run(cfg, tmp_path / "geo")
+
+
+def test_cutoff_checked_against_the_command_line(tmp_path):
+    """A config without `command` run as `foliate` is refused before its
+    slice family is solved: exit 1, no leaves."""
+    cfg_file = tmp_path / "f.ini"
+    cfg_file.write_text("resolution = 64\nlambdas = 0.3\nc = 0.2\n"
+                        "[potential]\nbuiltin quartic\n")
+    out = tmp_path / "fol"
+    assert main(["foliate", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert not (out / "leaves").exists()
+
+
+REINHARDT = "n = 2\nresolution = 32\nlambda = 0.2\n[potential]\nbuiltin reinhardt2\n"
+
+
+def test_reinhardt_envelope_runs_on_the_configured_grid(tmp_path):
+    """An n = 2 weight without `c` runs on the log-radial grid of the
+    configured resolution, and the metadata says so."""
+    cfg_file = tmp_path / "r.ini"
+    cfg_file.write_text(REINHARDT)
+    out = tmp_path / "env"
+    assert main(["envelope", "--config", str(cfg_file), "--out", str(out)]) == 0
+    header = (out / "envelope.csv").read_text().splitlines()[1]
+    assert "resolution=32" in header and "style=log-radial" in header
+    meta = dict(line.split(" = ", 1) for line in
+                (out / "metadata.txt").read_text().splitlines())
+    assert meta["style"] == "log-radial" and meta["c"] == "nan"
+
+
+def test_reinhardt_geodesic_is_a_config_error(tmp_path):
+    cfg_file = tmp_path / "r.ini"
+    cfg_file.write_text(REINHARDT.replace("n = 2", "n = 2\nc = 0.5"))
+    out = tmp_path / "geo"
+    assert main(["geodesic", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert not (out / "FAILED").exists()
 
 
 def test_parse_non_psh_potential():
@@ -61,6 +99,12 @@ def test_parse_non_psh_potential():
             "[potential]\nreharm 1.0 2\n")
     with pytest.raises(ConfigError, match="plurisubharmonic"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("weight", ["builtin flat", "builtin reinhardt2"])
+def test_parse_grid_the_pipeline_cannot_build(weight):
+    with pytest.raises(ConfigError, match="resolution 8 < 16"):
+        parse_config(f"resolution = 8\n[potential]\n{weight}\n")
 
 
 def test_parse_missing_potential():
@@ -225,6 +269,17 @@ def test_main_numerical_failure_exit_code(tmp_path):
                  "--out", str(tmp_path / "fail")])
     assert code == 2
     assert (tmp_path / "fail" / "FAILED").exists()
+
+
+def test_grid_geodesic_honours_max_iters(tmp_path):
+    """Every grid-backend command caps its active-set steps at `max_iters`."""
+    cfg_file = tmp_path / "g.ini"
+    cfg_file.write_text("backend = grid\nresolution = 32\nlambda_nodes = 4\n"
+                        "t_count = 4\nc = 0.3\nmax_iters = 1\n[potential]\n"
+                        "polyrad 1.0 1\nreharm 0.25+0.1j 3\n")
+    out = tmp_path / "geo"
+    assert main(["geodesic", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert (out / "FAILED").exists()
 
 
 def test_success_clears_failure_marker(tmp_path):

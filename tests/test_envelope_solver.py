@@ -449,7 +449,8 @@ def test_grid_contact_tol(perturbed, tol):
 
 @pytest.mark.parametrize("lam", [0.0, 0.05, 0.2, 0.5])
 def test_reinhardt_contact_set_is_the_stored_set(lam):
-    res = radial_envelope(builtin_potential("reinhardt2"), lam)
+    res = radial_envelope(builtin_potential("reinhardt2"), lam,
+                          build_grid(2, 96, 1.0, "log-radial"))
     if lam:
         assert res.coincidence_tol == 1e-9
     assert np.array_equal(extract_equilibrium(res)[0], res.coincidence)

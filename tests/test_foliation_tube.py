@@ -200,6 +200,15 @@ def test_check_pullback_quartic(quartic_ray, quartic):
     assert check_pullback(tmap, quartic_ray, quartic) <= 5e-2
 
 
+def test_check_pullback_sampled_ray(perturbed_ray_small, perturbed):
+    # a general weight: the central-fiber density is fitted from the
+    # slices' pole intercepts; measured 0.0587 on this net
+    tmap = build_tubular_map(perturbed_ray_small, perturbed,
+                             polar_anchor_net([0.3, 0.4, 0.5], 8))
+    dev = check_pullback(tmap, perturbed_ray_small, perturbed)
+    assert np.isfinite(dev) and dev <= 0.1
+
+
 def test_check_pullback_single_anchor_raises(flat_ray_small, flat):
     _, ray = flat_ray_small
     tmap = build_tubular_map(ray, flat, [0.3 + 0j])
@@ -674,7 +683,7 @@ def test_rim_anchor_without_slope_root_is_outside(flat_ray_rim, flat, anchor):
 
 def _reference_orbit_radii(leaf, h0=None, n_points=2048):
     ray = leaf.ray
-    h0 = smooth_hamiltonian(ray, 0.0) if h0 is None else h0
+    h0 = smooth_hamiltonian(ray) if h0 is None else h0
     grid = ray.spatial_grid
     ax = grid.axis()
     vals = np.where(h0.mask, h0.values, ray.cutoff)
@@ -748,7 +757,7 @@ def test_orbit_readout_with_several_crossings_per_ray(quartic_ray, quartic,
         12 * math.pi * np.abs(z) + 0.3 * np.cos(np.angle(z))),
         mask=grid.inside_mask())
     monkeypatch.setattr(foliation_tube, "smooth_hamiltonian",
-                        lambda ray, t: h0)
+                        lambda ray: h0)
     leaf = dataclasses.replace(trace_leaf(quartic_ray, quartic, 0.45 + 0j,
                                           n_steps=16), lam_leaf=0.2)
     poly = leaf_boundary(leaf, None)

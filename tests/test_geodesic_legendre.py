@@ -416,7 +416,7 @@ def test_oracle_ray_monotone_convex_in_t(q, c, m, n, n_t):
 
 def test_smooth_hamiltonian_flat_exact(flat_ray_small, grid128):
     _, ray = flat_ray_small
-    h0 = smooth_hamiltonian(ray, 0.0)
+    h0 = smooth_hamiltonian(ray)
     rho = grid128.rho()
     sel = ray.mask() & (rho < 0.7 * ray.cutoff) & (rho > 0.02)
     assert np.max(np.abs(h0.values - rho)[sel]) < 1e-10

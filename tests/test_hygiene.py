@@ -1,8 +1,9 @@
 """Every name a `pshlab` module imports is used in that module, only
 `field_grid` writes out the five-point neighbour slices, of 2-D arrays and
 of row-major 1-D buffers, no `EnvelopeResult` takes a literal as its
-coincidence tolerance, and no module imports scipy at module level, so
-that the CLI's commands load it only where they need it."""
+coincidence tolerance, the CLI solves envelopes by one route, and no
+module imports scipy at module level, so that the CLI's commands load it
+only where they need it."""
 
 import ast
 import os
@@ -86,6 +87,23 @@ def test_coincidence_tol_only_from_the_rule():
                                   or getattr(v, "id", None) in rules))
     assert len(calls) >= 4
     assert [c for c in calls if not c[2]] == []
+
+
+def test_cli_solves_envelopes_by_one_route():
+    """In `cli`, only `_solve_envelopes` calls the family solvers, and no
+    command builds its slice family any other way."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    callers = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):   # f(...) or module.f(...)
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    callers.setdefault(name, set()).add(fn.name)
+    assert callers["radial_envelopes"] == {"_solve_envelopes"}
+    assert callers["grid_envelopes"] == {"_solve_envelopes"}
+    assert "oracle_slices" not in callers and "grid_slices" not in callers
 
 
 def _module_level_imports(path):
