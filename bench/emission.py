@@ -71,7 +71,9 @@ def ray_arrays(config: str) -> dict:
     from pshlab import cli
     from pshlab.geodesic_legendre import hamiltonian, weak_solution
 
-    ray, _ = cli._build_ray(cli.parse_config(config))
+    ray = cli._build_ray(cli.parse_config(config))
+    if isinstance(ray, tuple):   # an older tree's (ray, (lam, result) pairs)
+        ray = ray[0]
     nt = len(ray.t_grid)
     return {"u.csv": ray.u_values().reshape(nt, -1),
             "hamiltonian.csv": hamiltonian(ray).values.reshape(nt, -1),

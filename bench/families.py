@@ -1,4 +1,4 @@
-"""Slice families: one `oracle_slices` / `grid_slices` call per family.
+"""Slice families: one `radial_envelopes` / `grid_envelopes` call per family.
 
     python bench/families.py --src /path/to/parent/src --label parent \\
         --src src --label change --ref parent
@@ -7,7 +7,9 @@ Each `--src` (a directory holding the pshlab package) goes with the
 `--label` given after it.  The trees are measured in turn within each of
 ROUNDS rounds, so that they see the same host, each round of each tree in
 a fresh interpreter with BLAS pinned to one thread as perfbench pins it.
-Five families, lam = c k / m for k < m:
+Five families on `lam_nodes(c, m)`, lam = c k / m for k < m (an older
+tree without `lam_nodes` builds them by its `oracle_slices` /
+`grid_slices`):
 
   * `quartic-oracle-128x24`: the `foliate-oracle` workload's family
     (`polyrad 1.0 1` + `polyrad 0.5 2`, 128^2, c 0.36, 24 nodes);
@@ -50,29 +52,38 @@ import hashlib, json, resource, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from pshlab.field_grid import build_grid
-from pshlab.geodesic_legendre import grid_slices, oracle_slices
+from pshlab import geodesic_legendre as gl
 from pshlab.potential_kit import Potential, builtin_potential
+
+if hasattr(gl, "lam_nodes"):
+    from pshlab.envelope_solver import grid_envelopes, radial_envelopes
+    oracle_family = lambda p, c, m, g: radial_envelopes(p, gl.lam_nodes(c, m), g)
+    grid_family = lambda p, c, m, g, tol: grid_envelopes(
+        p, gl.lam_nodes(c, m), g, tol=tol)
+else:   # an older tree's families are (lam, result) pairs
+    oracle_family = lambda *a: [r for _, r in gl.oracle_slices(*a)]
+    grid_family = lambda *a, tol: [r for _, r in gl.grid_slices(*a, tol=tol)]
 
 quartic = Potential.from_lines(1, ["polyrad 1.0 1", "polyrad 0.5 2"])
 flat, perturbed = builtin_potential("flat"), builtin_potential("perturbed")
 g128, g256 = build_grid(1, 128, 1.0), build_grid(1, 256, 1.0)
 families = {
-    "quartic-oracle-128x24": lambda: oracle_slices(quartic, 0.36, 24, g128),
-    "quartic-oracle-128x16": lambda: oracle_slices(quartic, 0.8, 16, g128),
-    "flat-oracle-256x64": lambda: oracle_slices(flat, 0.8, 64, g256),
-    "flat-grid-256x64": lambda: grid_slices(flat, 0.8, 64, g256, tol=1e-9),
-    "perturbed-grid-256x64": lambda: grid_slices(perturbed, 0.8, 64, g256,
+    "quartic-oracle-128x24": lambda: oracle_family(quartic, 0.36, 24, g128),
+    "quartic-oracle-128x16": lambda: oracle_family(quartic, 0.8, 16, g128),
+    "flat-oracle-256x64": lambda: oracle_family(flat, 0.8, 64, g256),
+    "flat-grid-256x64": lambda: grid_family(flat, 0.8, 64, g256, tol=1e-9),
+    "perturbed-grid-256x64": lambda: grid_family(perturbed, 0.8, 64, g256,
                                                  tol=1e-9),
 }
 
 
-def digest(slices):
+def digest(results):
     h = hashlib.sha256()
-    for lam, r in slices:
+    for r in results:
         for arr in (r.envelope.values, r.envelope.mask, r.deficit.values,
                     r.deficit.mask, r.coincidence, r.boundary):
             h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(repr((float(lam), r.coincidence_tol, bool(r.degenerate),
+        h.update(repr((float(r.lam), r.coincidence_tol, bool(r.degenerate),
                        r.iterations, r.residual)).encode())
     return h.hexdigest()
 
@@ -82,10 +93,10 @@ for name, build in families.items():
     times, digests = [], set()
     for _ in range(int(sys.argv[2]) if "oracle" in name else 1):
         t0 = time.perf_counter()
-        slices = build()
+        results = build()
         times.append(time.perf_counter() - t0)
-        digests.add(digest(slices))
-        del slices
+        digests.add(digest(results))
+        del results
     out[name] = {"wall_s": statistics.median(times),
                  "digests": sorted(digests)}
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -127,7 +138,7 @@ def main():
 
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["workload"] = (
-        f"oracle_slices / grid_slices families (quartic oracle 128^2 x 24 "
+        f"radial_envelopes / grid_envelopes families (quartic oracle 128^2 x 24 "
         f"and x 16, flat oracle 256^2 x 64, flat and perturbed grid 256^2 "
         f"x 64 at tol 1e-9), {ROUNDS} rounds alternating the trees, one "
         f"interpreter per round, an oracle family's median of {ORACLE_REPS} "

@@ -77,22 +77,23 @@ reharm 0.25+0.1j 3
 """
 
 
-def level_anchor(p, lam, slices, t_lo=-200.0):
+def level_anchor(p, lam, family, t_lo=-200.0):
     """The leaf anchor at level lam: the tree's own
-    `foliation_tube.level_anchor`, or on an older tree without it a copy
-    of the rule its `foliate` (t_lo -200) and C13 (t_lo -80) used, with
-    scipy's Brent root of chi'(t) = lam in [t_lo, 0]."""
+    `foliation_tube.level_anchor` of the slice family as its `foliate`
+    holds it, or on an older tree without it a copy of the rule its
+    `foliate` (t_lo -200) and C13 (t_lo -80) used, with scipy's Brent root
+    of chi'(t) = lam in [t_lo, 0]."""
     from pshlab import foliation_tube
     from pshlab.envelope_solver import extract_equilibrium
 
     if hasattr(foliation_tube, "level_anchor"):
-        return foliation_tube.level_anchor(p, lam, slices)
+        return foliation_tube.level_anchor(p, lam, family)
     if p.symmetry == "radial":
         from scipy.optimize import brentq
         t_s = brentq(lambda t: p.chi_prime(t) - lam, t_lo, 0.0)
         return float(np.exp(0.5 * t_s)) + 0j
-    k = int(np.argmin([abs(l - lam) for l, _ in slices]))
-    _, poly = extract_equilibrium(slices[k][1])
+    k = int(np.argmin([abs(l - lam) for l, _ in family]))
+    _, poly = extract_equilibrium(family[k][1])
     j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
     return poly[j, 0] + 1j * poly[j, 1]
 
@@ -104,9 +105,11 @@ def foliate_anchors(text):
     from pshlab.foliation_tube import polar_anchor_net
 
     cfg = cli.parse_config(text)
-    ray, slices = cli._build_ray(cfg)
+    ray = cli._build_ray(cfg)
+    # an older tree returns (ray, (lam, result) pairs); the ray keeps its family
+    ray, family = ray if isinstance(ray, tuple) else (ray, ray.results)
     p = cfg.potential
-    anchors = [level_anchor(p, lam, slices) for lam in cfg.lambdas or [cfg.lam]]
+    anchors = [level_anchor(p, lam, family) for lam in cfg.lambdas or [cfg.lam]]
     rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
         abs(a) for a in anchors)
     net = polar_anchor_net(rings, cfg.anchor_angles)
@@ -116,14 +119,18 @@ def foliate_anchors(text):
 def c13_anchors():
     from pshlab.field_grid import build_grid
     from pshlab.foliation_tube import polar_anchor_net
-    from pshlab.geodesic_legendre import (assemble_geodesic, default_t_grid,
-                                          oracle_slices)
+    from pshlab import geodesic_legendre as gl
     from pshlab.potential_kit import builtin_potential
 
     p = builtin_potential("quartic")
-    ray = assemble_geodesic(
-        oracle_slices(p, 0.36, 72, build_grid(1, 64, 1.0)),
-        t_grid=default_t_grid(0.36, 72, grid=build_grid(1, 512, 1.0)),
+    grid = build_grid(1, 64, 1.0)
+    if hasattr(gl, "lam_nodes"):
+        from pshlab.envelope_solver import radial_envelopes
+        family = radial_envelopes(p, gl.lam_nodes(0.36, 72), grid)
+    else:   # an older tree's family is (lam, result) pairs
+        family = gl.oracle_slices(p, 0.36, 72, grid)
+    ray = gl.assemble_geodesic(
+        family, t_grid=gl.default_t_grid(0.36, 72, grid=build_grid(1, 512, 1.0)),
         c=0.36)
     radii = [abs(level_anchor(p, lam, None, t_lo=-80.0)) for lam in C13_LEVELS]
     return ray, p, list(polar_anchor_net(radii, 8).ravel())

@@ -6,8 +6,8 @@
 Ladder: one cold `grid_envelope` solve of the `flat` builtin weight at
 lam = 0.25, tol 1e-10, on the radius-1 grid at 128/256/512 (the
 perfbench ladder).  Families: the slice families the acceptance criteria
-share, solved the way `geodesic_legendre.grid_slices` solves them, one
-slice alive at a time:
+share, one cold `grid_envelope` solve per node of `lam_nodes`, one slice
+alive at a time:
   * C3: `flat`, lam = 0.8 k / 64, k < 64, 256^2, tol 1e-9;
   * C7/C8: `perturbed`, lam = 0.36 k / 72, k < 72, 512^2, tol 1e-9.
 

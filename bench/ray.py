@@ -52,25 +52,34 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np
 from pshlab import cli
 from pshlab.field_grid import build_grid
-from pshlab.geodesic_legendre import (assemble_geodesic, grid_slices,
-                                      hamiltonian, legendre_slices,
-                                      oracle_slices)
+from pshlab import geodesic_legendre as gl
+from pshlab.geodesic_legendre import (assemble_geodesic, hamiltonian,
+                                      legendre_slices)
 from pshlab.potential_kit import builtin_potential
 
 cfg = cli.parse_config(sys.argv[2])
 # parse_config stores the cutoff in cfg.c; older trees compute it on demand
 c = cfg.cutoff() if hasattr(cfg, "cutoff") else cfg.c
 grid = build_grid(1, 256, 1.0)
+flat, perturbed = builtin_potential("flat"), builtin_potential("perturbed")
+if hasattr(gl, "lam_nodes"):   # the ray keeps its family
+    from pshlab.envelope_solver import grid_envelopes, radial_envelopes
+    geo = cli._build_ray(cfg).results
+    flat_family = radial_envelopes(flat, gl.lam_nodes(0.8, 64), grid)
+    perturbed_family = grid_envelopes(perturbed, gl.lam_nodes(0.8, 64), grid,
+                                      tol=1e-9)
+else:   # an older tree's families are (lam, result) pairs
+    geo = cli._build_ray(cfg)[1]
+    flat_family = gl.oracle_slices(flat, 0.8, 64, grid)
+    perturbed_family = gl.grid_slices(perturbed, 0.8, 64, grid, tol=1e-9)
 families = {
-    "geodesic-oracle": (cli._build_ray(cfg)[1], dict(c=c, n_t=cfg.t_count)),
-    "flat-256": (oracle_slices(builtin_potential("flat"), 0.8, 64, grid),
-                 dict(c=0.8)),
-    "perturbed-256": (grid_slices(builtin_potential("perturbed"), 0.8, 64,
-                                  grid, tol=1e-9), dict(c=0.8)),
+    "geodesic-oracle": (geo, dict(c=c, n_t=cfg.t_count)),
+    "flat-256": (flat_family, dict(c=0.8)),
+    "perturbed-256": (perturbed_family, dict(c=0.8)),
 }
 out = {}
-for name, (slices, kwargs) in families.items():
-    ray = assemble_geodesic(slices, **kwargs)
+for name, (family, kwargs) in families.items():
+    ray = assemble_geodesic(family, **kwargs)
     t0 = time.perf_counter()
     u = ray.u_values()
     t1 = time.perf_counter()

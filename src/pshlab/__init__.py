@@ -18,7 +18,7 @@ from .envelope_solver import (EnvelopeResult, Obstacle, build_obstacle,
 from .geodesic_legendre import (GeodesicRay, HamiltonianField,
                                 assemble_geodesic, hamiltonian,
                                 hmae_residual, legendre_slices,
-                                oracle_slices, weak_solution)
+                                weak_solution)
 from .ma_measure import MeasureReport, boundary_mass, ma_mass, reproducing_check
 from .foliation_tube import (Leaf, TubularMap, build_tubular_map,
                              check_pullback, disc_area, trace_leaf, trace_leaves)

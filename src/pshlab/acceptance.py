@@ -46,8 +46,8 @@ from .potential_kit import (Potential, Term, builtin_potential,
 from .envelope_solver import (extract_equilibrium, grid_envelope,
                               grid_envelopes, maximality_residual,
                               radial_envelope, radial_envelopes)
-from .geodesic_legendre import (assemble_geodesic, grid_slices, hamiltonian,
-                                legendre_slices, oracle_slices)
+from .geodesic_legendre import (assemble_geodesic, hamiltonian, lam_nodes,
+                                legendre_slices)
 from .ma_measure import reproducing_check
 from .foliation_tube import (build_tubular_map, check_pullback, disc_area,
                              leaf_boundary, level_anchor, polar_anchor_net,
@@ -105,47 +105,35 @@ class AcceptanceContext:
     def perturbed(self):
         return builtin_potential("perturbed")
 
-    # -- slice families -------------------------------------------------
-
-    @cached_property
-    def flat_oracle_slices(self):
-        return oracle_slices(self.flat, 0.8, self.m_main, self.grid_main)
+    # -- slice families, each kept by its ray -----------------------------
 
     @cached_property
     def flat_oracle_ray(self):
-        return assemble_geodesic(self.flat_oracle_slices, c=0.8)
-
-    @cached_property
-    def flat_grid_slices(self):
-        return grid_slices(self.flat, 0.8, self.m_main, self.grid_main,
-                           tol=1e-9)
+        return assemble_geodesic(radial_envelopes(
+            self.flat, lam_nodes(0.8, self.m_main), self.grid_main), 0.8)
 
     @cached_property
     def flat_grid_ray(self):
-        return assemble_geodesic(self.flat_grid_slices, c=0.8)
-
-    @cached_property
-    def perturbed_slices(self):
-        return grid_slices(self.perturbed, 0.8, self.m_main, self.grid_main,
-                           tol=1e-9)
+        return assemble_geodesic(grid_envelopes(
+            self.flat, lam_nodes(0.8, self.m_main), self.grid_main,
+            tol=1e-9), 0.8)
 
     @cached_property
     def perturbed_ray(self):
-        return assemble_geodesic(self.perturbed_slices, c=0.8)
+        return assemble_geodesic(grid_envelopes(
+            self.perturbed, lam_nodes(0.8, self.m_main), self.grid_main,
+            tol=1e-9), 0.8)
 
     @cached_property
     def quartic_leaf_ray(self):
-        slices = oracle_slices(self.quartic, 0.36, self.m_leaf, self.grid_fine)
-        return assemble_geodesic(slices, c=0.36)
-
-    @cached_property
-    def perturbed_leaf_slices(self):
-        return grid_slices(self.perturbed, 0.36, self.m_leaf, self.grid_fine,
-                           tol=1e-9)
+        return assemble_geodesic(radial_envelopes(
+            self.quartic, lam_nodes(0.36, self.m_leaf), self.grid_fine), 0.36)
 
     @cached_property
     def perturbed_leaf_ray(self):
-        return assemble_geodesic(self.perturbed_leaf_slices, c=0.36)
+        return assemble_geodesic(grid_envelopes(
+            self.perturbed, lam_nodes(0.36, self.m_leaf), self.grid_fine,
+            tol=1e-9), 0.36)
 
     # -- leaves ----------------------------------------------------------
 
@@ -158,7 +146,7 @@ class AcceptanceContext:
             n_steps=self.n_steps)
         perturbed = trace_leaves(
             self.perturbed_leaf_ray, self.perturbed,
-            [level_anchor(self.perturbed, lam, self.perturbed_leaf_slices)
+            [level_anchor(self.perturbed, lam, self.perturbed_leaf_ray.results)
              for lam in lams], n_steps=self.n_steps)
         return {(name, lam): leaf for lam, q, pt in zip(lams, quartic, perturbed)
                 for name, leaf in (("quartic", q), ("perturbed", pt))}
@@ -212,36 +200,32 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
                    ok, "; ".join(details), t0)
 
 
-def _roundtrip_error(slices, ray):
+def _roundtrip_error(ray):
     worst = 0.0
     back = legendre_slices(ray, ray.lam_grid)
-    for (lam, res), b in zip(slices, back):
-        fld = res.deficit if hasattr(res, "deficit") else res
+    for fld, b in zip(ray.slices, back):
         m = fld.mask & b.mask
         worst = max(worst, float(np.max(np.abs(b.values - fld.values)[m])))
     return worst
 
 def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
-    e_oracle = _roundtrip_error(ctx.flat_oracle_slices, ctx.flat_oracle_ray)
-    e_grid = _roundtrip_error(ctx.flat_grid_slices, ctx.flat_grid_ray)
+    e_oracle = _roundtrip_error(ctx.flat_oracle_ray)
+    e_grid = _roundtrip_error(ctx.flat_grid_ray)
     el = time.perf_counter() - t0
     ok = e_oracle <= 1e-8 and e_grid <= 5e-3 and el < 60.0
     return _result("C3", "conjugation involution (1e-8 / 5e-3, <60s)", ok,
                    f"oracle {e_oracle:.2e}, grid {e_grid:.2e}", t0)
 
 
-def _level_set_bands(ray, slices):
+def _level_set_bands(ray):
     """Worst band width (in nodes) between {deficit<0} and {H0<lam}.  The
     test is exact: every backend stores its deficit as exactly 0 on its
     coincidence set (`envelope_solver.contact_tol`)."""
     H = hamiltonian(ray, fd_check=False)
     h0 = H.h0.values
     worst = 0
-    for k, (lam, res) in enumerate(slices):
-        if k == 0:
-            continue
-        fld = res.deficit if hasattr(res, "deficit") else res
+    for lam, fld in zip(ray.lam_grid[1:], ray.slices[1:]):
         m1 = fld.mask & (fld.values < 0)
         m2 = fld.mask & (h0 < lam)
         diff = m1 ^ m2
@@ -260,8 +244,8 @@ def _level_set_bands(ray, slices):
 
 def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
-    band_flat = _level_set_bands(ctx.flat_oracle_ray, ctx.flat_oracle_slices)
-    band_pert = _level_set_bands(ctx.perturbed_ray, ctx.perturbed_slices)
+    band_flat = _level_set_bands(ctx.flat_oracle_ray)
+    band_pert = _level_set_bands(ctx.perturbed_ray)
     ok = band_flat <= 1 and band_pert <= 1
     return _result("C4", "level-set identity within one-node band", ok,
                    f"flat band {band_flat}, perturbed band {band_pert}", t0)
@@ -351,12 +335,10 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     ok = True
     # grid backend, 16 weights from the flat family
-    step = max(1, len(ctx.flat_grid_slices) // 16)
-    picks = ctx.flat_grid_slices[::step][:16]
-    for (l1, r1), (l2, r2) in zip(picks[:-1], picks[1:]):
-        s_high = r2.coincidence
-        s_low = r1.coincidence
-        ok &= bool(np.all(~s_high | s_low))
+    results = ctx.flat_grid_ray.results
+    picks = results[::max(1, len(results) // 16)][:16]
+    for r1, r2 in zip(picks[:-1], picks[1:]):
+        ok &= bool(np.all(~r2.coincidence | r1.coincidence))
     # oracle backend, quartic
     sweep = radial_envelopes(ctx.quartic, np.linspace(0.0, 0.9, 16).tolist(),
                              ctx.grid_main)

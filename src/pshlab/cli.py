@@ -30,7 +30,8 @@ from .potential_kit import Potential, validate_strict_psh
 from .envelope_solver import (MAX_STEPS, EnvelopeResult, extract_equilibrium,
                               grid_envelopes, lelong_check, radial_envelopes)
 from .geodesic_legendre import (assemble_geodesic, certified_lambda,
-                                hamiltonian, hmae_residual, weak_solution)
+                                hamiltonian, hmae_residual, lam_nodes,
+                                weak_solution)
 from .ma_measure import boundary_mass, ma_mass
 from .foliation_tube import (build_tubular_map, disc_area, level_anchor,
                              polar_anchor_net, trace_leaves)
@@ -125,6 +126,10 @@ def parse_config(text: str) -> RunConfig:
             if parsed not in _COMMANDS:
                 raise ConfigError(f"line {lineno}: unknown command {parsed!r}")
             cfg.command = parsed
+        elif key == "backend":
+            if parsed not in ("auto", "oracle", "grid"):
+                raise ConfigError(f"line {lineno}: unknown backend {parsed!r}")
+            cfg.backend = parsed
         elif key == "lambda":
             if parsed < 0:
                 raise ConfigError(f"line {lineno}: lambda must be >= 0")
@@ -155,6 +160,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"potential block (line {first_ln}+): {exc}") from None
     if cfg.potential.n != cfg.n:
         cfg.n = cfg.potential.n
+    if cfg.backend == "oracle" and cfg.potential.symmetry == "general":
+        raise ConfigError("backend = oracle needs a radial or Reinhardt weight")
+    if cfg.backend == "grid" and cfg.n != 1:
+        raise ConfigError("backend = grid runs on n = 1 weights")
 
     # defaults echoed to output metadata
     for key in ("c", "resolution", "tol", "lambda_nodes", "t_count"):
@@ -266,16 +275,13 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> int:
 
 
 def _build_ray(cfg: RunConfig):
-    m = cfg.lambda_nodes
-    lams = [cfg.c * k / m for k in range(m)]
-    slices = list(zip(lams, _solve_envelopes(cfg, lams)))
-    ray = assemble_geodesic(slices, c=cfg.c, n_t=cfg.t_count)
-    return ray, slices
+    results = _solve_envelopes(cfg, lam_nodes(cfg.c, cfg.lambda_nodes))
+    return assemble_geodesic(results, cfg.c, n_t=cfg.t_count)
 
 
 def _cmd_geodesic(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    ray, slices = _build_ray(cfg)
+    ray = _build_ray(cfg)
     sl_dir = out / "slices"
     sl_dir.mkdir(exist_ok=True)
     for k, fld in enumerate(ray.slices):
@@ -294,19 +300,19 @@ def _cmd_geodesic(cfg: RunConfig, out: Path) -> int:
                  "max_slice_residual": f"{resid['max_slice_residual']:.17g}",
                  "slope_consistency_gap": f"{H.max_fd_gap:.17g}",
                  "lambda_certified":
-                     f"{certified_lambda([r for _, r in slices]):.17g}"})
+                     f"{certified_lambda(ray.results):.17g}"})
     _write_kv(out / "metadata.txt", meta)
     return 0
 
 
 def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    ray, slices = _build_ray(cfg)
+    ray = _build_ray(cfg)
     p = cfg.potential
     lams = cfg.lambdas or [cfg.lam]
     leaf_dir = out / "leaves"
     leaf_dir.mkdir(exist_ok=True)
-    anchors = [level_anchor(p, lam, slices) for lam in lams]
+    anchors = [level_anchor(p, lam, ray.results) for lam in lams]
     rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
         abs(a) for a in anchors)
     net = polar_anchor_net(rings, cfg.anchor_angles)
@@ -361,10 +367,11 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> int:
     out = Path(out_dir or cfg.out)
     (out / "FAILED").unlink(missing_ok=True)   # a marker left by an earlier run
     try:
-        if cfg.command in ("geodesic", "foliate"):   # refused before any solve
-            if cfg.n != 1:
-                raise ConfigError(f"{cfg.command} needs an n = 1 weight")
-            for lv in cfg.lambdas + [cfg.lam]:
+        # refused before any solve
+        if cfg.command in ("geodesic", "foliate") and cfg.n != 1:
+            raise ConfigError(f"{cfg.command} needs an n = 1 weight")
+        if cfg.command == "foliate":   # the levels its leaves start from
+            for lv in cfg.lambdas or [cfg.lam]:
                 if lv >= cfg.c:
                     raise ConfigError(
                         f"lambda exceeds cutoff: {lv} >= c = {cfg.c}")

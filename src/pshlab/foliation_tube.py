@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .envelope_solver import extract_equilibrium
 from .field_grid import bilinear, erode_mask, neighbour_sum
 from .geodesic_legendre import (GeodesicRay, _bin_log_means,
                                 plateau_threshold, pole_exclusion_radius,
@@ -107,7 +106,7 @@ class _SplineProbe:
         self.splines = []
         self.noise = 0.0
         for k in self.k_window:
-            fld = ray.slices[k]
+            fld = ray.results[k].deficit
             vals = fld.masked_fill(np.nan)
             filled = np.where(np.isfinite(vals), vals, 0.0)
             i, j = i0 = grid.origin_index()
@@ -327,8 +326,7 @@ def trace_leaves(ray: GeodesicRay, p, anchors,
     (0, c), LeafExit naming a leaf that leaves the resolved region or
     degenerates."""
     anchors = [complex(z) for z in np.asarray(anchors, dtype=complex).ravel()]
-    radial = getattr(p, "symmetry", "general") == "radial" \
-        and ray.backend.startswith("oracle")
+    radial = ray.backend == "oracle"
     if n_steps is None:
         n_steps = len(ray.t_grid) - 1 if radial else SAMPLED_STEPS
     leaves = [None] * len(anchors)
@@ -359,15 +357,20 @@ def trace_leaf(ray: GeodesicRay, p, z1: complex,
     return trace_leaves(ray, p, [z1], n_steps=n_steps)[0]
 
 
-def level_anchor(p, lam: float, slices) -> complex:
+def level_anchor(p, lam: float, results) -> complex:
     """The t = 0 anchor of the leaf at pole weight lam: sqrt(rho*),
     rho* = `p.level_rho(lam)`, for a radial weight; otherwise the point at
-    angle nearest 0 on the equilibrium boundary of the slice of `slices`
-    (pairs (lam_k, result)) whose weight is nearest lam."""
+    angle nearest 0 on the stored equilibrium boundary of the result of
+    `results` (a slice family) whose weight is nearest lam.  Raises
+    ValueError, naming that weight, when its boundary is empty (lam = 0
+    or a degenerate slice)."""
     if p.symmetry == "radial":
         return complex(math.sqrt(p.level_rho(lam)))
-    k = int(np.argmin([abs(l - lam) for l, _ in slices]))
-    _, poly = extract_equilibrium(slices[k][1])
+    res = results[int(np.argmin([abs(r.lam - lam) for r in results]))]
+    poly = res.boundary
+    if not len(poly):
+        raise ValueError(f"the slice at lam = {res.lam:.6g}, nearest "
+                         f"{lam:.6g}, has no equilibrium boundary")
     j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
     return complex(poly[j, 0], poly[j, 1])
 
@@ -623,7 +626,7 @@ def _central_fiber_density(ray: GeodesicRay, p):
     lam = ray.lam_grid
     b = np.empty(len(lam))
     for k in range(len(lam)):
-        b[k] = _pole_intercept_from_slice(ray.slices[k], p, lam[k]) \
+        b[k] = _pole_intercept_from_slice(ray.results[k].deficit, p, lam[k]) \
             if lam[k] > 0 else 0.0
     db = np.diff(b) / np.diff(lam)
     mids = 0.5 * (lam[1:] + lam[:-1])

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field_grid import GridSpec, ScalarField, rounding_noise
-from .envelope_solver import (EnvelopeResult, grid_envelopes,
-                              radial_envelopes, strict_residual)
+from .envelope_solver import strict_residual
 
 _NEG_FILL = -1e300
 _LOG_MAX = math.log(np.finfo(float).max)   # the largest x with finite exp(x)
@@ -49,22 +48,30 @@ _LOG_MAX = math.log(np.finfo(float).max)   # the largest x with finite exp(x)
 class GeodesicRay:
     """Slice family {a_lam}, its conjugate potential u(x,t), and grids.
 
-    slices[k] is the deficit field at lam_grid[k]; cutoff c bounds the
-    lam-grid from above.  u(x, .) is piecewise linear with breakpoints
-    t_k(x) = (a_k - a_{k+1}) / dlam_k; u and its argmax at any increasing
-    list of t are read off the table of them (`_read`), and on the t-grid
-    kept as (n_t, ny, nx) arrays once asked for.
+    results[k] is the EnvelopeResult at lam_grid[k], and slices[k] its
+    deficit field; cutoff c bounds the lam-grid from above.  u(x, .) is
+    piecewise linear with breakpoints t_k(x) = (a_k - a_{k+1}) / dlam_k;
+    u and its argmax at any increasing list of t are read off the table
+    of them (`_read`), and on the t-grid kept as (n_t, ny, nx) arrays
+    once asked for.
     """
 
     spatial_grid: GridSpec
     lam_grid: np.ndarray
     t_grid: np.ndarray
-    slices: list
+    results: list
     cutoff: float
-    backend: str = ""
     _stack: np.ndarray = field(default=None, repr=False)
     _u: np.ndarray = field(default=None, repr=False)
     _argmax: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def slices(self) -> list:
+        return [res.deficit for res in self.results]
+
+    @property
+    def backend(self) -> str:
+        return self.results[0].backend
 
     @property
     def t_max(self) -> float:
@@ -108,7 +115,7 @@ class GeodesicRay:
         return u if np.ndim(t) else u[0]
 
     def mask(self) -> np.ndarray:
-        return self.slices[0].mask
+        return self.results[0].deficit.mask
 
     def _table(self):
         """The breakpoint table, flattened over pixels: the breakpoints
@@ -195,6 +202,12 @@ def _upper_max(A, lam, T):
     return arg, u
 
 
+def lam_nodes(c: float, m: int) -> list:
+    """The lam-grid of an m-slice family below the cutoff c: c k / m,
+    k = 0, ..., m - 1."""
+    return [c * k / m for k in range(m)]
+
+
 def default_t_grid(c: float, m: int, grid: GridSpec | None = None,
                    n_t: int = 96) -> np.ndarray:
     """[0, T_max] long enough that every conjugating infimum is attained
@@ -208,33 +221,23 @@ def default_t_grid(c: float, m: int, grid: GridSpec | None = None,
     return np.linspace(0.0, t_max, n_t)
 
 
-def assemble_geodesic(slices, t_grid=None, c: float | None = None,
+def assemble_geodesic(results, c: float, t_grid=None,
                       n_t: int = 96) -> GeodesicRay:
-    """Assemble the ray u(x,t) = max_k (a_k(x) + lam_k t) from envelope slices.
+    """Assemble the ray u(x,t) = max_k (a_k(x) + lam_k t) from a slice
+    family: EnvelopeResults with strictly increasing lam in [0, c), as
+    `radial_envelopes` / `grid_envelopes` return them on `lam_nodes`.
 
-    `slices` is a list of (lam, EnvelopeResult-or-ScalarField) with strictly
-    increasing lam in [0, c); the family must be pointwise nonincreasing in
-    lam (monotonicity of the envelopes); a violation beyond 1e-7 raises,
-    naming the offending pair.
+    The deficits must be pointwise nonincreasing in lam (monotonicity of
+    the envelopes); a violation beyond 1e-7 raises, naming the offending
+    pair.  The ray keeps the results.
     """
-    lam_list = []
-    fields = []
-    backend = ""
-    for lam, item in slices:
-        lam_list.append(float(lam))
-        if isinstance(item, EnvelopeResult):
-            fields.append(item.deficit)
-            backend = item.backend
-        else:
-            fields.append(item)
-    lam_arr = np.asarray(lam_list)
+    lam_arr = np.array([res.lam for res in results], dtype=float)
     if len(lam_arr) < 1 or np.any(np.diff(lam_arr) <= 0):
         raise ValueError("lam grid must be strictly increasing")
-    if c is None:
-        c = float(lam_arr[-1] + (lam_arr[1] - lam_arr[0] if len(lam_arr) > 1 else 0.1))
     if lam_arr[-1] >= c or lam_arr[0] != 0.0:
         raise ValueError("lam grid must start at 0 and stay below the cutoff c")
 
+    fields = [res.deficit for res in results]
     grid = fields[0].grid
     for k in range(len(fields) - 1):
         lo, hi = fields[k], fields[k + 1]
@@ -253,21 +256,7 @@ def assemble_geodesic(slices, t_grid=None, c: float | None = None,
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must start at 0 and increase")
     return GeodesicRay(spatial_grid=grid, lam_grid=lam_arr, t_grid=t_grid,
-                       slices=fields, cutoff=float(c), backend=backend)
-
-
-def oracle_slices(p, c: float, m: int, grid: GridSpec):
-    """Closed-form slice family for a radial weight: (lam, EnvelopeResult)
-    pairs on the lam-grid {k c / m}, by one `radial_envelopes` call."""
-    lams = [c * k / m for k in range(m)]
-    return list(zip(lams, radial_envelopes(p, lams, grid)))
-
-
-def grid_slices(p, c: float, m: int, grid: GridSpec, tol: float = 1e-9):
-    """Solver slice family on the same lam-grid, by one `grid_envelopes`
-    call: cold nested solves, the weight checked for strict psh once."""
-    lams = [c * k / m for k in range(m)]
-    return list(zip(lams, grid_envelopes(p, lams, grid, tol=tol)))
+                       results=results, cutoff=float(c))
 
 
 # ---------------------------------------------------------------------------

@@ -32,18 +32,20 @@ def perturbed():
 
 @pytest.fixture(scope="session")
 def flat_ray_small(flat, grid128):
-    from pshlab.geodesic_legendre import assemble_geodesic, oracle_slices
-    slices = oracle_slices(flat, 0.8, 32, grid128)
-    return slices, assemble_geodesic(slices, c=0.8)
+    from pshlab.envelope_solver import radial_envelopes
+    from pshlab.geodesic_legendre import assemble_geodesic, lam_nodes
+    return assemble_geodesic(
+        radial_envelopes(flat, lam_nodes(0.8, 32), grid128), 0.8)
 
 
 @pytest.fixture(scope="session")
 def perturbed_slices_small(perturbed, grid128):
-    from pshlab.geodesic_legendre import grid_slices
-    return grid_slices(perturbed, 0.45, 24, grid128, tol=1e-9)
+    from pshlab.envelope_solver import grid_envelopes
+    from pshlab.geodesic_legendre import lam_nodes
+    return grid_envelopes(perturbed, lam_nodes(0.45, 24), grid128, tol=1e-9)
 
 
 @pytest.fixture(scope="session")
 def perturbed_ray_small(perturbed_slices_small):
     from pshlab.geodesic_legendre import assemble_geodesic
-    return assemble_geodesic(perturbed_slices_small, c=0.45)
+    return assemble_geodesic(perturbed_slices_small, 0.45)

@@ -6,6 +6,8 @@ complete.  The shared context (slice families, rays, leaves) is built
 lazily and reused across criteria; the full run takes several minutes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,13 @@ def test_level_set_bands_one_and_two_nodes(flat_ray_small):
     # C4's band on one oracle slice, where {deficit < 0} = {H0 < lam}
     # exactly: a node moved next to the boundary of {deficit < 0} is a
     # one-node band, a node two nodes from it is a band of 2
-    slices, ray = flat_ray_small
-    lam, res = slices[16]
+    ray = flat_ray_small
+    res = ray.results[16]
     fld = res.deficit
-    band = lambda values: _level_set_bands(
-        ray, [slices[0], (lam, fld.with_values(values))])
+    ray.argmax_index()   # H0 stays that of the unmoved family
+    band = lambda values: _level_set_bands(replace(ray, results=[
+        replace(res, deficit=fld.with_values(values)) if k == 16 else r
+        for k, r in enumerate(ray.results)]))
     assert band(fld.values) == 0
     i0, j0 = ray.spatial_grid.origin_index()
     negative = fld.mask[:, j0] & (fld.values[:, j0] < 0.0)

@@ -51,7 +51,7 @@ def test_threads_flag_removed(tmp_path):
 
 def test_parse_lambda_exceeds_cutoff(tmp_path):
     # the check runs against the command that runs, so in `run`
-    text = ("command = geodesic\nlambda = 0.9\nc = 0.5\n"
+    text = ("command = foliate\nlambda = 0.9\nc = 0.5\n"
             "[potential]\nbuiltin flat\n")
     cfg = parse_config(text)
     with pytest.raises(ConfigError, match="lambda exceeds cutoff"):
@@ -67,6 +67,34 @@ def test_cutoff_checked_against_the_command_line(tmp_path):
     out = tmp_path / "fol"
     assert main(["foliate", "--config", str(cfg_file), "--out", str(out)]) == 1
     assert not (out / "leaves").exists()
+
+
+def test_cutoff_checked_against_the_levels_read(tmp_path):
+    """`foliate` checks the cutoff against the levels it traces, so an
+    unset `lambda` (default 0.25 >= c) does not refuse a `lambdas` run."""
+    cfg_file = tmp_path / "f.ini"
+    cfg_file.write_text("resolution = 64\nlambdas = 0.1\nc = 0.2\n"
+                        "lambda_nodes = 16\nanchor_rings = 1\n"
+                        "anchor_angles = 1\n[potential]\nbuiltin quartic\n")
+    out = tmp_path / "fol"
+    assert main(["foliate", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert len(list((out / "leaves").glob("leaf_*.csv"))) == 1
+
+
+@pytest.mark.parametrize("backend, weight, message", [
+    ("foo", "builtin flat", "line 1: unknown backend 'foo'"),
+    ("oracle", "builtin perturbed", "oracle needs a radial or Reinhardt"),
+    ("grid", "builtin reinhardt2", "grid runs on n = 1"),
+])
+def test_backend_the_weight_cannot_run_is_a_config_error(
+        tmp_path, capsys, backend, weight, message):
+    cfg_file = tmp_path / "b.ini"
+    cfg_file.write_text(f"backend = {backend}\nresolution = 32\n"
+                        f"[potential]\n{weight}\n")
+    out = tmp_path / "env"
+    assert main(["envelope", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 REINHARDT = "n = 2\nresolution = 32\nlambda = 0.2\n[potential]\nbuiltin reinhardt2\n"

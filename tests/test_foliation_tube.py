@@ -18,10 +18,11 @@ from pshlab import geodesic_legendre
 from pshlab.field_grid import build_grid
 from pshlab.potential_kit import Potential, Term
 from pshlab.envelope_solver import (extract_equilibrium, grid_envelope,
-                                    radial_envelope)
+                                    grid_envelopes, radial_envelope,
+                                    radial_envelopes)
 from pshlab.geodesic_legendre import (_bin_log_means, assemble_geodesic,
-                                      grid_slices, oracle_slices,
-                                      plateau_threshold, smooth_hamiltonian)
+                                      lam_nodes, plateau_threshold,
+                                      smooth_hamiltonian)
 from pshlab.foliation_tube import (LEAF_WINDOW, Leaf, LeafExit,
                                    _RadialProbe, _SplineProbe, _anchor_level,
                                    _rhs_factory,
@@ -33,7 +34,8 @@ from pshlab.foliation_tube import (LEAF_WINDOW, Leaf, LeafExit,
 @pytest.fixture(scope="module")
 def quartic_ray(quartic):
     grid = build_grid(1, 192, 1.0)
-    return assemble_geodesic(oracle_slices(quartic, 0.45, 36, grid), c=0.45)
+    return assemble_geodesic(
+        radial_envelopes(quartic, lam_nodes(0.45, 36), grid), 0.45)
 
 
 def _anchor(quartic, lam):
@@ -55,14 +57,14 @@ def test_probe_level_and_envelope_circle_are_one_float(quartic):
 
 
 def test_flat_leaves_constant(flat_ray_small, flat):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     leaf = trace_leaf(ray, flat, 0.35 + 0.2j, n_steps=512)
     assert np.max(np.abs(leaf.curve - leaf.anchor)) < 1e-9
     assert abs(leaf.u_limit - leaf.anchor) < 1e-9
 
 
 def test_leaf_through_origin_trivial(flat_ray_small, flat):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     leaf = trace_leaf(ray, flat, 0j)
     assert np.all(leaf.curve == 0)
     assert leaf.lam_leaf == 0.0
@@ -153,10 +155,10 @@ def test_perturbed_leaf_through_plateau_ringing(perturbed):
     # the spline slices ring across their free-boundary kinks; the leaf
     # tracer must read that ringing as plateau, not as slope curvature
     grid = build_grid(1, 192, 1.0)
-    slices = grid_slices(perturbed, 0.36, 36, grid, tol=1e-9)
-    ray = assemble_geodesic(slices, c=0.36)
-    k = int(np.argmin([abs(lam - 0.3) for lam, _ in slices]))
-    _, poly = extract_equilibrium(slices[k][1])
+    ray = assemble_geodesic(grid_envelopes(perturbed, lam_nodes(0.36, 36),
+                                           grid, tol=1e-9), 0.36)
+    k = int(np.argmin(np.abs(ray.lam_grid - 0.3)))
+    _, poly = extract_equilibrium(ray.results[k])
     i = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
     leaf = trace_leaf(ray, perturbed, poly[i, 0] + 1j * poly[i, 1],
                       n_steps=512)
@@ -166,7 +168,7 @@ def test_perturbed_leaf_through_plateau_ringing(perturbed):
 
 
 def test_tubular_map_flat_identity(flat_ray_small, flat):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     net = polar_anchor_net([0.3, 0.45], 6)
     tmap = build_tubular_map(ray, flat, net)
     assert np.max(np.abs(tmap.u_points - tmap.anchors)) < 1e-8
@@ -174,7 +176,7 @@ def test_tubular_map_flat_identity(flat_ray_small, flat):
 
 
 def test_tubular_map_origin(flat_ray_small, flat):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     tmap = build_tubular_map(ray, flat, [0j, 0.3 + 0j])
     assert tmap.u_points[0] == 0j
 
@@ -189,7 +191,7 @@ def test_tubular_map_radial_rings(quartic_ray, quartic):
 
 
 def test_check_pullback_flat(flat_ray_small, flat):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     tmap = build_tubular_map(ray, flat, polar_anchor_net([0.3, 0.45, 0.6], 8))
     assert check_pullback(tmap, ray, flat) < 1e-6
 
@@ -210,7 +212,7 @@ def test_check_pullback_sampled_ray(perturbed_ray_small, perturbed):
 
 
 def test_check_pullback_single_anchor_raises(flat_ray_small, flat):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     tmap = build_tubular_map(ray, flat, [0.3 + 0j])
     with pytest.raises(ValueError, match="coarse"):
         check_pullback(tmap, ray, flat)
@@ -342,7 +344,7 @@ def _reference_trace_leaf(ray, p, z1, n_steps):
         zz = np.zeros_like(ts, dtype=complex)
         return Leaf(anchor=0j, t_samples=ts, curve=zz, ambient=zz,
                     lam_leaf=0.0, h_drift=0.0, u_limit=0j, ray=ray)
-    radial = p.symmetry == "radial" and ray.backend.startswith("oracle")
+    radial = ray.backend == "oracle"
     if radial:
         probe = _RadialProbe(p, ray.lam_grid)
         reads = _ScalarRadialReads(probe, p)
@@ -425,7 +427,7 @@ def _assert_same_leaf(leaf, ref):
 
 @pytest.fixture(scope="module")
 def radial_rays(flat_ray_small, flat, quartic_ray, quartic):
-    return {"flat": (flat_ray_small[1], flat, (0.003, 0.7)),
+    return {"flat": (flat_ray_small, flat, (0.003, 0.7)),
             "quartic": (quartic_ray, quartic, (0.003, 0.4))}
 
 
@@ -461,9 +463,9 @@ def test_radial_leaf_anchored_on_the_free_boundary_keeps_its_level():
     its central-fiber point 2.5e-3 from the anchor."""
     p = Potential(1, [Term("polyrad", 1.0, (1,)),
                       Term("polyrad", 0.546265, (2,))])
-    slices = oracle_slices(p, 0.36, 24, build_grid(1, 128, 1.0))
-    ray = assemble_geodesic(slices, c=0.36)
-    z1 = level_anchor(p, 0.317578, slices)
+    ray = assemble_geodesic(
+        radial_envelopes(p, lam_nodes(0.36, 24), build_grid(1, 128, 1.0)), 0.36)
+    z1 = level_anchor(p, 0.317578, ray.results)
     leaf = trace_leaf(ray, p, z1)
     assert abs(leaf.lam_leaf - 0.317578) < 1e-4
     assert abs(leaf.u_limit - z1) <= 1e-12 * abs(z1)
@@ -478,9 +480,9 @@ def test_default_sampled_leaf_takes_the_sampled_steps(
                                  n_steps=2048))
 
 
-def _equilibrium_anchor(slices, lam, angle):
-    k = int(np.argmin([abs(l - lam) for l, _ in slices]))
-    _, poly = extract_equilibrium(slices[k][1])
+def _equilibrium_anchor(results, lam, angle):
+    k = int(np.argmin([abs(res.lam - lam) for res in results]))
+    _, poly = extract_equilibrium(results[k])
     i = int(np.argmin(np.abs(np.angle(np.exp(
         1j * (np.arctan2(poly[:, 1], poly[:, 0]) - angle))))))
     return poly[i, 0] + 1j * poly[i, 1]
@@ -500,6 +502,21 @@ def test_level_anchor_on_a_general_weight(perturbed_slices_small, perturbed,
     nearest 0 of the nearest slice."""
     for lam, z in zip((0.1, 0.2), perturbed_anchors):
         assert level_anchor(perturbed, lam, perturbed_slices_small) == z
+
+
+def test_level_anchor_reads_the_stored_boundary(perturbed_slices_small,
+                                                perturbed):
+    """On every lam > 0 slice the anchor off the stored boundary is
+    bitwise the one read off a fresh `extract_equilibrium`; the lam = 0
+    slice has no boundary, and the error names its weight."""
+    results = perturbed_slices_small
+    for res in results[1:]:
+        _, poly = extract_equilibrium(res)
+        j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
+        assert level_anchor(perturbed, res.lam, results) == \
+            complex(poly[j, 0], poly[j, 1])
+    with pytest.raises(ValueError, match="lam = 0,"):
+        level_anchor(perturbed, 0.001, results)
 
 
 def test_batched_perturbed_leaves_match_scalar_reference(
@@ -525,14 +542,14 @@ def complex_monomial_family():
     # complex products round differently
     p = Potential(1, [Term("polyrad", 1.0, (1,)),
                       Term("perturb", 0.08 + 0.05j, (2, 1))])
-    slices = grid_slices(p, 0.36, 12, build_grid(1, 64, 1.0), tol=1e-9)
-    return p, slices, assemble_geodesic(slices, c=0.36)
+    return p, assemble_geodesic(grid_envelopes(
+        p, lam_nodes(0.36, 12), build_grid(1, 64, 1.0), tol=1e-9), 0.36)
 
 
 def test_complex_monomial_weight_leaves_match_scalar_reference(
         complex_monomial_family):
-    p, slices, ray = complex_monomial_family
-    anchors = [_equilibrium_anchor(slices, lam, angle)
+    p, ray = complex_monomial_family
+    anchors = [_equilibrium_anchor(ray.results, lam, angle)
                for lam, angle in ((0.15, 0.5), (0.2, 2.5), (0.15, 4.0))]
     for leaf, z1 in zip(trace_leaves(ray, p, anchors, n_steps=64), anchors):
         _assert_same_leaf(leaf, _reference_trace_leaf(ray, p, z1, 64))
@@ -546,7 +563,7 @@ def test_batched_rhs_matches_scalar_rhs(case, perturbed_ray_small, perturbed,
     reference finds no bracket, or its slope root overflows, are left
     out)."""
     p, ray = (perturbed, perturbed_ray_small) if case == "perturbed" \
-        else complex_monomial_family[::2]
+        else complex_monomial_family
     probe = _SplineProbe(ray, range(0, 9))
     reads, depth, r_a = _ScalarSplineReads(probe), min(int(math.ceil(
         3.0 * ray.spatial_grid.h / ray.d_lam)), 4), 0.4
@@ -619,7 +636,7 @@ def test_outside_anchor_is_named(quartic_ray, quartic):
 
 
 def test_tubular_map_checks_given_leaves(flat_ray_small, flat):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     net = polar_anchor_net([0.3, 0.45], 3)
     leaves = trace_leaves(ray, flat, net, n_steps=64)
     tmap = build_tubular_map(ray, flat, net, leaves=leaves)
@@ -636,8 +653,8 @@ def flat_ray_rim(flat):
     # interior coincidence node, and the solver says so
     grid = build_grid(1, 64, 0.8)
     with pytest.warns(UserWarning, match="empty coincidence set"):
-        slices = grid_slices(flat, 0.8, 16, grid, tol=1e-9)
-    return assemble_geodesic(slices, c=0.8)
+        results = grid_envelopes(flat, lam_nodes(0.8, 16), grid, tol=1e-9)
+    return assemble_geodesic(results, 0.8)
 
 
 def test_leaf_past_r_max_exits_naming_its_anchor(flat_ray_rim, flat):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pshlab.envelope_solver import grid_envelope, radial_envelope
+from pshlab.envelope_solver import (EnvelopeResult, grid_envelope,
+                                    grid_envelopes, radial_envelope,
+                                    radial_envelopes)
 from pshlab.field_grid import GridSpec, ScalarField, build_grid
 from pshlab.geodesic_legendre import (GeodesicRay, assemble_geodesic,
-                                      certified_lambda, grid_slices,
-                                      hamiltonian, hmae_residual,
-                                      legendre_slices, oracle_slices,
-                                      rounding_noise, smooth_hamiltonian,
-                                      weak_solution)
+                                      certified_lambda, hamiltonian,
+                                      hmae_residual, lam_nodes,
+                                      legendre_slices, rounding_noise,
+                                      smooth_hamiltonian, weak_solution)
 from pshlab.potential_kit import Potential, Term
 
 
@@ -34,33 +35,35 @@ def _assert_same_envelope(fam, one, solver_fields=False):
         assert fam.residual == one.residual
 
 
-def test_oracle_slices_are_the_single_lam_envelopes_bitwise(quartic):
-    """Every slice of `oracle_slices` is bitwise `radial_envelope` at its
-    lam, lam = 0 and a degenerate lam (>= 2, the quartic's disc mass)
-    included, and the degenerate slice still warns."""
+def test_radial_envelopes_are_the_single_lam_envelopes_bitwise(quartic):
+    """Every slice of a `radial_envelopes` family on `lam_nodes` is
+    bitwise `radial_envelope` at its lam, lam = 0 and a degenerate lam
+    (>= 2, the quartic's disc mass) included, and the degenerate slice
+    still warns."""
     grid = build_grid(1, 64, 1.0)
     with pytest.warns(UserWarning, match="enclosed mass"):
-        slices = oracle_slices(quartic, 2.5, 5, grid)   # lam 0, 0.5, ..., 2
-    assert [lam for lam, _ in slices] == [0.0, 0.5, 1.0, 1.5, 2.0]
-    for lam, res in slices[:-1]:
-        _assert_same_envelope(res, radial_envelope(quartic, lam, grid))
+        results = radial_envelopes(quartic, lam_nodes(2.5, 5), grid)
+    assert [res.lam for res in results] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    for res in results[:-1]:
+        _assert_same_envelope(res, radial_envelope(quartic, res.lam, grid))
     with pytest.warns(UserWarning, match="enclosed mass"):
         one = radial_envelope(quartic, 2.0, grid)
     assert one.degenerate
-    _assert_same_envelope(slices[-1][1], one)
+    _assert_same_envelope(results[-1], one)
 
 
-def test_grid_slices_are_the_single_lam_solves_bitwise(perturbed):
-    """Every slice of `grid_slices` (64^2, three lam) is bitwise the cold
-    `grid_envelope` solve at its lam, steps and residual included."""
+def test_grid_envelopes_are_the_single_lam_solves_bitwise(perturbed):
+    """Every slice of a `grid_envelopes` family (64^2, three lam) is
+    bitwise the cold `grid_envelope` solve at its lam, steps and residual
+    included."""
     grid = build_grid(1, 64, 1.0)
-    slices = grid_slices(perturbed, 0.45, 3, grid, tol=1e-9)
-    for lam, res in slices:
-        _assert_same_envelope(res, grid_envelope(perturbed, lam, grid, tol=1e-9),
+    for res in grid_envelopes(perturbed, lam_nodes(0.45, 3), grid, tol=1e-9):
+        _assert_same_envelope(res, grid_envelope(perturbed, res.lam, grid,
+                                                 tol=1e-9),
                               solver_fields=True)
 
 
-def test_oracle_slices_evaluate_the_grid_once(quartic, monkeypatch):
+def test_radial_envelopes_evaluate_the_grid_once(quartic, monkeypatch):
     """|z|^2 and chi(ln|z|^2) on the whole grid are evaluated once per
     family, not once per slice."""
     grid = build_grid(1, 64, 1.0)
@@ -77,7 +80,7 @@ def test_oracle_slices_evaluate_the_grid_once(quartic, monkeypatch):
 
     monkeypatch.setattr(GridSpec, "rho", counted_rho)
     monkeypatch.setattr(type(quartic), "chi", counted_chi)
-    assert len(oracle_slices(quartic, 0.8, 12, grid)) == 12
+    assert len(radial_envelopes(quartic, lam_nodes(0.8, 12), grid)) == 12
     assert calls == {"rho": 1, "chi": 1}
 
 
@@ -156,6 +159,17 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
+def _family(lams, fields):
+    """Bare deficit fields as the EnvelopeResults of a slice family (a ray
+    reads only their lam and deficit)."""
+    return [EnvelopeResult(lam=float(lam), potential=None, envelope=fld,
+                           deficit=fld,
+                           coincidence=np.zeros(fld.mask.shape, bool),
+                           boundary=np.zeros((0, 2)), backend="", tol=0.0,
+                           coincidence_tol=0.0)
+            for lam, fld in zip(lams, fields)]
+
+
 @st.composite
 def _families(draw):
     """A slice family on a small grid, nonincreasing in lam, each pixel
@@ -195,7 +209,7 @@ def _families(draw):
     mask[:, cut] = np.arange(m)[:, None] < top[cut][None, :]
     mask[:, rng.random(N) < 0.1] = False
     mask[1:, rng.integers(N)] = False
-    fields = [(lam[k], ScalarField(grid, a[k].reshape(n, n), mask[k].reshape(n, n)))
+    fields = [ScalarField(grid, a[k].reshape(n, n), mask[k].reshape(n, n))
               for k in range(m)]
     c = lam[-1] + 0.1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -207,7 +221,7 @@ def _families(draw):
     picks = np.concatenate((picks, picks + ulps))
     t_max = max(1.0, float(np.max(t_br, initial=0.0)) * 1.5)
     t = np.unique(np.concatenate(([0.0], rng.uniform(0.0, t_max, 10), picks)))
-    return assemble_geodesic(fields, t_grid=t, c=c), picks
+    return assemble_geodesic(_family(lam, fields), c, t_grid=t), picks
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,7 +255,7 @@ def test_traced_methods_stay_in_the_class_body():
 
 
 def test_eval_u_rejects_negative_or_decreasing_t(flat_ray_small):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     with pytest.raises(ValueError, match="nonnegative and increasing"):
         ray.eval_u(-0.5)
     with pytest.raises(ValueError, match="nonnegative and increasing"):
@@ -250,7 +264,7 @@ def test_eval_u_rejects_negative_or_decreasing_t(flat_ray_small):
 
 def test_breakpoint_table_bitwise_oracle_and_grid(flat_ray_small,
                                                   perturbed_ray_small):
-    for ray in (flat_ray_small[1], perturbed_ray_small):
+    for ray in (flat_ray_small, perturbed_ray_small):
         arg, u = _reference_materialize(ray)
         assert np.array_equal(ray.argmax_index(), arg)
         assert np.array_equal(_bits(ray.u_values()), _bits(u))
@@ -262,18 +276,17 @@ def test_breakpoint_table_bitwise_oracle_and_grid(flat_ray_small,
             assert np.array_equal(_bits(got.values), _bits(ref))
 
 
-def _roundtrip(slices, ray):
+def _roundtrip(ray):
     worst = 0.0
     back = legendre_slices(ray, ray.lam_grid)
-    for (lam, res), b in zip(slices, back):
-        fld = res.deficit if hasattr(res, "deficit") else res
+    for fld, b in zip(ray.slices, back):
         m = fld.mask & b.mask
         worst = max(worst, float(np.max(np.abs(b.values - fld.values)[m])))
     return worst
 
 
 def test_assemble_flat_closed_form(flat_ray_small, grid128):
-    slices, ray = flat_ray_small
+    ray = flat_ray_small
     rho = grid128.rho()
     msk = ray.mask()
     u = ray.u_values()
@@ -289,7 +302,7 @@ def test_assemble_flat_closed_form(flat_ray_small, grid128):
 
 
 def test_u_at_zero_vanishes(flat_ray_small):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     u0 = ray.u_values()[0]
     assert np.max(np.abs(u0[ray.mask()])) == 0.0
 
@@ -297,7 +310,7 @@ def test_u_at_zero_vanishes(flat_ray_small):
 def test_single_slice_ray_trivial(grid128, flat):
     from pshlab.envelope_solver import radial_envelope
     res = radial_envelope(flat, 0.0, grid128)
-    ray = assemble_geodesic([(0.0, res)], c=0.1)
+    ray = assemble_geodesic([res], 0.1)
     assert np.max(np.abs(ray.u_values()[:, ray.mask()])) == 0.0
     rep = hmae_residual(ray, flat)
     assert rep["convexity_defect"] == 0.0
@@ -309,15 +322,25 @@ def test_non_monotone_family_raises(grid128, flat):
     r0 = radial_envelope(flat, 0.0, grid128)
     r1 = radial_envelope(flat, 0.2, grid128)
     with pytest.raises(ValueError, match="monotone.*0.2"):
-        assemble_geodesic([(0.0, ScalarField(grid128, r1.deficit.masked_fill(0.0),
-                                             r1.deficit.mask)),
-                           (0.2, ScalarField(grid128, np.zeros(grid128.shape),
-                                             r1.deficit.mask))], c=0.4)
+        assemble_geodesic(_family((0.0, 0.2), (
+            ScalarField(grid128, r1.deficit.masked_fill(0.0), r1.deficit.mask),
+            ScalarField(grid128, np.zeros(grid128.shape), r1.deficit.mask))),
+            0.4)
+
+
+def test_assemble_refuses_lam_off_the_family_rules(grid128, flat):
+    """The lam of a family start at 0, increase strictly and stay below
+    the cutoff."""
+    r = radial_envelopes(flat, [0.0, 0.1, 0.2], grid128)
+    for family in (r[1:], [r[0], r[2], r[1]], [r[0], r[1], r[1]]):
+        with pytest.raises(ValueError, match="start at 0|strictly increasing"):
+            assemble_geodesic(family, 0.4)
+    with pytest.raises(ValueError, match="below the cutoff"):
+        assemble_geodesic(r, 0.2)
 
 
 def test_involution_oracle(flat_ray_small):
-    slices, ray = flat_ray_small
-    assert _roundtrip(slices, ray) <= 1e-8
+    assert _roundtrip(flat_ray_small) <= 1e-8
 
 
 @settings(max_examples=12, deadline=None)
@@ -327,17 +350,17 @@ def test_involution_oracle_property(q, c, m, n, n_t):
     """On random radial weights |z|^2 + q |z|^4 and oracle lam-grids the
     conjugate of the ray reproduces every slice within C3's 1e-8."""
     p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
-    slices = oracle_slices(p, c, m, build_grid(1, n, 1.0))
-    ray = assemble_geodesic(slices, c=c, n_t=n_t)
-    assert _roundtrip(slices, ray) <= 1e-8
+    ray = assemble_geodesic(
+        radial_envelopes(p, lam_nodes(c, m), build_grid(1, n, 1.0)), c, n_t=n_t)
+    assert _roundtrip(ray) <= 1e-8
 
 
-def test_involution_grid(perturbed_slices_small, perturbed_ray_small):
-    assert _roundtrip(perturbed_slices_small, perturbed_ray_small) <= 5e-3
+def test_involution_grid(perturbed_ray_small):
+    assert _roundtrip(perturbed_ray_small) <= 5e-3
 
 
 def test_legendre_flat_closed_form(flat_ray_small, grid128):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     lam = 0.25
     out = legendre_slices(ray, [lam])[0]
     rho = grid128.rho()
@@ -349,19 +372,19 @@ def test_legendre_flat_closed_form(flat_ray_small, grid128):
 
 
 def test_legendre_lam_zero(flat_ray_small):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     out = legendre_slices(ray, [0.0])[0]
     assert np.max(np.abs(out.values[out.mask])) <= 1e-12
 
 
 def test_legendre_out_of_range(flat_ray_small):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     with pytest.raises(ValueError, match="lam outside"):
         legendre_slices(ray, [ray.cutoff])
 
 
 def test_hamiltonian_flat(flat_ray_small, grid128):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     H = hamiltonian(ray, fd_check=True)
     rho = grid128.rho()
     msk = ray.mask()
@@ -376,7 +399,7 @@ def test_hamiltonian_flat(flat_ray_small, grid128):
 
 
 def test_hamiltonian_zero_locus(flat_ray_small, grid128):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     H = hamiltonian(ray, fd_check=False)
     arg = ray.argmax_index()
     assert np.array_equal(H.values == 0.0, arg == 0)
@@ -392,8 +415,8 @@ def test_oracle_ray_monotone_convex_in_t(q, c, m, n, n_t):
     nondecreasing and convex in t and its argmax nondecreasing in t, up to
     rounding noise; H >= 0, with H = 0 exactly where the argmax is slice 0."""
     p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
-    ray = assemble_geodesic(oracle_slices(p, c, m, build_grid(1, n, 1.0)),
-                            c=c, n_t=n_t)
+    ray = assemble_geodesic(
+        radial_envelopes(p, lam_nodes(c, m), build_grid(1, n, 1.0)), c, n_t=n_t)
     msk = ray.mask()
     t, lam = ray.t_grid, ray.lam_grid
     u = ray.u_values()[:, msk]
@@ -415,7 +438,7 @@ def test_oracle_ray_monotone_convex_in_t(q, c, m, n, n_t):
 
 
 def test_smooth_hamiltonian_flat_exact(flat_ray_small, grid128):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     h0 = smooth_hamiltonian(ray)
     rho = grid128.rho()
     sel = ray.mask() & (rho < 0.7 * ray.cutoff) & (rho > 0.02)
@@ -423,18 +446,16 @@ def test_smooth_hamiltonian_flat_exact(flat_ray_small, grid128):
 
 
 def test_level_set_identity(flat_ray_small):
-    slices, ray = flat_ray_small
+    ray = flat_ray_small
     H = hamiltonian(ray, fd_check=False)
-    for k, (lam, res) in enumerate(slices):
-        if k == 0:
-            continue
+    for lam, res in zip(ray.lam_grid[1:], ray.results[1:]):
         m1 = res.deficit.mask & (res.deficit.values < -res.coincidence_tol)
         m2 = res.deficit.mask & (H.h0.values < lam)
         assert np.array_equal(m1, m2)
 
 
 def test_weak_solution_flat(flat_ray_small, grid128):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     w = weak_solution(ray)
     rho = grid128.rho()
     msk = ray.mask()
@@ -456,7 +477,7 @@ def test_weak_solution_flat(flat_ray_small, grid128):
 
 
 def test_hmae_residual_flat(flat_ray_small, flat, grid128):
-    _, ray = flat_ray_small
+    ray = flat_ray_small
     rep = hmae_residual(ray, flat)
     assert rep["convexity_defect"] <= 1e-12
     assert rep["max_slice_residual"] <= 10.0 * grid128.h
@@ -473,7 +494,6 @@ def test_hmae_residual_perturbed(perturbed_ray_small, perturbed, grid128):
         0.0, -float(np.min(d2[:, perturbed_ray_small.mask()])))
 
 
-def test_certified_lambda(perturbed_slices_small):
-    results = [r for _, r in perturbed_slices_small]
-    best = certified_lambda(results)
+def test_certified_lambda(perturbed_ray_small):
+    best = certified_lambda(perturbed_ray_small.results)
     assert 0.1 < best < 0.45

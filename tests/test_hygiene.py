@@ -1,7 +1,8 @@
 """Every name a `pshlab` module imports is used in that module, only
 `field_grid` writes out the five-point neighbour slices, of 2-D arrays and
 of row-major 1-D buffers, no `EnvelopeResult` takes a literal as its
-coincidence tolerance, the CLI solves envelopes by one route, and no
+coincidence tolerance, the CLI solves envelopes by one route, the
+lam-grid of a slice family is written once (`lam_nodes`), and no
 module imports scipy at module level, so that the CLI's commands load it
 only where they need it."""
 
@@ -103,7 +104,39 @@ def test_cli_solves_envelopes_by_one_route():
                     callers.setdefault(name, set()).add(fn.name)
     assert callers["radial_envelopes"] == {"_solve_envelopes"}
     assert callers["grid_envelopes"] == {"_solve_envelopes"}
-    assert "oracle_slices" not in callers and "grid_slices" not in callers
+
+
+def _is_lam_node_rule(comp):
+    """Whether a comprehension is `x * k / m for k in range(m)`."""
+    gen = comp.generators[0]
+    elt, it = comp.elt, gen.iter
+    return (len(comp.generators) == 1 and isinstance(it, ast.Call)
+            and getattr(it.func, "id", None) == "range" and len(it.args) == 1
+            and isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Div)
+            and ast.dump(elt.right) == ast.dump(it.args[0])
+            and isinstance(elt.left, ast.BinOp)
+            and isinstance(elt.left.op, ast.Mult)
+            and getattr(elt.left.right, "id", None)
+            == getattr(gen.target, "id", ""))
+
+
+def test_lam_nodes_is_the_one_lam_grid():
+    """The lam-grid c k / m, k < m, is written only in `lam_nodes`, and
+    the pair-building family helpers are gone."""
+    hits = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        in_rule = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "lam_nodes"
+                   for node in ast.walk(fn)}
+        hits += [(path.name, id(node) in in_rule) for node in ast.walk(tree)
+                 if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+                 and _is_lam_node_rule(node)]
+    assert hits == [("geodesic_legendre.py", True)]
+    tree = ast.parse((SRC / "geodesic_legendre.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"oracle_slices", "grid_slices"}
 
 
 def _module_level_imports(path):
