@@ -53,7 +53,9 @@ def measure(n: int) -> dict:
     p = builtin_potential("perturbed")
     grid = build_grid(1, n, 1.0)
     res = grid_envelope(p, LAM, grid, tol=1e-10)
-    mask, poly = extract_equilibrium(res, refine=True)
+    out = extract_equilibrium(res, refine=True)
+    # an older tree returns (coincidence mask, polyline)
+    mask, poly = out if isinstance(out, tuple) else (res.coincidence, out)
     comp = ~mask & res.envelope.mask
     walls = []
     for _ in range(REPEATS):

@@ -28,7 +28,9 @@ of the net is one batch):
 The leaf anchors come from the tree's `foliation_tube.level_anchor`, the
 rule `foliate` and C13 use; a tree without it gets a copy of its older
 rule.  A tree with `foliation_tube.trace_leaves` traces each set in one
-call; a tree without it calls `trace_leaf` once per anchor.  `samples`
+call; a tree without it calls `trace_leaf` once per anchor.  A tree whose
+readers take the weight `p` next to the slice family or ray gets it
+passed; a newer one reads it off the family.  `samples`
 is the number of t-samples the set's leaves hold, summed over them (a
 leaf traced by RK4 holds one more than the steps it took; sampled leaves
 stop early, at their resolved radius, some before their first step).
@@ -44,6 +46,7 @@ they ran on; run both trees on one machine.
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -77,6 +80,11 @@ reharm 0.25+0.1j 3
 """
 
 
+def takes_p(fn) -> bool:
+    """Whether a reader of an older tree takes the weight `p` as well."""
+    return "p" in inspect.signature(fn).parameters
+
+
 def level_anchor(p, lam, family, t_lo=-200.0):
     """The leaf anchor at level lam: the tree's own
     `foliation_tube.level_anchor` of the slice family as its `foliate`
@@ -87,7 +95,9 @@ def level_anchor(p, lam, family, t_lo=-200.0):
     from pshlab.envelope_solver import extract_equilibrium
 
     if hasattr(foliation_tube, "level_anchor"):
-        return foliation_tube.level_anchor(p, lam, family)
+        if takes_p(foliation_tube.level_anchor):
+            return foliation_tube.level_anchor(p, lam, family)
+        return foliation_tube.level_anchor(lam, family)
     if p.symmetry == "radial":
         from scipy.optimize import brentq
         t_s = brentq(lambda t: p.chi_prime(t) - lam, t_lo, 0.0)
@@ -132,16 +142,19 @@ def c13_anchors():
     ray = gl.assemble_geodesic(
         family, t_grid=gl.default_t_grid(0.36, 72, grid=build_grid(1, 512, 1.0)),
         c=0.36)
-    radii = [abs(level_anchor(p, lam, None, t_lo=-80.0)) for lam in C13_LEVELS]
+    radii = [abs(level_anchor(p, lam, family, t_lo=-80.0))
+             for lam in C13_LEVELS]
     return ray, p, list(polar_anchor_net(radii, 8).ravel())
 
 
 def trace(ray, p, anchors):
     from pshlab import foliation_tube as ft
 
-    if hasattr(ft, "trace_leaves"):
+    if not hasattr(ft, "trace_leaves"):
+        return [ft.trace_leaf(ray, p, z) for z in anchors]
+    if takes_p(ft.trace_leaves):
         return ft.trace_leaves(ray, p, anchors)
-    return [ft.trace_leaf(ray, p, z) for z in anchors]
+    return ft.trace_leaves(ray, anchors)
 
 
 def count_rhs(ray, p, anchors) -> int:

@@ -21,7 +21,7 @@ from .geodesic_legendre import (GeodesicRay, HamiltonianField,
                                 weak_solution)
 from .ma_measure import MeasureReport, boundary_mass, ma_mass, reproducing_check
 from .foliation_tube import (Leaf, TubularMap, build_tubular_map,
-                             check_pullback, disc_area, trace_leaf, trace_leaves)
+                             check_pullback, disc_area, trace_leaves)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -141,12 +141,12 @@ class AcceptanceContext:
     def leaves(self):
         lams = (0.1, 0.2, 0.3)
         quartic = trace_leaves(
-            self.quartic_leaf_ray, self.quartic,
-            [level_anchor(self.quartic, lam, None) for lam in lams],
-            n_steps=self.n_steps)
+            self.quartic_leaf_ray,
+            [level_anchor(lam, self.quartic_leaf_ray.results)
+             for lam in lams], n_steps=self.n_steps)
         perturbed = trace_leaves(
-            self.perturbed_leaf_ray, self.perturbed,
-            [level_anchor(self.perturbed, lam, self.perturbed_leaf_ray.results)
+            self.perturbed_leaf_ray,
+            [level_anchor(lam, self.perturbed_leaf_ray.results)
              for lam in lams], n_steps=self.n_steps)
         return {(name, lam): leaf for lam, q, pt in zip(lams, quartic, perturbed)
                 for name, leaf in (("quartic", q), ("perturbed", pt))}
@@ -269,7 +269,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     res = grid_envelope(ctx.perturbed, 0.2, ctx.grid_fine, tol=1e-10)
-    rep = reproducing_check(ctx.perturbed, res, k_max=4)
+    rep = reproducing_check(res, k_max=4)
     ratios = rep.normalized_moments()
     mass_err = abs(rep.mass - 0.2)
     el = time.perf_counter() - t0
@@ -283,9 +283,8 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     ok = True
     worst_area, worst_drift = 0.0, 0.0
-    for (name, lam), leaf in ctx.leaves.items():
-        p = ctx.quartic if name == "quartic" else ctx.perturbed
-        area = disc_area(leaf, p)
+    for leaf in ctx.leaves.values():
+        area = disc_area(leaf)
         a_err = abs(area - leaf.lam_leaf)
         drift = leaf.h_drift / leaf.lam_leaf
         worst_area = max(worst_area, a_err)
@@ -302,13 +301,13 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     worst = 0.0
     h = ctx.grid_fine.h
     for (name, lam), leaf in ctx.leaves.items():
-        p = ctx.quartic if name == "quartic" else ctx.perturbed
-        bd = leaf_boundary(leaf, p)
+        p = leaf.ray.potential
+        bd = leaf_boundary(leaf)
         if name == "quartic":
             res = radial_envelope(p, leaf.lam_leaf, ctx.grid_fine)
         else:
             res = grid_envelope(p, leaf.lam_leaf, ctx.grid_fine, tol=1e-9)
-        _, poly = extract_equilibrium(res)
+        poly = extract_equilibrium(res)
         d = 0.0
         for pt in bd[:: max(1, len(bd) // 128)]:
             d = max(d, float(np.min(np.hypot(poly[:, 0] - pt[0],
@@ -422,11 +421,11 @@ def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_13(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     ray = ctx.quartic_leaf_ray
-    radii = [abs(level_anchor(ctx.quartic, l, None))
+    radii = [abs(level_anchor(l, ray.results))
              for l in (0.06, 0.12, 0.2, 0.3)]
     anchors = polar_anchor_net(radii, 8)
-    tmap = build_tubular_map(ray, ctx.quartic, anchors)
-    dev = check_pullback(tmap, ray, ctx.quartic)
+    tmap = build_tubular_map(ray, anchors)
+    dev = check_pullback(tmap, ray)
     ok = dev <= 5e-2
     return _result("C13", "tubular pullback (32 anchors, 5e-2)", ok,
                    f"max relative deviation {dev:.2e}", t0)

@@ -122,6 +122,8 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: cannot parse {key} = {val!r}") from None
+        if isinstance(parsed, float) and not np.isfinite(parsed):
+            raise ConfigError(f"line {lineno}: {key} must be finite")
         if key == "command":
             if parsed not in _COMMANDS:
                 raise ConfigError(f"line {lineno}: unknown command {parsed!r}")
@@ -139,6 +141,9 @@ def parse_config(text: str) -> RunConfig:
                 cfg.lambdas = [float(tok) for tok in parsed.split(",") if tok]
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad lambda list") from None
+            if not all(np.isfinite(v) and v >= 0 for v in cfg.lambdas):
+                raise ConfigError(
+                    f"line {lineno}: lambdas must be finite and >= 0")
         elif key == "c":
             if parsed <= 0:
                 raise ConfigError(f"line {lineno}: c must be positive")
@@ -258,8 +263,8 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> int:
         write_csv(out / f"boundary_{i:03d}.csv", res.boundary,
                   header=f"x,y lambda={lam:.17g}")
         if cfg.n == 1 and lam > 0 and not res.degenerate:
-            mask, poly = extract_equilibrium(res, refine=True)
-            comp = ~mask & res.envelope.mask
+            poly = extract_equilibrium(res, refine=True)
+            comp = ~res.coincidence & res.envelope.mask
             m0 = ma_mass(cfg.potential, region_mask=comp, grid=res.grid,
                          polyline=poly)
             bm = boundary_mass(cfg.potential, poly)
@@ -293,7 +298,7 @@ def _cmd_geodesic(cfg: RunConfig, out: Path) -> int:
     write_csv(out / "hamiltonian.csv", H.values.reshape(nt, -1))
     w = weak_solution(ray)
     write_csv(out / "truncated_pole_field.csv", w.values.reshape(nt, -1))
-    resid = hmae_residual(ray, cfg.potential)
+    resid = hmae_residual(ray)
     meta = cfg.echo()
     meta.update({"t_max": f"{ray.t_max:.17g}",
                  "convexity_defect": f"{resid['convexity_defect']:.17g}",
@@ -308,25 +313,24 @@ def _cmd_geodesic(cfg: RunConfig, out: Path) -> int:
 def _cmd_foliate(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ray = _build_ray(cfg)
-    p = cfg.potential
     lams = cfg.lambdas or [cfg.lam]
     leaf_dir = out / "leaves"
     leaf_dir.mkdir(exist_ok=True)
-    anchors = [level_anchor(p, lam, ray.results) for lam in lams]
+    anchors = [level_anchor(lam, ray.results) for lam in lams]
     rings = np.linspace(0.35, 0.85, cfg.anchor_rings) * max(
         abs(a) for a in anchors)
     net = polar_anchor_net(rings, cfg.anchor_angles)
-    leaves = trace_leaves(ray, p, anchors + list(net.ravel()))
+    leaves = trace_leaves(ray, anchors + list(net.ravel()))
     rows = []
     for i, (lam, leaf) in enumerate(zip(lams, leaves)):
-        area = disc_area(leaf, p)
+        area = disc_area(leaf)
         arr = np.stack([leaf.t_samples, leaf.curve.real, leaf.curve.imag,
                         np.full(len(leaf.t_samples), leaf.lam_leaf)], axis=1)
         write_csv(leaf_dir / f"leaf_{i:03d}.csv", arr, header="t,re_z,im_z,H")
         rows.append([lam, leaf.lam_leaf, area, leaf.h_drift])
     write_csv(out / "areas.csv", np.asarray(rows),
               header="lambda_target,lambda_leaf,area,h_drift")
-    tmap = build_tubular_map(ray, p, net, leaves=leaves[len(anchors):])
+    tmap = build_tubular_map(ray, net, leaves=leaves[len(anchors):])
     flat_pairs = np.stack([tmap.u_points.ravel().real,
                            tmap.u_points.ravel().imag,
                            tmap.anchors.ravel().real,

@@ -306,7 +306,7 @@ def _reinhardt_envelope(p, lam: float, grid: GridSpec) -> EnvelopeResult:
                          coincidence=coin, boundary=np.zeros((0, 2)),
                          backend="oracle-reinhardt", tol=0.0,
                          coincidence_tol=ctol)
-    res.boundary = extract_equilibrium(res)[1]
+    res.boundary = extract_equilibrium(res)
     return res
 
 
@@ -507,7 +507,7 @@ def grid_envelopes(p, lams, grid: GridSpec, tol: float = 1e-10,
                              coincidence_tol=ctol, iterations=iters,
                              residual=residual, degenerate=degenerate)
         if lam > 0 and not degenerate:
-            res.boundary = extract_equilibrium(res)[1]
+            res.boundary = extract_equilibrium(res)
         out.append(res)
     return out
 
@@ -523,13 +523,13 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
-    """The result's stored coincidence set (see `contact_tol`; without the
-    pole) and its boundary polyline.
+    """The boundary polyline of the result's stored coincidence set
+    (`result.coincidence`, see `contact_tol`).
 
-    The polyline is the marching-squares level curve a = -tol, tol the
-    result's `coincidence_tol`, oriented
-    counter-clockwise: on cartesian grids its largest loop around the pole
-    (implicitly closed), on log-radial grids its longest chain.
+    It is the marching-squares level curve a = -tol, tol the result's
+    `coincidence_tol`, oriented counter-clockwise: on cartesian grids its
+    largest loop around the pole (implicitly closed), on log-radial grids
+    its longest chain.
     With refine=True (cartesian only) it is relocated by the square-root
     vanishing of the deficit at the free boundary, sampled along rays from
     the pole (useful when the mass/moment integrals need a less biased
@@ -541,29 +541,28 @@ def extract_equilibrium(result: EnvelopeResult, refine: bool = False):
     tol = result.coincidence_tol
     a = result.deficit
     grid = result.grid
-    mask = result.coincidence
     if result.lam == 0:
-        return mask, np.zeros((0, 2))
+        return np.zeros((0, 2))
     if refine and result.backend == "oracle":   # the exact circle
-        return mask, result.boundary
+        return result.boundary
     if refine and result.backend == "grid-active-set" and len(result.boundary):
-        return mask, _radial_refined_boundary(result, result.boundary)
+        return _radial_refined_boundary(result, result.boundary)
     cartesian = grid.style == "cartesian"
     ax = grid.axis() if cartesian else grid.t_axis()
     filled = np.where(a.mask, a.values, np.where(result.envelope.mask, -1e30, 0.0))
     chains = marching_squares(filled, -tol, ax, ax)
     if not cartesian:
-        return mask, (ensure_ccw(max(chains, key=len)) if chains else np.zeros((0, 2)))
+        return ensure_ccw(max(chains, key=len)) if chains else np.zeros((0, 2))
 
     loops = [c for c in chains if len(c) >= 8]
     if not loops:
-        return mask, np.zeros((0, 2))
+        return np.zeros((0, 2))
     containing = [c for c in loops
                   if points_in_polygon(np.zeros(1), np.zeros(1), c)[0]]
     poly0 = ensure_ccw(max(containing or loops, key=lambda c: abs(polygon_area(c))))
     if not refine:
-        return mask, poly0
-    return mask, _radial_refined_boundary(result, poly0)
+        return poly0
+    return _radial_refined_boundary(result, poly0)
 
 
 def _radial_refined_boundary(result: EnvelopeResult,

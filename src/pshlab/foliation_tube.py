@@ -50,7 +50,7 @@ class Leaf:
     lam_leaf: float
     h_drift: float
     u_limit: complex
-    ray: GeodesicRay = field(repr=False, default=None)
+    ray: GeodesicRay = field(repr=False)
     anchor_level: float = float("nan")
 
 
@@ -171,9 +171,9 @@ class _RadialProbe:
     The values are exact up to the rounding of the terms that cancel at
     the free boundary, which sets `noise`."""
 
-    def __init__(self, p, lam_grid):
-        self.p = p
-        self.lam = np.asarray(lam_grid, dtype=float)
+    def __init__(self, ray: GeodesicRay):
+        self.p = p = ray.potential
+        self.lam = ray.lam_grid
         self.k_window = list(range(len(self.lam)))
         self.t_star = np.full(len(self.lam), -np.inf)
         self.flat = np.zeros(len(self.lam))
@@ -202,10 +202,11 @@ def _check(ok, msg, x, anchors):   # LeafExit for the first leaf not ok
         raise LeafExit(msg, location=complex(x[i]), anchor=complex(anchors[i]))
 
 
-def _rhs_factory(ray: GeodesicRay, p, probe):
+def _rhs_factory(ray: GeodesicRay, probe):
     """Right-hand side of the leaf equation for a batch of leaves read
     through one probe, and `state`, its slope root alone; each row gets
     the IEEE operations of a lone leaf."""
+    p = ray.potential
     lam = ray.lam_grid[probe.k_window]
     if len(lam) < 3:
         raise ValueError("lam window too small for slope differencing")
@@ -300,7 +301,7 @@ def _rhs_factory(ray: GeodesicRay, p, probe):
     return rhs, state
 
 
-def trace_leaves(ray: GeodesicRay, p, anchors,
+def trace_leaves(ray: GeodesicRay, anchors,
                  n_steps: int | None = None) -> list:
     """The leaves through the t = 0 anchors along the real ray, sampled at
     n_steps + 1 evenly spaced t in [0, t_max]; one Leaf per anchor.
@@ -343,27 +344,22 @@ def trace_leaves(ray: GeodesicRay, p, anchors,
             groups.setdefault((max(0, k0 - LEAF_WINDOW), min(
                 len(ray.lam_grid), k0 + LEAF_WINDOW + 1)), []).append(i)
     for window, idx in groups.items():
-        probe = _RadialProbe(p, ray.lam_grid) if radial \
+        probe = _RadialProbe(ray) if radial \
             else _SplineProbe(ray, range(*window))
         for i, leaf in zip(idx, _trace_batch(
-                ray, p, probe, [anchors[i] for i in idx], n_steps)):
+                ray, probe, [anchors[i] for i in idx], n_steps)):
             leaves[i] = leaf
     return leaves
 
 
-def trace_leaf(ray: GeodesicRay, p, z1: complex,
-               n_steps: int | None = None) -> Leaf:
-    """The leaf through one t = 0 anchor (see `trace_leaves`)."""
-    return trace_leaves(ray, p, [z1], n_steps=n_steps)[0]
-
-
-def level_anchor(p, lam: float, results) -> complex:
-    """The t = 0 anchor of the leaf at pole weight lam: sqrt(rho*),
-    rho* = `p.level_rho(lam)`, for a radial weight; otherwise the point at
-    angle nearest 0 on the stored equilibrium boundary of the result of
-    `results` (a slice family) whose weight is nearest lam.  Raises
-    ValueError, naming that weight, when its boundary is empty (lam = 0
-    or a degenerate slice)."""
+def level_anchor(lam: float, results) -> complex:
+    """The t = 0 anchor of the leaf at pole weight lam on a slice family
+    `results` of the weight p: sqrt(rho*), rho* = `p.level_rho(lam)`, for
+    a radial p; otherwise the point at angle nearest 0 on the stored
+    equilibrium boundary of the result whose weight is nearest lam.
+    Raises ValueError, naming that weight, when its boundary is empty
+    (lam = 0 or a degenerate slice)."""
+    p = results[0].potential
     if p.symmetry == "radial":
         return complex(math.sqrt(p.level_rho(lam)))
     res = results[int(np.argmin([abs(r.lam - lam) for r in results]))]
@@ -375,8 +371,8 @@ def level_anchor(p, lam: float, results) -> complex:
     return complex(poly[j, 0], poly[j, 1])
 
 
-def _trace_batch(ray: GeodesicRay, p, probe, anchors, n_steps: int) -> list:
-    rhs, state = _rhs_factory(ray, p, probe)
+def _trace_batch(ray: GeodesicRay, probe, anchors, n_steps: int) -> list:
+    rhs, state = _rhs_factory(ray, probe)
     z1 = np.asarray(anchors, dtype=complex)
     n = len(z1)
     try:
@@ -474,15 +470,15 @@ def _anchor_level(ray: GeodesicRay, z1: complex) -> float:
 # disc boundary and area
 # ---------------------------------------------------------------------------
 
-def leaf_boundary(leaf: Leaf, p=None) -> np.ndarray:
+def leaf_boundary(leaf: Leaf) -> np.ndarray:
     """S^1-orbit closure of the t = 0 endpoint, at 2048 angles: the level
-    curve of the t = 0 Hamiltonian through the anchor (for radial weights,
-    exactly the circle through it)."""
+    curve of the t = 0 Hamiltonian through the anchor (for a radial
+    weight of the leaf's ray, exactly the circle through it)."""
     ray = leaf.ray
     n_points = 2048
     if leaf.anchor == 0:
         return np.zeros((0, 2))
-    if p is not None and getattr(p, "symmetry", "general") == "radial":
+    if ray.potential.symmetry == "radial":
         r = abs(leaf.anchor)
         th = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
         return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
@@ -493,10 +489,9 @@ def leaf_boundary(leaf: Leaf, p=None) -> np.ndarray:
     # sampled-slice Hamiltonians carry sub-node jitter near the coincidence
     # edges; one four-neighbour averaging pass low-passes it before the
     # level is traced (O(h^2) bias, below the curve's own accuracy)
-    if not ray.backend.startswith("oracle"):
-        sm = vals.copy()
-        sm[1:-1, 1:-1] = 0.5 * vals[1:-1, 1:-1] + 0.125 * neighbour_sum(vals)
-        vals = sm
+    sm = vals.copy()
+    sm[1:-1, 1:-1] = 0.5 * vals[1:-1, 1:-1] + 0.125 * neighbour_sum(vals)
+    vals = sm
 
     # the orbit encircles the pole once: read it off as a polar graph,
     # solving H0(r e^{i theta}) = lam_leaf along each ray (the crossing
@@ -522,10 +517,9 @@ def leaf_boundary(leaf: Leaf, p=None) -> np.ndarray:
         # the crossing closest to the anchor radius, first on ties and NaN
         gap = np.where(crossing, np.abs(cross - abs(leaf.anchor)), np.inf)
         radii[b:b + len(f)] = cross[np.arange(len(f)), np.argmin(gap, axis=1)]
-    if not ray.backend.startswith("oracle"):
-        k = np.ones(5) / 5.0
-        radii = np.convolve(np.concatenate([radii[-4:], radii, radii[:4]]),
-                            k, "same")[4:-4]
+    k = np.ones(5) / 5.0
+    radii = np.convolve(np.concatenate([radii[-4:], radii, radii[:4]]),
+                        k, "same")[4:-4]
     poly = np.stack([radii * np.cos(th), radii * np.sin(th)], axis=1)
     if not polyline_is_simple(resample_closed(poly, 256)):
         raise LeafExit("orbit curve self-intersects: leaf not closed under "
@@ -533,21 +527,18 @@ def leaf_boundary(leaf: Leaf, p=None) -> np.ndarray:
     return poly
 
 
-def disc_area(leaf: Leaf, p) -> float:
+def disc_area(leaf: Leaf) -> float:
     """omega-area of the foliation disc through the leaf: the d^c
-    circulation of the weight along the S^1-orbit of the t = 0 endpoint,
-    i.e. the enclosed dd^c mass of that curve."""
-    if leaf.anchor == 0:
-        return 0.0
-    return boundary_mass(p, leaf_boundary(leaf, p))
+    circulation of the ray's weight along the S^1-orbit of the t = 0
+    endpoint, the enclosed dd^c mass of that curve (0 at the pole)."""
+    return boundary_mass(leaf.ray.potential, leaf_boundary(leaf))
 
 
 # ---------------------------------------------------------------------------
 # tubular correspondence
 # ---------------------------------------------------------------------------
 
-def build_tubular_map(ray: GeodesicRay, p, anchors,
-                      leaves=None) -> TubularMap:
+def build_tubular_map(ray: GeodesicRay, anchors, leaves=None) -> TubularMap:
     """Trace every anchor to the central fiber, in one batch, and assemble
     u -> anchor; `leaves`, when given, are the anchors' leaves (in ravel
     order), traced by the caller in a larger batch.
@@ -559,7 +550,7 @@ def build_tubular_map(ray: GeodesicRay, p, anchors,
     arr = np.asarray(anchors, dtype=complex)
     flat = arr.ravel()
     if leaves is None:
-        leaves = trace_leaves(ray, p, flat)
+        leaves = trace_leaves(ray, flat)
     elif [leaf.anchor for leaf in leaves] != flat.tolist():
         raise ValueError("leaves are not those of the anchors in ravel order")
     us = np.array([leaf.u_limit for leaf in leaves], dtype=complex)
@@ -580,7 +571,7 @@ def polar_anchor_net(radii, n_angles: int) -> np.ndarray:
     return r[:, None] * np.exp(1j * th[None, :])
 
 
-def check_pullback(tmap: TubularMap, ray: GeodesicRay, p) -> float:
+def check_pullback(tmap: TubularMap, ray: GeodesicRay) -> float:
     """Max relative deviation between the t = 0 form evaluated on pushed
     tangent pairs and the central-fiber form on the originals.
 
@@ -595,7 +586,8 @@ def check_pullback(tmap: TubularMap, ray: GeodesicRay, p) -> float:
         raise ValueError("anchor net too coarse for differencing: need a "
                          "polar net with >= 2 radii and >= 3 angles")
     nr, na = Z.shape
-    dens_N = _central_fiber_density(ray, p)
+    p = ray.potential
+    dens_N = _central_fiber_density(ray)
 
     worst = 0.0
     for i in range(nr - 1):
@@ -615,9 +607,10 @@ def check_pullback(tmap: TubularMap, ray: GeodesicRay, p) -> float:
     return worst
 
 
-def _central_fiber_density(ray: GeodesicRay, p):
+def _central_fiber_density(ray: GeodesicRay):
     """dd^c density of the central-fiber potential
     sup_lam (lam ln|u|^2 + b_lam), with b_lam the pole intercepts."""
+    p = ray.potential
     if getattr(p, "symmetry", "general") == "radial":
         def dens(u):
             return float(p.density(np.asarray(u)))

@@ -48,12 +48,13 @@ _LOG_MAX = math.log(np.finfo(float).max)   # the largest x with finite exp(x)
 class GeodesicRay:
     """Slice family {a_lam}, its conjugate potential u(x,t), and grids.
 
-    results[k] is the EnvelopeResult at lam_grid[k], and slices[k] its
-    deficit field; cutoff c bounds the lam-grid from above.  u(x, .) is
-    piecewise linear with breakpoints t_k(x) = (a_k - a_{k+1}) / dlam_k;
-    u and its argmax at any increasing list of t are read off the table
-    of them (`_read`), and on the t-grid kept as (n_t, ny, nx) arrays
-    once asked for.
+    results[k] is the EnvelopeResult at lam_grid[k] of the weight phi
+    (`potential`), and slices[k] its deficit field; cutoff c bounds the
+    lam-grid from above.  u(x, .) is piecewise linear with breakpoints
+    t_k(x) = (a_k - a_{k+1}) / dlam_k; u and its argmax at any increasing
+    list of t are read off the table of them (`_read`), and on the t-grid
+    kept as (n_t, ny, nx) arrays once asked for, in caches that a ray
+    `dataclasses.replace`d onto another family does not carry.
     """
 
     spatial_grid: GridSpec
@@ -61,9 +62,10 @@ class GeodesicRay:
     t_grid: np.ndarray
     results: list
     cutoff: float
-    _stack: np.ndarray = field(default=None, repr=False)
-    _u: np.ndarray = field(default=None, repr=False)
-    _argmax: np.ndarray = field(default=None, repr=False)
+    _stack: np.ndarray = field(default=None, repr=False, init=False)
+    _u: np.ndarray = field(default=None, repr=False, init=False)
+    _argmax: np.ndarray = field(default=None, repr=False, init=False)
+    _smooth_h_cache: ScalarField = field(default=None, repr=False, init=False)
 
     @property
     def slices(self) -> list:
@@ -72,6 +74,10 @@ class GeodesicRay:
     @property
     def backend(self) -> str:
         return self.results[0].backend
+
+    @property
+    def potential(self):
+        return self.results[0].potential
 
     @property
     def t_max(self) -> float:
@@ -398,9 +404,8 @@ def smooth_hamiltonian(ray: GeodesicRay) -> ScalarField:
     free boundary without the half-bin bias of a floor argmax.  The
     plateau is told apart by `plateau_threshold` at the rounding noise of
     the stored slices.  Values clamp to [0, lam_top]."""
-    cache = getattr(ray, "_smooth_h_cache", None)
-    if cache is not None:
-        return cache
+    if ray._smooth_h_cache is not None:
+        return ray._smooth_h_cache
     vals = np.zeros(ray.spatial_grid.shape)
     if len(ray.lam_grid) >= 2:
         A = ray.slice_stack()
@@ -506,7 +511,7 @@ def weak_solution(ray: GeodesicRay) -> WeakSolution:
                         cutoff=float(ray.cutoff))
 
 
-def hmae_residual(ray: GeodesicRay, p) -> dict:
+def hmae_residual(ray: GeodesicRay) -> dict:
     """Degeneracy diagnostics of the ray.
 
     (i) convexity defect: most negative second difference of u in t
@@ -529,7 +534,7 @@ def hmae_residual(ray: GeodesicRay, p) -> dict:
     d2 += u[:-2]
     defect = max(0.0, -float(np.min(d2, where=ray.mask(), initial=np.inf)))
 
-    phi_vals = p.value(grid.nodes())
+    phi_vals = ray.potential.value(grid.nodes())
     rho = grid.rho()
     residuals = [0.0 if lam == 0 else strict_residual(
         phi_vals + fld.masked_fill(np.nan), fld, 0.0,

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pshlab import acceptance
 from pshlab.acceptance import CRITERIA, AcceptanceContext, _level_set_bands
 
 
@@ -28,14 +29,17 @@ def test_criterion(ctx, criterion):
     assert result.passed, result.line()
 
 
-def test_level_set_bands_one_and_two_nodes(flat_ray_small):
+def test_level_set_bands_one_and_two_nodes(flat_ray_small, monkeypatch):
     # C4's band on one oracle slice, where {deficit < 0} = {H0 < lam}
     # exactly: a node moved next to the boundary of {deficit < 0} is a
     # one-node band, a node two nodes from it is a band of 2
     ray = flat_ray_small
     res = ray.results[16]
     fld = res.deficit
-    ray.argmax_index()   # H0 stays that of the unmoved family
+    H = acceptance.hamiltonian(ray, fd_check=False)
+    # H0 stays that of the unmoved family
+    monkeypatch.setattr(acceptance, "hamiltonian",
+                        lambda moved, fd_check=True: H)
     band = lambda values: _level_set_bands(replace(ray, results=[
         replace(res, deficit=fld.with_values(values)) if k == 16 else r
         for k, r in enumerate(ray.results)]))

@@ -42,6 +42,36 @@ def test_parse_removed_keys_rejected(key):
         parse_config(f"command = envelope\n{key} = 2\n[potential]\nbuiltin flat\n")
 
 
+@pytest.mark.parametrize("line", ["tol = nan", "tol = inf", "lambda = nan",
+                                  "c = nan", "radius = -inf"])
+def test_non_finite_float_is_a_config_error(tmp_path, line):
+    """A nan or infinite value of any float key is refused with its line,
+    before any solve: exit 1."""
+    key = line.split()[0]
+    text = f"command = envelope\n{line}\n[potential]\nbuiltin flat\n"
+    with pytest.raises(ConfigError, match=f"line 2: {key} must be finite"):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["envelope", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("command", ["flow", "foliate"])
+@pytest.mark.parametrize("lambdas", ["-0.1,0.2", "0.1,nan", "0.1,inf"])
+def test_negative_or_non_finite_lambdas_are_a_config_error(tmp_path, command,
+                                                           lambdas):
+    """`lambdas` takes the rule of `lambda` for each entry: finite and
+    >= 0, or exit 1 naming the line."""
+    text = f"lambdas = {lambdas}\nc = 0.5\n[potential]\nbuiltin flat\n"
+    with pytest.raises(ConfigError, match="line 1: lambdas must be finite"):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
 def test_threads_flag_removed(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE)

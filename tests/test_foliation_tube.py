@@ -28,7 +28,7 @@ from pshlab.foliation_tube import (LEAF_WINDOW, Leaf, LeafExit,
                                    _rhs_factory,
                                    build_tubular_map, check_pullback,
                                    disc_area, leaf_boundary, level_anchor,
-                                   polar_anchor_net, trace_leaf, trace_leaves)
+                                   polar_anchor_net, trace_leaves)
 
 
 @pytest.fixture(scope="module")
@@ -46,64 +46,63 @@ def _anchor(quartic, lam):
 def test_probe_level_and_envelope_circle_are_one_float(quartic):
     """The radial probe's t*, the oracle's circle and the leaf anchor all
     read the same rho* = level_rho(lam)."""
-    lams = (0.05, 0.2, 0.3)
-    probe = _RadialProbe(quartic, lams)
-    for k, lam in enumerate(lams):
+    lams = (0.0, 0.05, 0.2, 0.3)
+    ray = assemble_geodesic(
+        radial_envelopes(quartic, lams, build_grid(1, 64, 1.0)), 0.36)
+    probe = _RadialProbe(ray)
+    for k, lam in enumerate(lams[1:], start=1):
         rho = quartic.level_rho(lam)
-        bd = radial_envelope(quartic, lam, build_grid(1, 64, 1.0)).boundary
+        bd = ray.results[k].boundary
         assert probe.t_star[k] == math.log(rho)
-        assert bd[0, 0] == math.sqrt(rho) == level_anchor(quartic, lam, None)
+        assert bd[0, 0] == math.sqrt(rho) == level_anchor(lam, ray.results)
         assert len(bd) % 4 == 0
 
 
-def test_flat_leaves_constant(flat_ray_small, flat):
+def test_flat_leaves_constant(flat_ray_small):
     ray = flat_ray_small
-    leaf = trace_leaf(ray, flat, 0.35 + 0.2j, n_steps=512)
+    leaf = trace_leaves(ray, [0.35 + 0.2j], n_steps=512)[0]
     assert np.max(np.abs(leaf.curve - leaf.anchor)) < 1e-9
     assert abs(leaf.u_limit - leaf.anchor) < 1e-9
 
 
-def test_leaf_through_origin_trivial(flat_ray_small, flat):
+def test_leaf_through_origin_trivial(flat_ray_small):
     ray = flat_ray_small
-    leaf = trace_leaf(ray, flat, 0j)
+    leaf = trace_leaves(ray, [0j])[0]
     assert np.all(leaf.curve == 0)
     assert leaf.lam_leaf == 0.0
-    assert disc_area(leaf, flat) == 0.0
+    assert disc_area(leaf) == 0.0
 
 
 def test_quartic_leaf_constant_chart_and_drift(quartic_ray, quartic):
-    leaf = trace_leaf(quartic_ray, quartic, _anchor(quartic, 0.3),
-                      n_steps=1024)
+    leaf = trace_leaves(quartic_ray, [_anchor(quartic, 0.3)], n_steps=1024)[0]
     assert np.max(np.abs(leaf.curve - leaf.anchor)) < 1e-8
     assert leaf.h_drift / leaf.lam_leaf < 1e-3
     assert abs(leaf.lam_leaf - 0.3) < 5e-3
 
 
-def test_anchor_outside_ray_raises(quartic_ray, quartic):
+def test_anchor_outside_ray_raises(quartic_ray):
     with pytest.raises(ValueError, match="outside"):
-        trace_leaf(quartic_ray, quartic, 0.95 + 0j)
+        trace_leaves(quartic_ray, [0.95 + 0j])
 
 
 def test_radial_ambient_modulus_decreases(quartic_ray, quartic):
-    leaf = trace_leaf(quartic_ray, quartic, _anchor(quartic, 0.2),
-                      n_steps=1024)
+    leaf = trace_leaves(quartic_ray, [_anchor(quartic, 0.2)], n_steps=1024)[0]
     r = np.abs(leaf.ambient)
     assert np.all(np.diff(r) < 0)
 
 
 def test_disc_area_radial(quartic_ray, quartic):
-    leaf = trace_leaf(quartic_ray, quartic, _anchor(quartic, 0.25),
-                      n_steps=1024)
-    area = disc_area(leaf, quartic)
+    leaf = trace_leaves(quartic_ray, [_anchor(quartic, 0.25)],
+                        n_steps=1024)[0]
+    area = disc_area(leaf)
     assert abs(area - 0.25) < 5e-3
     assert abs(area - leaf.lam_leaf) < 1e-3
 
 
 def test_leaf_boundary_on_equilibrium(quartic_ray, quartic):
     grid = quartic_ray.spatial_grid
-    leaf = trace_leaf(quartic_ray, quartic, _anchor(quartic, 0.2),
-                      n_steps=1024)
-    bd = leaf_boundary(leaf, quartic)
+    leaf = trace_leaves(quartic_ray, [_anchor(quartic, 0.2)], n_steps=1024)[0]
+    bd = leaf_boundary(leaf)
     from pshlab.envelope_solver import radial_envelope
     res = radial_envelope(quartic, leaf.lam_leaf, grid)
     poly = res.boundary
@@ -115,8 +114,8 @@ def test_leaf_boundary_on_equilibrium(quartic_ray, quartic):
 
 
 def test_leaves_disjoint(quartic_ray, quartic):
-    leaves = [trace_leaf(quartic_ray, quartic, _anchor(quartic, lam) * ph,
-                         n_steps=512)
+    leaves = [trace_leaves(quartic_ray, [_anchor(quartic, lam) * ph],
+                           n_steps=512)[0]
               for lam in (0.15, 0.3) for ph in (1.0, np.exp(1j))]
     n = len(leaves)
     for i in range(n):
@@ -141,11 +140,11 @@ def test_perturbed_leaf(perturbed_ray_small, perturbed):
         if abs(lam - 0.2) < 1e-9:
             break
     res = grid_envelope(perturbed, 0.2, grid, tol=1e-9)
-    _, poly = extract_equilibrium(res)
+    poly = extract_equilibrium(res)
     i = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
     anchor = poly[i, 0] + 1j * poly[i, 1]
-    leaf = trace_leaf(perturbed_ray_small, perturbed, anchor, n_steps=512)
-    area = disc_area(leaf, perturbed)
+    leaf = trace_leaves(perturbed_ray_small, [anchor], n_steps=512)[0]
+    area = disc_area(leaf)
     # coarse ray (128^2, 24 slices): machinery-level tolerances
     assert abs(area - leaf.lam_leaf) < 2e-2
     assert leaf.h_drift / leaf.lam_leaf < 2e-2
@@ -158,64 +157,63 @@ def test_perturbed_leaf_through_plateau_ringing(perturbed):
     ray = assemble_geodesic(grid_envelopes(perturbed, lam_nodes(0.36, 36),
                                            grid, tol=1e-9), 0.36)
     k = int(np.argmin(np.abs(ray.lam_grid - 0.3)))
-    _, poly = extract_equilibrium(ray.results[k])
+    poly = extract_equilibrium(ray.results[k])
     i = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
-    leaf = trace_leaf(ray, perturbed, poly[i, 0] + 1j * poly[i, 1],
-                      n_steps=512)
-    area = disc_area(leaf, perturbed)
+    leaf = trace_leaves(ray, [poly[i, 0] + 1j * poly[i, 1]], n_steps=512)[0]
+    area = disc_area(leaf)
     assert abs(area - leaf.lam_leaf) <= 1e-2
     assert leaf.h_drift / leaf.lam_leaf <= 1e-3
 
 
-def test_tubular_map_flat_identity(flat_ray_small, flat):
+def test_tubular_map_flat_identity(flat_ray_small):
     ray = flat_ray_small
     net = polar_anchor_net([0.3, 0.45], 6)
-    tmap = build_tubular_map(ray, flat, net)
+    tmap = build_tubular_map(ray, net)
     assert np.max(np.abs(tmap.u_points - tmap.anchors)) < 1e-8
     assert tmap.u_points.shape == (2, 6)
 
 
-def test_tubular_map_origin(flat_ray_small, flat):
+def test_tubular_map_origin(flat_ray_small):
     ray = flat_ray_small
-    tmap = build_tubular_map(ray, flat, [0j, 0.3 + 0j])
+    tmap = build_tubular_map(ray, [0j, 0.3 + 0j])
     assert tmap.u_points[0] == 0j
 
 
 def test_tubular_map_radial_rings(quartic_ray, quartic):
     radii = [abs(_anchor(quartic, l)) for l in (0.1, 0.2, 0.3)]
-    tmap = build_tubular_map(ray=quartic_ray, p=quartic,
+    tmap = build_tubular_map(ray=quartic_ray,
                              anchors=polar_anchor_net(radii, 6))
     r_u = np.abs(tmap.u_points)
     assert np.max(np.std(r_u, axis=1)) < 1e-9      # circles to circles
     assert np.all(np.diff(np.mean(r_u, axis=1)) > 0)   # monotone radius
 
 
-def test_check_pullback_flat(flat_ray_small, flat):
+def test_check_pullback_flat(flat_ray_small):
     ray = flat_ray_small
-    tmap = build_tubular_map(ray, flat, polar_anchor_net([0.3, 0.45, 0.6], 8))
-    assert check_pullback(tmap, ray, flat) < 1e-6
+    tmap = build_tubular_map(ray, polar_anchor_net([0.3, 0.45, 0.6], 8))
+    assert check_pullback(tmap, ray) < 1e-6
 
 
 def test_check_pullback_quartic(quartic_ray, quartic):
     radii = [abs(_anchor(quartic, l)) for l in (0.08, 0.16, 0.24, 0.32)]
-    tmap = build_tubular_map(quartic_ray, quartic, polar_anchor_net(radii, 8))
-    assert check_pullback(tmap, quartic_ray, quartic) <= 5e-2
+    tmap = build_tubular_map(quartic_ray, polar_anchor_net(radii, 8))
+    assert check_pullback(tmap, quartic_ray) <= 5e-2
 
 
-def test_check_pullback_sampled_ray(perturbed_ray_small, perturbed):
+def test_check_pullback_sampled_ray(perturbed_ray_small):
     # a general weight: the central-fiber density is fitted from the
     # slices' pole intercepts; measured 0.0587 on this net
-    tmap = build_tubular_map(perturbed_ray_small, perturbed,
+    tmap = build_tubular_map(perturbed_ray_small,
                              polar_anchor_net([0.3, 0.4, 0.5], 8))
-    dev = check_pullback(tmap, perturbed_ray_small, perturbed)
+    dev = check_pullback(tmap, perturbed_ray_small)
     assert np.isfinite(dev) and dev <= 0.1
 
 
-def test_check_pullback_single_anchor_raises(flat_ray_small, flat):
+def test_check_pullback_single_anchor_raises(flat_ray_small):
     ray = flat_ray_small
-    tmap = build_tubular_map(ray, flat, [0.3 + 0j])
+    tmap = build_tubular_map(ray, [0.3 + 0j])
     with pytest.raises(ValueError, match="coarse"):
-        check_pullback(tmap, ray, flat)
+        check_pullback(tmap, ray)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,8 @@ class _ScalarSplineReads:
                                                             dy=2))
 
 
-def _reference_rhs_factory(ray, p, noise, reads, k_window, depth_bins):
+def _reference_rhs_factory(ray, noise, reads, k_window, depth_bins):
+    p = ray.potential
     lam = ray.lam_grid[k_window]
     dl = np.diff(lam)
     mids = 0.5 * (lam[1:] + lam[:-1])
@@ -333,7 +332,7 @@ def _reference_rhs_factory(ray, p, noise, reads, k_window, depth_bins):
     return rhs, state
 
 
-def _reference_trace_leaf(ray, p, z1, n_steps):
+def _reference_trace_leaf(ray, z1, n_steps):
     """One leaf, on a radial oracle ray in closed form with its level read
     one sample at a time, otherwise by scalar RK4, one right-hand side at
     a time."""
@@ -346,8 +345,8 @@ def _reference_trace_leaf(ray, p, z1, n_steps):
                     lam_leaf=0.0, h_drift=0.0, u_limit=0j, ray=ray)
     radial = ray.backend == "oracle"
     if radial:
-        probe = _RadialProbe(p, ray.lam_grid)
-        reads = _ScalarRadialReads(probe, p)
+        probe = _RadialProbe(ray)
+        reads = _ScalarRadialReads(probe, ray.potential)
         k_window = list(range(len(ray.lam_grid)))
         depth = 0
     else:
@@ -357,7 +356,7 @@ def _reference_trace_leaf(ray, p, z1, n_steps):
         reads = _ScalarSplineReads(probe)
         k_window = probe.k_window
         depth = min(int(math.ceil(3.0 * ray.spatial_grid.h / ray.d_lam)), 4)
-    rhs, state = _reference_rhs_factory(ray, p, probe.noise, reads, k_window,
+    rhs, state = _reference_rhs_factory(ray, probe.noise, reads, k_window,
                                         depth)
     anchor_level, *_ = state(z1, 0.0)
     assert 0.0 < anchor_level < ray.cutoff
@@ -444,15 +443,15 @@ def test_batched_radial_leaves_match_scalar_reference(radial_rays, name,
     anchors = [_anchor(p, lo * (hi / lo) ** u) * complex(math.cos(a),
                                                          math.sin(a))
                for u, a in spots]
-    for leaf, z1 in zip(trace_leaves(ray, p, anchors, n_steps=n_steps),
+    for leaf, z1 in zip(trace_leaves(ray, anchors, n_steps=n_steps),
                         anchors):
-        _assert_same_leaf(leaf, _reference_trace_leaf(ray, p, z1, n_steps))
+        _assert_same_leaf(leaf, _reference_trace_leaf(ray, z1, n_steps))
 
 
 def test_default_radial_leaf_takes_the_ray_t_grid(radial_rays):
     """By default a radial leaf is sampled at the ray's own t-grid."""
     for ray, p, _ in radial_rays.values():
-        leaf = trace_leaf(ray, p, _anchor(p, 0.1) * complex(0.6, 0.8))
+        leaf = trace_leaves(ray, [_anchor(p, 0.1) * complex(0.6, 0.8)])[0]
         assert leaf.t_samples.tobytes() == ray.t_grid.tobytes()
 
 
@@ -465,24 +464,24 @@ def test_radial_leaf_anchored_on_the_free_boundary_keeps_its_level():
                       Term("polyrad", 0.546265, (2,))])
     ray = assemble_geodesic(
         radial_envelopes(p, lam_nodes(0.36, 24), build_grid(1, 128, 1.0)), 0.36)
-    z1 = level_anchor(p, 0.317578, ray.results)
-    leaf = trace_leaf(ray, p, z1)
+    z1 = level_anchor(0.317578, ray.results)
+    leaf = trace_leaves(ray, [z1])[0]
     assert abs(leaf.lam_leaf - 0.317578) < 1e-4
     assert abs(leaf.u_limit - z1) <= 1e-12 * abs(z1)
 
 
-def test_default_sampled_leaf_takes_the_sampled_steps(
-        perturbed_ray_small, perturbed, perturbed_anchors):
+def test_default_sampled_leaf_takes_the_sampled_steps(perturbed_ray_small,
+                                                      perturbed_anchors):
     """A leaf on a sampled ray keeps SAMPLED_STEPS = 2048 by default."""
     z1 = perturbed_anchors[1]
-    _assert_same_leaf(trace_leaf(perturbed_ray_small, perturbed, z1),
-                      trace_leaf(perturbed_ray_small, perturbed, z1,
-                                 n_steps=2048))
+    _assert_same_leaf(trace_leaves(perturbed_ray_small, [z1])[0],
+                      trace_leaves(perturbed_ray_small, [z1],
+                                   n_steps=2048)[0])
 
 
 def _equilibrium_anchor(results, lam, angle):
     k = int(np.argmin([abs(res.lam - lam) for res in results]))
-    _, poly = extract_equilibrium(results[k])
+    poly = extract_equilibrium(results[k])
     i = int(np.argmin(np.abs(np.angle(np.exp(
         1j * (np.arctan2(poly[:, 1], poly[:, 0]) - angle))))))
     return poly[i, 0] + 1j * poly[i, 1]
@@ -496,31 +495,30 @@ def perturbed_anchors(perturbed_slices_small):
                                (0.2, 3.0))]
 
 
-def test_level_anchor_on_a_general_weight(perturbed_slices_small, perturbed,
+def test_level_anchor_on_a_general_weight(perturbed_slices_small,
                                          perturbed_anchors):
     """Off radial symmetry the anchor is the boundary point at angle
     nearest 0 of the nearest slice."""
     for lam, z in zip((0.1, 0.2), perturbed_anchors):
-        assert level_anchor(perturbed, lam, perturbed_slices_small) == z
+        assert level_anchor(lam, perturbed_slices_small) == z
 
 
-def test_level_anchor_reads_the_stored_boundary(perturbed_slices_small,
-                                                perturbed):
+def test_level_anchor_reads_the_stored_boundary(perturbed_slices_small):
     """On every lam > 0 slice the anchor off the stored boundary is
     bitwise the one read off a fresh `extract_equilibrium`; the lam = 0
     slice has no boundary, and the error names its weight."""
     results = perturbed_slices_small
     for res in results[1:]:
-        _, poly = extract_equilibrium(res)
+        poly = extract_equilibrium(res)
         j = int(np.argmin(np.abs(np.arctan2(poly[:, 1], poly[:, 0]))))
-        assert level_anchor(perturbed, res.lam, results) == \
+        assert level_anchor(res.lam, results) == \
             complex(poly[j, 0], poly[j, 1])
     with pytest.raises(ValueError, match="lam = 0,"):
-        level_anchor(perturbed, 0.001, results)
+        level_anchor(0.001, results)
 
 
-def test_batched_perturbed_leaves_match_scalar_reference(
-        perturbed_ray_small, perturbed, perturbed_anchors):
+def test_batched_perturbed_leaves_match_scalar_reference(perturbed_ray_small,
+                                                         perturbed_anchors):
     ray = perturbed_ray_small
     m = len(ray.lam_grid)
     levels = [int(np.searchsorted(ray.lam_grid, _anchor_level(ray, z)))
@@ -528,12 +526,12 @@ def test_batched_perturbed_leaves_match_scalar_reference(
     windows = {(max(0, k - LEAF_WINDOW), min(m, k + LEAF_WINDOW + 1))
                for k in levels}
     assert len(windows) == 3
-    leaves = trace_leaves(ray, perturbed, perturbed_anchors, n_steps=128)
+    leaves = trace_leaves(ray, perturbed_anchors, n_steps=128)
     # each leaf stops on its own at the resolution horizon
     assert len({len(leaf.t_samples) for leaf in leaves}) > 1
     assert all(len(leaf.t_samples) < 129 for leaf in leaves)
     for leaf, z1 in zip(leaves, perturbed_anchors):
-        _assert_same_leaf(leaf, _reference_trace_leaf(ray, perturbed, z1, 128))
+        _assert_same_leaf(leaf, _reference_trace_leaf(ray, z1, 128))
 
 
 @pytest.fixture(scope="module")
@@ -551,8 +549,8 @@ def test_complex_monomial_weight_leaves_match_scalar_reference(
     p, ray = complex_monomial_family
     anchors = [_equilibrium_anchor(ray.results, lam, angle)
                for lam, angle in ((0.15, 0.5), (0.2, 2.5), (0.15, 4.0))]
-    for leaf, z1 in zip(trace_leaves(ray, p, anchors, n_steps=64), anchors):
-        _assert_same_leaf(leaf, _reference_trace_leaf(ray, p, z1, 64))
+    for leaf, z1 in zip(trace_leaves(ray, anchors, n_steps=64), anchors):
+        _assert_same_leaf(leaf, _reference_trace_leaf(ray, z1, 64))
 
 
 @pytest.mark.parametrize("case", ["perturbed", "complex"])
@@ -571,7 +569,7 @@ def test_batched_rhs_matches_scalar_rhs(case, perturbed_ray_small, perturbed,
     x = r_a * rng.uniform(0.7, 1.2, 300) * np.exp(2j * math.pi
                                                    * rng.random(300))
     t = 0.25 * ray.t_max
-    ref = _reference_rhs_factory(ray, p, probe.noise, reads, probe.k_window,
+    ref = _reference_rhs_factory(ray, probe.noise, reads, probe.k_window,
                                  depth)[0]
     expected = {}
     for xi in x:
@@ -581,7 +579,7 @@ def test_batched_rhs_matches_scalar_rhs(case, perturbed_ray_small, perturbed,
             pass
     assert len(expected) >= 100
     pts = np.array(list(expected), dtype=complex)
-    dx, lam, forced = _rhs_factory(ray, p, probe)[0](pts, t, pts)
+    dx, lam, forced = _rhs_factory(ray, probe)[0](pts, t, pts)
     for i, xi in enumerate(pts):
         rdx, rlam, rforced = expected[xi]
         assert np.array([rdx], complex).tobytes() == dx[i:i + 1].tobytes()
@@ -601,49 +599,46 @@ def test_leaves_independent_of_anchor_order(case, quartic_ray, quartic,
         ray, p, anchors = perturbed_ray_small, perturbed, perturbed_anchors
     order = list(range(len(anchors)))
     random.Random(7).shuffle(order)
-    leaves = trace_leaves(ray, p, anchors, n_steps=96)
-    shuffled = trace_leaves(ray, p, [anchors[i] for i in order], n_steps=96)
+    leaves = trace_leaves(ray, anchors, n_steps=96)
+    shuffled = trace_leaves(ray, [anchors[i] for i in order], n_steps=96)
     for leaf, i in zip(shuffled, order):
         _assert_same_leaf(leaf, leaves[i])
 
 
 def test_net_with_origin_traces_origin_trivially(quartic_ray, quartic):
     a, b = _anchor(quartic, 0.15), _anchor(quartic, 0.3) * 1j
-    leaves = trace_leaves(quartic_ray, quartic, np.array([[0j, a], [b, 0j]]),
+    leaves = trace_leaves(quartic_ray, np.array([[0j, a], [b, 0j]]),
                           n_steps=64)
     assert [leaf.anchor for leaf in leaves] == [0j, a, b, 0j]
     for leaf in (leaves[0], leaves[3]):
-        _assert_same_leaf(leaf, _reference_trace_leaf(quartic_ray, quartic,
-                                                      0j, 64))
+        _assert_same_leaf(leaf, _reference_trace_leaf(quartic_ray, 0j, 64))
         assert leaf.u_limit == 0j and leaf.lam_leaf == 0.0
-    _assert_same_leaf(leaves[1], _reference_trace_leaf(quartic_ray, quartic,
-                                                       a, 64))
-    _assert_same_leaf(leaves[2], _reference_trace_leaf(quartic_ray, quartic,
-                                                       b, 64))
+    _assert_same_leaf(leaves[1], _reference_trace_leaf(quartic_ray, a, 64))
+    _assert_same_leaf(leaves[2], _reference_trace_leaf(quartic_ray, b, 64))
 
 
 def test_outside_anchor_is_named(quartic_ray, quartic):
     import dataclasses
     with pytest.raises(ValueError,
                        match=r"outside \(0, c\).*anchor 0\.95\+0j"):
-        trace_leaves(quartic_ray, quartic, [_anchor(quartic, 0.2), 0.95 + 0j])
+        trace_leaves(quartic_ray, [_anchor(quartic, 0.2), 0.95 + 0j])
     # a level above the cutoff is reported with its value
     low_c = dataclasses.replace(quartic_ray, cutoff=0.25)
     with pytest.raises(ValueError, match=r"anchor Hamiltonian 0\.3 outside "
                        r"\(0, c\): leaf of anchor 0\.\d+\+0j"):
-        trace_leaves(low_c, quartic, [_anchor(quartic, 0.2),
-                                      _anchor(quartic, 0.3)], n_steps=16)
+        trace_leaves(low_c, [_anchor(quartic, 0.2), _anchor(quartic, 0.3)],
+                     n_steps=16)
 
 
-def test_tubular_map_checks_given_leaves(flat_ray_small, flat):
+def test_tubular_map_checks_given_leaves(flat_ray_small):
     ray = flat_ray_small
     net = polar_anchor_net([0.3, 0.45], 3)
-    leaves = trace_leaves(ray, flat, net, n_steps=64)
-    tmap = build_tubular_map(ray, flat, net, leaves=leaves)
+    leaves = trace_leaves(ray, net, n_steps=64)
+    tmap = build_tubular_map(ray, net, leaves=leaves)
     assert tmap.u_points.ravel().tolist() == [leaf.u_limit for leaf in leaves]
     for wrong in (leaves[::-1], leaves[:-1]):
         with pytest.raises(ValueError, match="not those of the anchors"):
-            build_tubular_map(ray, flat, net, leaves=wrong)
+            build_tubular_map(ray, net, leaves=wrong)
 
 
 @pytest.fixture(scope="module")
@@ -657,15 +652,15 @@ def flat_ray_rim(flat):
     return assemble_geodesic(results, 0.8)
 
 
-def test_leaf_past_r_max_exits_naming_its_anchor(flat_ray_rim, flat):
+def test_leaf_past_r_max_exits_naming_its_anchor(flat_ray_rim):
     inside, past = 0.4 + 0j, 0.71 * np.exp(0.3j)
     assert abs(past) > flat_ray_rim.spatial_grid.radius \
         - 4.0 * flat_ray_rim.spatial_grid.h
     with pytest.raises(LeafExit, match="exited the resolved region") as exc:
-        trace_leaves(flat_ray_rim, flat, [inside, past], n_steps=64)
+        trace_leaves(flat_ray_rim, [inside, past], n_steps=64)
     assert exc.value.anchor == complex(past)
     assert exc.value.location == complex(past)
-    trace_leaves(flat_ray_rim, flat, [inside], n_steps=64)
+    trace_leaves(flat_ray_rim, [inside], n_steps=64)
 
 
 def test_smooth_hamiltonian_rim_roots_do_not_overflow(flat_ray_rim,
@@ -687,11 +682,11 @@ def test_smooth_hamiltonian_rim_roots_do_not_overflow(flat_ray_rim,
 
 @pytest.mark.parametrize("anchor", [0.79 * np.exp(0.3j),
                                     0.795 * np.exp(0.6j)])
-def test_rim_anchor_without_slope_root_is_outside(flat_ray_rim, flat, anchor):
+def test_rim_anchor_without_slope_root_is_outside(flat_ray_rim, anchor):
     # next to the rim the slope root in ln(lam) can overflow math.exp; at
     # t = 0 that is an anchor level the ray does not hold
     with pytest.raises(ValueError, match=r"outside \(0, c\).*leaf of anchor"):
-        trace_leaves(flat_ray_rim, flat, [anchor], n_steps=64)
+        trace_leaves(flat_ray_rim, [anchor], n_steps=64)
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +699,10 @@ def _reference_orbit_radii(leaf, h0=None, n_points=2048):
     grid = ray.spatial_grid
     ax = grid.axis()
     vals = np.where(h0.mask, h0.values, ray.cutoff)
-    if not ray.backend.startswith("oracle"):
-        sm = vals.copy()
-        sm[1:-1, 1:-1] = 0.5 * vals[1:-1, 1:-1] + 0.125 * (
-            vals[2:, 1:-1] + vals[:-2, 1:-1] + vals[1:-1, 2:] + vals[1:-1, :-2])
-        vals = sm
+    sm = vals.copy()
+    sm[1:-1, 1:-1] = 0.5 * vals[1:-1, 1:-1] + 0.125 * (
+        vals[2:, 1:-1] + vals[:-2, 1:-1] + vals[1:-1, 2:] + vals[1:-1, :-2])
+    vals = sm
     interp = RegularGridInterpolator((ax, ax), vals, method="linear",
                                      bounds_error=False, fill_value=ray.cutoff)
     th = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
@@ -725,59 +719,64 @@ def _reference_orbit_radii(leaf, h0=None, n_points=2048):
         cross = rs[idx] - f[idx] * (rs[idx + 1] - rs[idx]) \
             / (f[idx + 1] - f[idx])
         radii[i] = cross[np.argmin(np.abs(cross - r_anchor))]
-    if not ray.backend.startswith("oracle"):
-        k = np.ones(5) / 5.0
-        radii = np.convolve(np.concatenate([radii[-4:], radii, radii[:4]]),
-                            k, "same")[4:-4]
+    k = np.ones(5) / 5.0
+    radii = np.convolve(np.concatenate([radii[-4:], radii, radii[:4]]),
+                        k, "same")[4:-4]
     return np.stack([radii * np.cos(th), radii * np.sin(th)], axis=1)
 
 
-@pytest.mark.parametrize("case", ["quartic-oracle", "perturbed-grid"])
-def test_orbit_readout_matches_per_angle_loop(case, quartic_ray, quartic,
-                                              perturbed_ray_small, perturbed,
+@pytest.mark.parametrize("case", ["perturbed-grid"])
+def test_orbit_readout_matches_per_angle_loop(case, perturbed_ray_small,
                                               perturbed_anchors):
-    if case == "quartic-oracle":
-        # p=None takes the sampled read-out on an oracle ray (no smoothing)
-        leaf = trace_leaf(quartic_ray, quartic, _anchor(quartic, 0.25),
-                          n_steps=64)
-        p = None
-    else:
-        leaf = trace_leaf(perturbed_ray_small, perturbed, perturbed_anchors[1],
-                          n_steps=64)
-        p = perturbed
-    poly = leaf_boundary(leaf, p)
+    leaf = trace_leaves(perturbed_ray_small, [perturbed_anchors[1]],
+                        n_steps=64)[0]
+    poly = leaf_boundary(leaf)
     ref = _reference_orbit_radii(leaf)
     assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
 
 
-def test_orbit_readout_without_crossing_raises(quartic_ray, quartic):
+def test_orbit_readout_without_crossing_raises(perturbed_ray_small):
     import dataclasses
-    leaf = trace_leaf(quartic_ray, quartic, _anchor(quartic, 0.25), n_steps=64)
+    leaf = trace_leaves(perturbed_ray_small, [0.45 + 0j], n_steps=64)[0]
     above = dataclasses.replace(leaf, lam_leaf=10.0)
     with pytest.raises(LeafExit, match="no closed orbit"):
         _reference_orbit_radii(above)
     with pytest.raises(LeafExit, match="no closed orbit") as exc:
-        leaf_boundary(above, None)
+        leaf_boundary(above)
     assert exc.value.anchor == leaf.anchor
 
 
-def test_orbit_readout_with_several_crossings_per_ray(quartic_ray, quartic,
+def test_orbit_readout_with_several_crossings_per_ray(perturbed_ray_small,
                                                       monkeypatch):
     # a t = 0 Hamiltonian that crosses the leaf level every 1/12 in radius,
     # so that every ray picks the crossing nearest the anchor radius
     import dataclasses
     from types import SimpleNamespace
     from pshlab import foliation_tube
-    grid = quartic_ray.spatial_grid
+    leaf = dataclasses.replace(trace_leaves(perturbed_ray_small, [0.45 + 0j],
+                                            n_steps=16)[0], lam_leaf=0.2)
+    grid = perturbed_ray_small.spatial_grid
     z = grid.nodes()
     h0 = SimpleNamespace(values=0.2 + 0.05 * np.sin(
         12 * math.pi * np.abs(z) + 0.3 * np.cos(np.angle(z))),
         mask=grid.inside_mask())
     monkeypatch.setattr(foliation_tube, "smooth_hamiltonian",
                         lambda ray: h0)
-    leaf = dataclasses.replace(trace_leaf(quartic_ray, quartic, 0.45 + 0j,
-                                          n_steps=16), lam_leaf=0.2)
-    poly = leaf_boundary(leaf, None)
+    poly = leaf_boundary(leaf)
     ref = _reference_orbit_radii(leaf, h0)
     assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
     assert np.ptp(np.hypot(*poly.T)) < 0.05
+
+
+def test_a_radial_weight_takes_the_closed_forms_on_a_grid_ray(flat):
+    """The weight decides, not the backend: on a grid ray of the flat
+    weight the anchor is sqrt(rho*) and the orbit the exact circle."""
+    ray = assemble_geodesic(grid_envelopes(
+        flat, lam_nodes(0.8, 16), build_grid(1, 64, 1.0), tol=1e-9), 0.8)
+    assert ray.backend == "grid-active-set"
+    z1 = level_anchor(0.3, ray.results)
+    assert z1 == complex(math.sqrt(flat.level_rho(0.3)))
+    leaf = trace_leaves(ray, [z1], n_steps=64)[0]
+    th = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
+    circle = np.stack([z1.real * np.cos(th), z1.real * np.sin(th)], axis=1)
+    assert leaf_boundary(leaf).tobytes() == circle.tobytes()

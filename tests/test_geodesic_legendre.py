@@ -312,9 +312,29 @@ def test_single_slice_ray_trivial(grid128, flat):
     res = radial_envelope(flat, 0.0, grid128)
     ray = assemble_geodesic([res], 0.1)
     assert np.max(np.abs(ray.u_values()[:, ray.mask()])) == 0.0
-    rep = hmae_residual(ray, flat)
+    rep = hmae_residual(ray)
     assert rep["convexity_defect"] == 0.0
     assert rep["max_slice_residual"] == 0.0
+
+
+def test_replaced_ray_reads_its_new_family(quartic, flat):
+    """A ray `dataclasses.replace`d onto another family carries none of
+    the old family's caches: its stack, u, argmax, smooth Hamiltonian and
+    weight are those of a ray assembled from the new family."""
+    from dataclasses import replace
+    grid, lams = build_grid(1, 64, 1.0), lam_nodes(0.5, 8)
+    ray = assemble_geodesic(radial_envelopes(quartic, lams, grid), 0.5)
+    ray.u_values()
+    smooth_hamiltonian(ray)
+    flat_results = radial_envelopes(flat, lams, grid)
+    moved = replace(ray, results=flat_results)
+    fresh = assemble_geodesic(flat_results, 0.5)
+    assert moved.slice_stack() is not ray.slice_stack()
+    for read in (GeodesicRay.slice_stack, GeodesicRay.u_values,
+                 GeodesicRay.argmax_index,
+                 lambda r: smooth_hamiltonian(r).values):
+        assert read(moved).tobytes() == read(fresh).tobytes()
+    assert moved.potential is flat and ray.potential is quartic
 
 
 def test_non_monotone_family_raises(grid128, flat):
@@ -476,15 +496,15 @@ def test_weak_solution_flat(flat_ray_small, grid128):
     assert np.max(d_end[sel]) < 0.0
 
 
-def test_hmae_residual_flat(flat_ray_small, flat, grid128):
+def test_hmae_residual_flat(flat_ray_small, grid128):
     ray = flat_ray_small
-    rep = hmae_residual(ray, flat)
+    rep = hmae_residual(ray)
     assert rep["convexity_defect"] <= 1e-12
     assert rep["max_slice_residual"] <= 10.0 * grid128.h
 
 
-def test_hmae_residual_perturbed(perturbed_ray_small, perturbed, grid128):
-    rep = hmae_residual(perturbed_ray_small, perturbed)
+def test_hmae_residual_perturbed(perturbed_ray_small, grid128):
+    rep = hmae_residual(perturbed_ray_small)
     assert rep["convexity_defect"] <= 1e-10
     assert rep["max_slice_residual"] <= 10.0 * grid128.h
     # bitwise the defect of the second difference formed out of place

@@ -2,7 +2,8 @@
 `field_grid` writes out the five-point neighbour slices, of 2-D arrays and
 of row-major 1-D buffers, no `EnvelopeResult` takes a literal as its
 coincidence tolerance, the CLI solves envelopes by one route, the
-lam-grid of a slice family is written once (`lam_nodes`), and no
+lam-grid of a slice family is written once (`lam_nodes`), the readers
+after the solve take the weight from the family they are given, and no
 module imports scipy at module level, so that the CLI's commands load it
 only where they need it."""
 
@@ -137,6 +138,29 @@ def test_lam_nodes_is_the_one_lam_grid():
     defined = {node.name for node in tree.body
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"oracle_slices", "grid_slices"}
+
+
+# parameters that carry a slice family, and with it its weight
+FAMILY_PARAMS = {"ray", "leaf", "tmap", "results", "e"}
+
+
+def test_readers_take_the_weight_from_the_family():
+    """No public function of the readers after the solve takes a weight
+    `p` next to a ray, leaf, tubular map, family or result, which holds
+    it, and the one-leaf wrapper `trace_leaf` is gone."""
+    both, defined = [], set()
+    for name in ("foliation_tube", "geodesic_legendre", "ma_measure"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                defined.add(f"{name}.{fn.name}")
+                params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+                if (not fn.name.startswith("_") and "p" in params
+                        and params & FAMILY_PARAMS):
+                    both.append(f"{name}.{fn.name}")
+    assert both == []
+    assert "foliation_tube.trace_leaves" in defined
+    assert "foliation_tube.trace_leaf" not in defined
 
 
 def _module_level_imports(path):

@@ -64,8 +64,8 @@ def test_boundary_mass_degenerate():
 
 def test_boundary_vs_cell_mass_on_equilibrium(grid128, perturbed):
     res = grid_envelope(perturbed, 0.2, grid128, tol=1e-9)
-    _, poly = extract_equilibrium(res, refine=True)
-    comp = ~extract_equilibrium(res)[0] & res.envelope.mask
+    poly = extract_equilibrium(res, refine=True)
+    comp = ~res.coincidence & res.envelope.mask
     m_cells = ma_mass(perturbed, region_mask=comp, grid=grid128, polyline=poly)
     m_line = boundary_mass(perturbed, poly)
     assert abs(m_cells - m_line) <= 5.0 * grid128.h
@@ -73,7 +73,7 @@ def test_boundary_vs_cell_mass_on_equilibrium(grid128, perturbed):
 
 def test_reproducing_flat(grid128, flat):
     res = radial_envelope(flat, 0.25, grid128)
-    rep = reproducing_check(flat, res, k_max=4)
+    rep = reproducing_check(res, k_max=4)
     # the spec-level 2e-3 mass target is pinned at 512^2 in the acceptance
     # suite; this 128^2 smoke run carries twice the boundary bias
     assert rep.mass == pytest.approx(0.25, abs=5e-3)
@@ -87,7 +87,7 @@ def test_reproducing_flat(grid128, flat):
 
 def test_reproducing_perturbed(grid128, perturbed):
     res = grid_envelope(perturbed, 0.2, grid128, tol=1e-10)
-    rep = reproducing_check(perturbed, res, k_max=4)
+    rep = reproducing_check(res, k_max=4)
     assert abs(rep.mass - 0.2) <= 5e-3
     assert rep.normalized_moments().max() <= 1e-3
 
@@ -97,20 +97,20 @@ def test_reproducing_hele_shaw_rate(grid128, flat, quartic):
     for p in (flat, quartic):
         for lam in (0.1, 0.3, 0.5):
             res = radial_envelope(p, lam, grid128)
-            rep = reproducing_check(p, res, k_max=0)
+            rep = reproducing_check(res, k_max=0)
             assert rep.mass == pytest.approx(lam, abs=5e-3)
 
 
 def test_reproducing_empty_raises(grid128, flat):
     res = radial_envelope(flat, 0.0, grid128)
     with pytest.raises(ValueError):
-        reproducing_check(flat, res)
+        reproducing_check(res)
 
 
 def test_moments_deterministic(grid128, perturbed):
     res = grid_envelope(perturbed, 0.2, grid128, tol=1e-9)
-    mask, poly = extract_equilibrium(res, refine=True)
-    comp = ~mask & res.envelope.mask
+    poly = extract_equilibrium(res, refine=True)
+    comp = ~res.coincidence & res.envelope.mask
     m1, a1 = region_moments(perturbed, grid128, comp, poly, 3)
     m2, a2 = region_moments(perturbed, grid128, comp, poly, 3)
     assert np.array_equal(m1, m2) and a1 == a2
@@ -118,8 +118,8 @@ def test_moments_deterministic(grid128, perturbed):
 
 def test_mass_deterministic_on_refined_boundary(grid128, perturbed):
     res = grid_envelope(perturbed, 0.2, grid128, tol=1e-9)
-    mask, poly = extract_equilibrium(res, refine=True)
-    comp = ~mask & res.envelope.mask
+    poly = extract_equilibrium(res, refine=True)
+    comp = ~res.coincidence & res.envelope.mask
     m1 = ma_mass(perturbed, region_mask=comp, grid=grid128, polyline=poly)
     m2 = ma_mass(perturbed, region_mask=comp, grid=grid128, polyline=poly)
     assert m1 == m2
@@ -173,7 +173,7 @@ def test_radial_moments_vanish(q, r, n, rho):
     p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,)),
                       Term("polyrad", r, (3,))])
     lam = float(p.chi_prime(math.log(rho)))
-    rep = reproducing_check(p, radial_envelope(p, lam, build_grid(1, n, 1.0)),
+    rep = reproducing_check(radial_envelope(p, lam, build_grid(1, n, 1.0)),
                             k_max=4)
     assert np.all(rep.normalized_moments() <= 1e-3)
     assert abs(rep.mass - lam) <= 2e-3
