@@ -17,13 +17,21 @@ median wall time is kept:
   radial tracer reads only the lam grid, the t-range and the cutoff of
   the ray; the leaves are C13's.
 
-and two on a sampled ray, where anchors are batched only with the anchors
+and five on sampled rays, where anchors are batched only with the anchors
 of the same slice window (here each leaf anchor runs alone and each ring
 of the net is one batch):
 
 * sampled 1 anchor and sampled 10 anchors: the first leaf anchor, and
   all 2 leaf anchors plus the 2 x 4 net, of a general-weight grid-backend
-  `foliate` command (SAMPLED_CONFIG: 96^2, 16 slices, `reharm`).
+  `foliate` command (SAMPLED_CONFIG: 96^2, 16 slices, `reharm`, whose
+  equilibrium sets are discs);
+* non-disc 1 anchor and non-disc 10 anchors: the same on NON_DISC_CONFIG,
+  SAMPLED_CONFIG with the weight |z|^2 + 0.15 Re(z^2)|z|^2, whose sets are
+  not discs;
+* C7 3 anchors: acceptance criterion C7's three sampled leaves (builtin
+  perturbed weight, 512^2, 72 slices, c = 0.36, levels 0.1, 0.2, 0.3, at
+  its 2,048 steps).  Building that slice family takes about 20 s and is
+  not timed.
 
 The leaf anchors come from the tree's `foliation_tube.level_anchor`, the
 rule `foliate` and C13 use; a tree without it gets a copy of its older
@@ -33,11 +41,13 @@ readers take the weight `p` next to the slice family or ray gets it
 passed; a newer one reads it off the family.  `samples`
 is the number of t-samples the set's leaves hold, summed over them (a
 leaf traced by RK4 holds one more than the steps it took; sampled leaves
-stop early, at their resolved radius, some before their first step).
+traced by RK4 stop early, at their resolved radius, some before their
+first step).  On a tree with the RK4 tracer (`_rhs_factory`),
 `rhs_calls` counts, in a separate, untimed pass, the calls of the
-right-hand side that `_rhs_factory` builds: one per RK4 stage and batch
-(per leaf on a tree without batches), none for a leaf written in closed
-form.  A SHA-256 of every leaf's `ambient` and `curve` bytes lets two
+right-hand side it builds: one per RK4 stage and batch (per leaf on a
+tree without batches), none for a leaf written in closed form; a tree
+without it writes every leaf in closed form or through its level's map,
+and reports no `rhs_calls`.  A SHA-256 of every leaf's `ambient` and `curve` bytes lets two
 trees be compared for bitwise-equal leaves.
 
 Results merge into BENCH_leaves.json under `--label`, with the machine
@@ -78,6 +88,9 @@ tol = 1e-9
 polyrad 1.0 1
 reharm 0.25+0.1j 3
 """
+NON_DISC_CONFIG = SAMPLED_CONFIG.replace("reharm 0.25+0.1j 3",
+                                         "perturb 0.15 2 1")
+C7_LEVELS = (0.1, 0.2, 0.3)
 
 
 def takes_p(fn) -> bool:
@@ -147,19 +160,34 @@ def c13_anchors():
     return ray, p, list(polar_anchor_net(radii, 8).ravel())
 
 
-def trace(ray, p, anchors):
+def c7_anchors():
+    """C7's sampled ray and its three level anchors, built as the
+    acceptance context builds them."""
+    from pshlab.acceptance import AcceptanceContext
+
+    ray = AcceptanceContext().perturbed_leaf_ray
+    return ray, ray.potential, [level_anchor(ray.potential, lam, ray.results)
+                                for lam in C7_LEVELS]
+
+
+def trace(ray, p, anchors, n_steps=None):
     from pshlab import foliation_tube as ft
 
     if not hasattr(ft, "trace_leaves"):
         return [ft.trace_leaf(ray, p, z) for z in anchors]
+    steps = {} if n_steps is None else {"n_steps": n_steps}
     if takes_p(ft.trace_leaves):
-        return ft.trace_leaves(ray, p, anchors)
-    return ft.trace_leaves(ray, anchors)
+        return ft.trace_leaves(ray, p, anchors, **steps)
+    return ft.trace_leaves(ray, anchors, **steps)
 
 
-def count_rhs(ray, p, anchors) -> int:
+def count_rhs(ray, p, anchors, n_steps=None):
+    """RK4 right-hand-side calls, or None on a tree without the RK4
+    tracer."""
     from pshlab import foliation_tube as ft
 
+    if not hasattr(ft, "_rhs_factory"):
+        return None
     calls = [0]
     factory = ft._rhs_factory
 
@@ -173,27 +201,28 @@ def count_rhs(ray, p, anchors) -> int:
 
     ft._rhs_factory = counting_factory
     try:
-        trace(ray, p, anchors)
+        trace(ray, p, anchors, n_steps)
     finally:
         ft._rhs_factory = factory
     return calls[0]
 
 
-def measure(ray, p, anchors) -> dict:
+def measure(ray, p, anchors, n_steps=None) -> dict:
     walls = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        leaves = trace(ray, p, anchors)
+        leaves = trace(ray, p, anchors, n_steps)
         walls.append(time.perf_counter() - t0)
     digest = hashlib.sha256()
     for leaf in leaves:
         digest.update(leaf.ambient.tobytes())
         digest.update(leaf.curve.tobytes())
-    return {"anchors": len(anchors),
-            "samples": sum(len(leaf.t_samples) for leaf in leaves),
-            "wall_s_median": statistics.median(walls),
-            "wall_s": walls, "rhs_calls": count_rhs(ray, p, anchors),
-            "sha256": digest.hexdigest()}
+    out = {"anchors": len(anchors),
+           "samples": sum(len(leaf.t_samples) for leaf in leaves),
+           "wall_s_median": statistics.median(walls), "wall_s": walls,
+           "sha256": digest.hexdigest()}
+    calls = count_rhs(ray, p, anchors, n_steps)
+    return out if calls is None else {**out, "rhs_calls": calls}
 
 
 def main():
@@ -209,19 +238,24 @@ def main():
 
     ray, p, anchors = foliate_anchors(make_config("foliate-oracle", SEED))
     sampled = foliate_anchors(SAMPLED_CONFIG)
+    non_disc = foliate_anchors(NON_DISC_CONFIG)
     sets = {"1": (ray, p, anchors[:1]), "4": (ray, p, anchors),
             "32": c13_anchors(), "sampled 1": (*sampled[:2], sampled[2][:1]),
-            "sampled 10": sampled}
+            "sampled 10": sampled,
+            "non-disc 1": (*non_disc[:2], non_disc[2][:1]),
+            "non-disc 10": non_disc, "C7 3": (*c7_anchors(), 2048)}
     results = {}
     for name, case in sets.items():
         results[name] = r = measure(*case)
         print(f"{args.label} {name} anchors: {r['wall_s_median']:.3f} s, "
-              f"{r['samples']} samples, {r['rhs_calls']} rhs calls")
+              f"{r['samples']} samples, {r.get('rhs_calls')} rhs calls")
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["workload"] = (f"foliate-oracle seed {SEED} (1 and 4 anchors); "
                           "C13 net, quartic oracle ray c 0.36, 72 slices, "
                           "t-range of 512^2 (32 anchors); SAMPLED_CONFIG, "
-                          "grid backend (sampled 1 and 10 anchors)")
+                          "grid backend (sampled 1 and 10 anchors); "
+                          "NON_DISC_CONFIG (non-disc 1 and 10 anchors); "
+                          "C7's perturbed 512^2 ray, 2,048 steps (C7 3)")
     report.setdefault("runs", {})[args.label] = {
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "cpus": os.cpu_count(),

@@ -11,7 +11,7 @@ from .field_grid import (GridSpec, ScalarField, build_grid, c2_norm,
 from .potential_kit import (BUILTIN_POTENTIALS, NormalizedChart, Potential,
                             Term, builtin_potential, glue_to_ball,
                             normalize_chart, regularized_max,
-                            suggest_glue_parameters, validate_strict_psh)
+                            validate_strict_psh)
 from .envelope_solver import (EnvelopeResult, Obstacle, build_obstacle,
                               extract_equilibrium, grid_envelope,
                               lelong_check, radial_envelope)

@@ -1,16 +1,20 @@
 """Foliation discs of the degenerate ray, their areas, and the tubular
 correspondence between the central fiber and the t = 0 slice.
 
-The kernel line of the degenerate (1,1)-form of the lifted potential
-Psi(z, w) = phi(wz) + u(wz, -ln|w|^2) gives dz/dw = -Psi_{w zbar}/Psi_{z zbar};
-restricted to the ray w = e^{-t/2} and written in the ambient coordinate
-x = wz the leaf ODE collapses, by the envelope structure of u, to
+In one variable the holomorphic discs of the S^1-invariant HMAE solution
+come from the Riemann maps of the equilibrium domains D_lam = {a_lam < 0}
+(Ross & Witt Nystrom, "The Hele-Shaw flow and moduli of holomorphic
+discs", Compositio Math. 2015; "Harmonic discs of solutions to the
+complex homogeneous Monge-Ampere equation", Publ. Math. IHES 2015).  With
+F the Riemann map of the domain at the leaf's level (F(0) = 0,
+F'(0) > 0), the leaf through z1 on its boundary is, along the real ray
+w = e^{-t/2} and in the ambient coordinate x = wz,
 
-    dx/dt = (1/2) * conj(q_x) / ( q_lam * (phi + a)_{x xbar} - |q_x|^2 ),
+    x(t) = F(w1 e^{-t/2}),   w1 = F^{-1}(z1),
 
-where q(x, lam) = (d/dlam) a_lam(x) + t, everything evaluated at the
-maximizing slope lam* (the Hamiltonian).  For radial weights this reduces
-to dx/dt = -x/2: leaves are constant in the chart coordinate z = x e^{t/2}.
+and its central-fiber point is u = F'(0) w1.  For radial weights F is
+the dilation w -> sqrt(rho*) w: leaves are constant in the chart
+coordinate z = x e^{t/2}.
 
 The Hamiltonian is constant along leaves; its t = 0 level curve through
 the anchor is the S^1-orbit closure of the leaf's t = 0 endpoint, and the
@@ -21,15 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .field_grid import bilinear, erode_mask, neighbour_sum
+from .envelope_solver import extract_equilibrium
+from .field_grid import bilinear, erode_mask, neighbour_sum, rounding_noise
 from .geodesic_legendre import (GeodesicRay, _bin_log_means,
                                 plateau_threshold, pole_exclusion_radius,
-                                rounding_noise, smooth_hamiltonian)
-from .geometry import polyline_is_simple, resample_closed
+                                smooth_hamiltonian)
+from .geometry import points_in_polygon, polyline_is_simple, resample_closed
 from .ma_measure import boundary_mass
 
 
@@ -40,7 +45,7 @@ class Leaf:
     curve holds the chart coordinate z(t) = x(t) e^{t/2}; ambient holds
     x(t).  lam_leaf is the Hamiltonian value at the anchor; h_drift the
     measured |H(x(t), t) - lam_leaf| sup along the trace; u_limit the
-    extrapolated central-fiber coordinate.
+    central-fiber coordinate F'(0)·w₁.
     """
 
     anchor: complex
@@ -65,7 +70,9 @@ class TubularMap:
 
 
 class LeafExit(RuntimeError):
-    """A leaf left its resolved region, at `location`, from `anchor`."""
+    """A leaf that cannot be traced, at `location`, from `anchor`: its
+    level read degenerates, its level's domain is not one closed curve
+    around 0, or its map does not invert."""
 
     def __init__(self, msg, location=None, anchor=None):
         at = "" if location is None else f" at {location:.5g}"
@@ -76,100 +83,62 @@ class LeafExit(RuntimeError):
 
 LEAF_WINDOW = 8   # slices a sampled-slice leaf reads on each side of its level
 ORBIT_BLOCK = 32   # rays per orbit read-out pass, to bound its memory
-DERIVED_NODES = 4   # slices whose derivative splines a probe keeps
-SAMPLED_STEPS = 2048   # RK4 steps over t_max on a sampled ray
+MAP_DEGREE = 8   # degree of the exponent polynomial of a domain's map
+NEWTON_STEPS = 32   # most Newton steps a map leaf's inversion may take
 
 
 # ---------------------------------------------------------------------------
-# slice probes, sampled (spline) and radial (closed form): read(x) gives the
-# slice values (n, window) at the points x (n,) of a batch of leaves; the
-# spline probe's derivs(x, j), read only by the RK4 right-hand side, gives
-# the Wirtinger gradients (3, n) of slices j[i] + 0..2 and the
-# d^2/dz dzbar (2, n) of slices j[i] + 0..1
+# slice probes, sampled (bilinear) and radial (closed form): read(x) gives the
+# slice values (n, window) at the points x (n,) of a batch of leaves, from
+# which `state` reads the level of each point
 # ---------------------------------------------------------------------------
 _NODES = np.arange(3)[:, None]
 
 
-class _SplineProbe:
-    """Bicubic access to a window of slice fields.  `noise` is the measured
-    value noise of the splines (their ringing across the free-boundary
-    kinks); `resolve_radius` is the pole-exclusion radius of the heaviest
-    slice held, inside which the spline Laplacians are not resolved;
-    `depth_bins` pushes the bracket past the O(h)-wide contact band the
-    sampled slices carry along their free boundaries."""
+class _GridProbe:
+    """Bilinear reads (`field_grid.bilinear`) of a window of stored slices,
+    which are exactly 0.0 on their coincidence sets, so that `noise` is
+    their rounding level, as for `smooth_hamiltonian`; `resolve_radius` is
+    the pole-exclusion radius of the heaviest slice held, inside which its
+    log pole is not resolved; `depth_bins` pushes the bracket past the
+    O(h)-wide contact band the sampled slices carry along their free
+    boundaries (3h), widened by the diagonal of the cell a read spans."""
 
     def __init__(self, ray: GeodesicRay, k_window):
-        from scipy.interpolate import RectBivariateSpline
         grid = ray.spatial_grid
-        ax = grid.axis()
+        self.ax = grid.axis()
         self.k_window = list(k_window)
-        self.splines = []
-        self.noise = 0.0
+        self.values = []
+        scale = 0.0
         for k in self.k_window:
             fld = ray.results[k].deficit
-            vals = fld.masked_fill(np.nan)
-            filled = np.where(np.isfinite(vals), vals, 0.0)
+            filled = np.where(fld.mask, fld.values, 0.0)
             i, j = i0 = grid.origin_index()
-            if not fld.mask[i0]:
+            if not fld.mask[i0]:   # the pole node: its neighbours' mean
                 window = filled[i - 1:i + 2, j - 1:j + 2]
                 filled[i0] = neighbour_sum(window)[0, 0] / 4
-            sp = RectBivariateSpline(ax, ax, filled, kx=3, ky=3)
-            self.splines.append(sp)
-            self.noise = max(self.noise, rounding_noise(
-                np.max(np.abs(fld.values[fld.mask]), initial=0.0)),
-                _plateau_ringing(sp, fld, ax))
+            self.values.append(filled)
+            scale = max(scale, np.max(np.abs(fld.values[fld.mask]), initial=0.0))
+        self.noise = rounding_noise(scale)
         self.resolve_radius = pole_exclusion_radius(
             float(ray.lam_grid[self.k_window[-1]]), grid.h)
-        self.r_max = grid.radius - 4.0 * grid.h
-        self.depth_bins = min(int(math.ceil(3.0 * grid.h / ray.d_lam)), 4)
-        # d/dx, d/dy, d2/dx2, d2/dy2 of slice k as splines of their own:
-        # bitwise sp.ev(dx=..., dy=...), which re-derives the coefficients
-        # of the whole grid at every evaluation
-        self._derived = lru_cache(maxsize=DERIVED_NODES)(lambda k: tuple(
-            self.splines[k].partial_derivative(*d)
-            for d in ((1, 0), (0, 1), (2, 0), (0, 2))))
+        self.depth_bins = min(int(math.ceil(
+            (3.0 + math.sqrt(2.0)) * grid.h / ray.d_lam)), 4)
 
     def read(self, x):
-        return np.array([sp.ev(x.real, x.imag) for sp in self.splines]).T
-
-    def derivs(self, x, j):   # leaves sharing a bracket are read together
-        grads = np.empty((3, len(x)), dtype=complex)
-        laps = np.empty((2, len(x)))
-        for jb in set(j.tolist()):
-            i = np.nonzero(j == jb)[0]
-            a, b = x.real[i], x.imag[i]
-            for node in range(3):
-                gx, gy, lx, ly = self._derived(jb + node)
-                grads[node, i] = 0.5 * (gx(a, b, grid=False)
-                                        - 1j * gy(a, b, grid=False))
-                if node < 2:
-                    laps[node, i] = 0.25 * (lx(a, b, grid=False)
-                                            + ly(a, b, grid=False))
-        return grads, laps
-
-
-def _plateau_ringing(spline, fld, ax) -> float:
-    """Largest |spline| between the nodes of the zero plateau next to the
-    free boundary: the data there are exactly 0.0, so every reading off
-    zero is the spline's ringing across the kink of the slice."""
-    zero = fld.mask & (fld.values == 0.0)
-    near = zero & ~erode_mask(~(fld.mask & ~zero), 2)
-    cell = near[:-1, :-1] & zero[1:, :-1] & zero[:-1, 1:] & zero[1:, 1:]
-    i, j = np.nonzero(cell)
-    if i.size == 0:
-        return 0.0
-    h = ax[1] - ax[0]
-    x, y = ax[i], ax[j]
-    return max(float(np.max(np.abs(spline.ev(px, py))))
-               for px, py in ((x + 0.5 * h, y + 0.5 * h),
-                              (x + 0.5 * h, y), (x, y + 0.5 * h)))
+        pts = np.stack([x.real, x.imag], axis=-1)
+        return np.array([bilinear(self.ax, v, pts, 0.0)
+                         for v in self.values]).T
 
 
 class _RadialProbe:
     """Closed-form slice values for radial weights: inside the
     pole-weight-lam domain a = flat - chi(s) + lam s with s = ln|x|^2.
     The values are exact up to the rounding of the terms that cancel at
-    the free boundary, which sets `noise`."""
+    the free boundary, which sets `noise`; they are resolved up to the
+    pole."""
+
+    resolve_radius = 0.0
 
     def __init__(self, ray: GeodesicRay):
         self.p = p = ray.potential
@@ -202,16 +171,15 @@ def _check(ok, msg, x, anchors):   # LeafExit for the first leaf not ok
         raise LeafExit(msg, location=complex(x[i]), anchor=complex(anchors[i]))
 
 
-def _rhs_factory(ray: GeodesicRay, probe):
-    """Right-hand side of the leaf equation for a batch of leaves read
-    through one probe, and `state`, its slope root alone; each row gets
-    the IEEE operations of a lone leaf."""
-    p = ray.potential
+def _level_reader(ray: GeodesicRay, probe):
+    """`state(x, t, anchors)`: the Hamiltonian lam* at the points x and
+    times t, read through one probe as the root of the slope curve, and
+    whether its bracket was forced past the plateau; each row gets the
+    IEEE operations of a lone point."""
     lam = ray.lam_grid[probe.k_window]
     if len(lam) < 3:
         raise ValueError("lam window too small for slope differencing")
     dl = np.diff(lam)
-    mids = 0.5 * (lam[1:] + lam[:-1])
     nu = _bin_log_means(lam)
     neg_eps = -plateau_threshold(probe.noise, dl)
     nd = len(dl)
@@ -223,10 +191,8 @@ def _rhs_factory(ray: GeodesicRay, probe):
     j2 = np.minimum(j + 2, nd - 1)
     brackets = np.stack([
         nu[j], nu[j + 1], nu[j + 1] - nu[j], nu[j2] - nu[j + 1],
-        0.5 * (nu[j2] - nu[j]), mids[j], mids[j + 1] - mids[j],
-        lam[j], lam[j + 1] - lam[j], dl[j], dl[j + 1]])
+        0.5 * (nu[j2] - nu[j]), 0.5 * (lam[j + 1] + lam[j])])
     no_third = j + 2 >= nd
-    real_monomials = getattr(p, "symmetry", "general") != "general"
 
     def state(x, t, anchors):   # t a scalar or one per point
         A = probe.read(x)
@@ -247,12 +213,14 @@ def _rhs_factory(ray: GeodesicRay, probe):
         j = np.minimum(np.where(crossing, np.maximum(j0, jp + floor), nd - 2),
                        nd - 2)
         forced = crossing & (kink | deep)
-        nu0, nu1, dnu, dnu12, half02, m0, dmid = brackets[:7, j]
+        nu0, nu1, dnu, dnu12, half02, m0 = brackets[:, j]
         d0, d1, d2 = np.take(D, rows * nd + j + _NODES, mode="clip")
-        da, db = d0 + t, d1 + t
-        q_lam = (d1 - d0) / dmid
-        _check(q_lam < -1e-12, "degenerate slope curvature along the leaf",
+        # a pure degeneracy test: the slope differences of a concave
+        # family fall across the bracket; where they do not, the slope
+        # curve has no crossing there to solve for
+        _check(d1 < d0, "degenerate slope curvature along the leaf",
                x, anchors)
+        da, db = d0 + t, d1 + t
         # root of the slope curve in ln(lam) at the exact bin log-means:
         # exact on the flat-weight curve; a one-Newton curvature refinement
         # absorbs the quadratic term when a third smooth bin is available
@@ -266,9 +234,11 @@ def _rhs_factory(ray: GeodesicRay, probe):
                 r0 = root - nu0
                 f = da + g1 * r0 + half_curv * r0 * (root - nu1)
                 fp = g1 + half_curv * (root + root - nu0 - nu1)
-                root = np.where(no_third[j] | (np.abs(fp) < 1e-30), root,
-                                root - f / fp)
-        sloped = np.abs(rise) > 1e-30
+                # fp = 0 would divide by zero: a pure degeneracy test
+                root = np.where(no_third[j] | (fp == 0), root, root - f / fp)
+        # a pure degeneracy test: a rise absorbed in t's rounding leaves
+        # the secant without a root, and the bin's midpoint stands in
+        sloped = rise != 0
         try:   # math.exp, not np.exp: the vector exp is not libm's to the ulp
             lam_star = np.array([math.exp(r) if s else m for r, s, m
                                  in zip(root.tolist(), sloped.tolist(),
@@ -276,80 +246,143 @@ def _rhs_factory(ray: GeodesicRay, probe):
         except OverflowError:   # the largest sloped root passed ln(float max)
             _check(~sloped | (root != np.nanmax(root[sloped])),
                    "slope root overflows along the leaf", x, anchors)
-        lam_star = np.minimum(np.maximum(lam_star, lam[1] * 1e-3), lam[-1])
-        return lam_star, forced, j, q_lam
+        # a root three decades below the window's second slice is no level
+        # its slices hold: it reads 0, which no anchor level may be
+        lam_star = np.where(lam_star < lam[1] * 1e-3, 0.0,
+                            np.minimum(lam_star, lam[-1]))
+        return lam_star, forced
 
-    def rhs(x, t, anchors):
-        lam_star, forced, j, q_lam = state(x, t, anchors)
-        # derivative data only where needed: nodes j..j+2 of the bracket,
-        # which by construction sit on the smooth branch of the family
-        (w0, w1, w2), (l0, l1) = probe.derivs(x, j)
-        m0, dmid, lam0, dlam, dl0, dl1 = brackets[5:, j]
-        w = (lam_star - m0) / dmid
-        q_x = (1.0 - w) * ((w1 - w0) / dl0) + w * ((w2 - w1) / dl1)
-        wn = (lam_star - lam0) / dlam
-        a_lap = (1.0 - wn) * l0 + wn * l1
-        # |q_x|^2 and complex monomials rounded as scalar, not vector, products
-        phi_h = np.real(p.hessian(x)) if real_monomials else np.array(
-            [complex(p.hessian(np.asarray(v))).real for v in x])
-        denom = q_lam * (phi_h + a_lap) \
-            - (q_x.real * q_x.real + q_x.imag * q_x.imag)
-        _check(denom < -1e-12, "degenerate fiber metric along the leaf",
-               x, anchors)
-        return 0.5 * np.conj(q_x) / denom, lam_star, forced
+    return state
 
-    return rhs, state
+
+# ---------------------------------------------------------------------------
+# the inverse Riemann map of each level's domain
+# ---------------------------------------------------------------------------
+
+def _domain_map(res, anchor):
+    """Coefficients c and scale s of the inverse Riemann map
+    g(z) = z exp(H(z)), H(z) = sum_k c_k (z/s)^k of degree MAP_DEGREE, of
+    the slice's equilibrium domain: Re H = -ln|z| on its refined boundary
+    by least squares, with Im H(0) = 0, so that g(0) = 0, g'(0) > 0 and
+    |g| = 1 on the boundary.  Raises LeafExit, naming the slice's lam and
+    the anchor, when the domain is not bounded by one closed curve around
+    0 inside the grid (it reaches the grid's rim, or leaves 0 outside)."""
+    rim = res.deficit.mask & ~erode_mask(res.envelope.mask)
+    if not len(res.boundary) or not res.coincidence[rim].all() \
+            or not points_in_polygon(np.zeros(1), np.zeros(1), res.boundary)[0]:
+        raise LeafExit(f"the domain at lam = {res.lam:.6g} is not one closed "
+                       "curve around 0 inside the grid", anchor=anchor)
+    bd = extract_equilibrium(res, refine=True)
+    z = bd[:, 0] + 1j * bd[:, 1]
+    s = float(np.max(np.abs(z)))
+    powers = (z / s)[:, None] ** np.arange(MAP_DEGREE + 1)
+    A = np.concatenate([powers.real, -powers.imag[:, 1:]], axis=1)
+    sol = np.linalg.lstsq(A, -np.log(np.abs(z)), rcond=None)[0]
+    c = sol[:MAP_DEGREE + 1] + 0j
+    c[1:] += 1j * sol[MAP_DEGREE + 1:]
+    return c, s
+
+
+def _level_map(ray: GeodesicRay, level: float, fits: dict, anchor):
+    """H and H' of the inverse map at `level`: the maps of the two nodes
+    bracketing it, interpolated linearly in ln(lam) (exact on discs of
+    the flat weight, where H = -ln(lam)/2).  A level outside the fitted
+    nodes lam_1 .. lam_top is extrapolated from the nearest two by the
+    same rule.  Fits are kept in `fits` by node."""
+    lam = ray.lam_grid
+    k = min(max(int(np.searchsorted(lam, level, "right")) - 1, 1), len(lam) - 2)
+    for i in (k, k + 1):
+        if i not in fits:
+            fits[i] = _domain_map(ray.results[i], anchor)
+    w = math.log(level / lam[k]) / math.log(lam[k + 1] / lam[k])
+    terms = [(wk, c, npoly.polyder(c) / s, s)
+             for wk, (c, s) in ((1.0 - w, fits[k]), (w, fits[k + 1]))]
+
+    def H(x):
+        return (sum(wk * npoly.polyval(x / s, c) for wk, c, _, s in terms),
+                sum(wk * npoly.polyval(x / s, d) for wk, _, d, s in terms))
+    return H
+
+
+def _map_leaf(z1: complex, ts, H):
+    """The leaf x(t) = F(w1 e^{-t/2}) of z1 at the times ts, and
+    u = F'(0) w1, with F the inverse of g(x) = x exp(H(x)): Newton on
+    g(x) = w1 e^{-t/2} from x = z1 e^{-t/2}, until every step is within
+    8 ulps of its point."""
+    h1, h0 = H(np.array([z1, 0j]))[0]
+    w1 = z1 * np.exp(h1)
+    target = w1 * np.exp(-0.5 * ts)
+    x = z1 * np.exp(-0.5 * ts)
+    for _ in range(NEWTON_STEPS):
+        h, dh = H(x)
+        e = np.exp(h)
+        step = (x * e - target) / (e * (1.0 + x * dh))
+        x = x - step
+        if np.all(np.abs(step) <= 8 * np.finfo(float).eps * np.abs(x)):
+            return x, complex(w1 * np.exp(-h0))
+    raise LeafExit("the map does not invert along the leaf", anchor=z1)
 
 
 def trace_leaves(ray: GeodesicRay, anchors,
                  n_steps: int | None = None) -> list:
     """The leaves through the t = 0 anchors along the real ray, sampled at
-    n_steps + 1 evenly spaced t in [0, t_max]; one Leaf per anchor.
+    n_steps + 1 evenly spaced t in [0, t_max] (by default the ray's own
+    t-grid, n_steps = len(t_grid) - 1); one Leaf per anchor.
 
-    On a radial oracle ray every leaf is the S^1-orbit disc's ray
-    x(t) = z1 e^{-t/2}, so it is written in closed form, by default at
-    the ray's own t-grid (n_steps = len(t_grid) - 1), and only its level
-    is read off the closed-form slices.  Sampled rays are integrated by
-    fixed-step RK4 (step t_max/n_steps) through bicubic splines of the
-    slices around the anchor level and stop at the pole-exclusion radius
-    of the heaviest one, inside which their log-pole Laplacians are not
-    resolved; the chart limit is then extrapolated with the e^{-t} rate.
-    Their leaves are limited by the splines' noise, not by the step (the
-    level moves non-monotonically, by up to 2.3e-5, between 256 and 2048
-    steps), so they keep `SAMPLED_STEPS`.  An explicit n_steps applies to
-    every ray.  The plateau rule (`plateau_threshold`) at the noise of
-    the data read (rounding, or the splines' measured ringing) splits the
-    slope differences.  Anchors reading the same slices are traced as
-    one complex vector, each leaf stopping on its own and bitwise the
-    leaf of its anchor alone.  An anchor at 0 gives the constant leaf at
-    0.  The drift of the Hamiltonian from lam_leaf along the trace is
-    reported.  Raises ValueError naming an anchor whose level is not in
-    (0, c), LeafExit naming a leaf that leaves the resolved region or
-    degenerates."""
+    The weight decides the path.  A leaf is x(t) = F(w1 e^{-t/2}), F the
+    Riemann map of the equilibrium domain at the anchor's level and
+    w1 = F^{-1}(z1), with central-fiber point u = F'(0) w1 (Ross & Witt
+    Nystrom, Compositio Math. 2015; Publ. Math. IHES 2015).  For a radial
+    weight F is a dilation, so the leaf is x(t) = z1 e^{-t/2} and u = z1
+    in closed form.  For every other weight F^{-1} is fitted on the
+    refined boundaries of the two slices bracketing the anchor level and
+    interpolated in ln(lam) between them (`_level_map`); a level outside
+    the fitted slices is extrapolated by the same rule.
+
+    The ray decides how the level is read: off the closed-form slices on
+    an oracle ray, off bilinear reads of the LEAF_WINDOW stored slices on
+    each side of the anchor level on a grid ray, by the root of the slope
+    curve, whose plateau rule (`plateau_threshold`) at the rounding noise
+    of the data read splits the slope differences.  The anchor's level is read at t = 0; the level
+    along the trace, at every sample outside the probe's resolve radius,
+    gives lam_leaf and its drift.  Anchors reading the same slices are
+    read as one vector, each leaf bitwise the leaf of its anchor alone.
+    An anchor at 0 gives the constant leaf at 0.  Raises ValueError
+    naming an anchor whose level is not in (0, c), LeafExit naming a
+    leaf whose level read degenerates or whose slice domain is not one
+    closed curve around 0 (naming its lam)."""
     anchors = [complex(z) for z in np.asarray(anchors, dtype=complex).ravel()]
-    radial = ray.backend == "oracle"
     if n_steps is None:
-        n_steps = len(ray.t_grid) - 1 if radial else SAMPLED_STEPS
+        n_steps = len(ray.t_grid) - 1
+    ts = np.linspace(0.0, ray.t_max, n_steps + 1)
     leaves = [None] * len(anchors)
     groups = {}
     for i, z1 in enumerate(anchors):
         if z1 == 0:
-            zz, ts = np.zeros(9, dtype=complex), np.linspace(0.0, ray.t_max, 9)
-            leaves[i] = Leaf(anchor=0j, t_samples=ts, curve=zz, ambient=zz,
+            zz, t0 = np.zeros(9, dtype=complex), np.linspace(0.0, ray.t_max, 9)
+            leaves[i] = Leaf(anchor=0j, t_samples=t0, curve=zz, ambient=zz,
                              lam_leaf=0.0, h_drift=0.0, u_limit=0j, ray=ray)
-        elif radial:
-            groups.setdefault(None, []).append(i)
-        else:   # the slices within LEAF_WINDOW of the anchor level
-            k0 = int(np.searchsorted(ray.lam_grid, _anchor_level(ray, z1)))
-            groups.setdefault((max(0, k0 - LEAF_WINDOW), min(
-                len(ray.lam_grid), k0 + LEAF_WINDOW + 1)), []).append(i)
+        else:
+            groups.setdefault(_probe_window(ray, z1), []).append(i)
+    fits = {}
     for window, idx in groups.items():
-        probe = _RadialProbe(ray) if radial \
-            else _SplineProbe(ray, range(*window))
+        probe = _RadialProbe(ray) if window is None \
+            else _GridProbe(ray, range(*window))
         for i, leaf in zip(idx, _trace_batch(
-                ray, probe, [anchors[i] for i in idx], n_steps)):
+                ray, probe, [anchors[i] for i in idx], ts, fits)):
             leaves[i] = leaf
     return leaves
+
+
+def _probe_window(ray: GeodesicRay, z1: complex):
+    """The slices that read the level of z1's leaf: all of them, in closed
+    form, on an oracle ray (None); on a grid ray the range of those
+    within LEAF_WINDOW of the anchor level."""
+    if ray.backend == "oracle":
+        return None
+    k0 = int(np.searchsorted(ray.lam_grid, _anchor_level(ray, z1)))
+    return max(0, k0 - LEAF_WINDOW), min(len(ray.lam_grid),
+                                         k0 + LEAF_WINDOW + 1)
 
 
 def level_anchor(lam: float, results) -> complex:
@@ -371,8 +404,8 @@ def level_anchor(lam: float, results) -> complex:
     return complex(poly[j, 0], poly[j, 1])
 
 
-def _trace_batch(ray: GeodesicRay, probe, anchors, n_steps: int) -> list:
-    rhs, state = _rhs_factory(ray, probe)
+def _trace_batch(ray: GeodesicRay, probe, anchors, ts, fits) -> list:
+    state = _level_reader(ray, probe)
     z1 = np.asarray(anchors, dtype=complex)
     n = len(z1)
     try:
@@ -384,48 +417,25 @@ def _trace_batch(ray: GeodesicRay, probe, anchors, n_steps: int) -> list:
         if not 0.0 < level < ray.cutoff:
             raise ValueError(f"anchor Hamiltonian {level:.4g} outside (0, c): "
                              f"leaf of anchor {z:.6g} not in the computed ray")
-    if isinstance(probe, _RadialProbe):   # every (leaf, sample) in one read
-        ts = np.linspace(0.0, ray.t_max, n_steps + 1)
-        xs = z1[:, None] * np.exp(-0.5 * ts)
-        lam_trace, forced_trace = state(xs.ravel(), np.tile(ts, n),
-                                        np.repeat(z1, len(ts)))[:2]
-        return [_finish_leaf(ray, complex(z), ts, x, lam, forced, float(level))
-                for z, x, lam, forced, level in zip(
-                    z1, xs, lam_trace.reshape(n, -1),
-                    forced_trace.reshape(n, -1), levels)]
-    dt = ray.t_max / n_steps
-    xs = np.repeat(z1[:, None], n_steps + 1, axis=1)
-    lam_trace = np.empty((n, n_steps))
-    forced_trace = np.empty((n, n_steps), dtype=bool)
-    steps = np.full(n, n_steps)
-    live, x, t, ts = np.arange(n), z1, 0.0, [0.0]
-    for k in range(n_steps):
-        r = np.hypot(x.real, x.imag)     # = abs(x), rounded as libm's hypot
-        if (done := r < probe.resolve_radius).any():
-            steps[live[done]] = k
-            live, x, r = live[~done], x[~done], r[~done]
-            if live.size == 0:
-                break
-        za = z1[live]
-        _check(~(r > probe.r_max), "leaf exited the resolved region", x, za)
-        k1, lam_here, forced = rhs(x, t, za)
-        k2 = rhs(x + 0.5 * dt * k1, t + 0.5 * dt, za)[0]
-        k3 = rhs(x + 0.5 * dt * k2, t + 0.5 * dt, za)[0]
-        k4 = rhs(x + dt * k3, t + dt, za)[0]
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        ts.append(t)
-        xs[live, k + 1] = x
-        lam_trace[live, k] = lam_here
-        forced_trace[live, k] = forced
-    ts = np.asarray(ts)
-    return [_finish_leaf(ray, complex(z1[i]), ts[:m + 1], xs[i, :m + 1].copy(),
-                         lam_trace[i, :m], forced_trace[i, :m],
-                         float(levels[i])) for i, m in enumerate(steps)]
+    if ray.potential.symmetry == "radial":   # F a dilation
+        xs, us = z1[:, None] * np.exp(-0.5 * ts), anchors
+    else:
+        xs, us = np.empty((n, len(ts)), dtype=complex), []
+        for i, (z, level) in enumerate(zip(anchors, levels.tolist())):
+            xs[i], u = _map_leaf(z, ts, _level_map(ray, level, fits, z))
+            us.append(u)
+    # the level at every (leaf, sample) the probe resolves, in one read
+    keep = np.abs(xs) >= probe.resolve_radius
+    lam_trace, forced_trace = state(xs[keep], np.broadcast_to(ts, xs.shape)[
+        keep], np.broadcast_to(z1[:, None], xs.shape)[keep])
+    ends = np.cumsum(keep.sum(axis=1))[:-1]
+    return [_finish_leaf(ray, complex(z), ts, x, lam, forced, float(level), u)
+            for z, x, lam, forced, level, u in zip(
+                z1, xs, np.split(lam_trace, ends),
+                np.split(forced_trace, ends), levels, us)]
 
 
-def _finish_leaf(ray, z1, ts, xs, lam_trace, forced_trace, anchor_level):
-    chart = xs * np.exp(0.5 * ts)
+def _finish_leaf(ray, z1, ts, xs, lam_trace, forced_trace, anchor_level, u):
     # the Hamiltonian value of the leaf and its constancy defect, measured
     # where the crossing bracket is natural (detached from the plateau);
     # the early forced-extrapolation regime carries a small estimator bias
@@ -439,31 +449,17 @@ def _finish_leaf(ray, z1, ts, xs, lam_trace, forced_trace, anchor_level):
         lam_leaf = anchor_level
         drift = float(np.max(np.abs(lam_trace - lam_leaf))) if len(lam_trace) \
             else 0.0
-    # central-fiber coordinate: chart limit with e^{-t} Richardson step
-    if len(ts) > 32:
-        t_end = ts[-1]
-        j = int(np.searchsorted(ts, t_end - max(0.5, 0.1 * t_end)))
-        zT, zP = chart[-1], chart[j]
-        u_lim = zT + (zT - zP) / (math.exp(t_end - ts[j]) - 1.0)
-    else:
-        u_lim = chart[-1]
-    return Leaf(anchor=z1, t_samples=ts, curve=chart, ambient=xs,
-                lam_leaf=float(lam_leaf), h_drift=float(drift),
-                u_limit=complex(u_lim), ray=ray, anchor_level=anchor_level)
+    return Leaf(anchor=z1, t_samples=ts, curve=xs * np.exp(0.5 * ts),
+                ambient=xs, lam_leaf=float(lam_leaf), h_drift=float(drift),
+                u_limit=complex(u), ray=ray, anchor_level=anchor_level)
 
 
 def _anchor_level(ray: GeodesicRay, z1: complex) -> float:
     """Hamiltonian level of the anchor from the smooth t=0 field."""
-    h0 = smooth_hamiltonian(ray)
-    grid = ray.spatial_grid
-    ax = grid.axis()
-    i = np.clip(np.searchsorted(ax, z1.real) - 1, 0, len(ax) - 2)
-    j = np.clip(np.searchsorted(ax, z1.imag) - 1, 0, len(ax) - 2)
-    wx = (z1.real - ax[i]) / (ax[i + 1] - ax[i])
-    wy = (z1.imag - ax[j]) / (ax[j + 1] - ax[j])
-    v = h0.values
-    return float((1 - wx) * (1 - wy) * v[i, j] + wx * (1 - wy) * v[i + 1, j]
-                 + (1 - wx) * wy * v[i, j + 1] + wx * wy * v[i + 1, j + 1])
+    return float(bilinear(ray.spatial_grid.axis(),
+                          smooth_hamiltonian(ray).values,
+                          [z1.real, z1.imag], ray.cutoff))
+
 
 
 # ---------------------------------------------------------------------------

@@ -219,11 +219,15 @@ def default_t_grid(c: float, m: int, grid: GridSpec | None = None,
     """[0, T_max] long enough that every conjugating infimum is attained
     interiorly: 2 beyond ln(c/lam_1) (lam_1 the first positive node), the
     range must also cover the pole-adjacent nodes, whose minimizing t
-    grows like ln(lam/|z|^2); the closest masked-in node sits at |z| = h."""
+    grows like ln(lam/|z|^2): 2 beyond ln(c/rho_min), rho_min the least
+    positive |z|^2 of a node inside the grid's domain (h^2 on an n = 1
+    cartesian grid, far less on a log-radial one)."""
     lam1 = c / m
     t_max = math.log(c / lam1) + 2.0
     if grid is not None:
-        t_max = max(t_max, math.log(c / grid.h ** 2) + 2.0)
+        rho = grid.rho()
+        rho_min = float(np.min(rho[(rho > 0) & (rho < grid.radius ** 2)]))
+        t_max = max(t_max, math.log(c / rho_min) + 2.0)
     return np.linspace(0.0, t_max, n_t)
 
 

@@ -884,11 +884,3 @@ def glue_to_ball(chart: NormalizedChart, s: float, w: float,
                                      "grad_c0": grad_c0,
                                      "bound_u": bound_u})
     return glued, report
-
-
-def suggest_glue_parameters(target_eps: float):
-    """(s, w) from the asymptotic heuristic: 38 s < eps/2, and w = 1e-3 s
-    keeps sigma = 3 sqrt(w/s) well inside the unit chart."""
-    s = target_eps / (2.0 * 38.0) * 0.9
-    w = s * 1e-3
-    return s, w

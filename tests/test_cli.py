@@ -306,6 +306,36 @@ def test_foliate_command(tmp_path):
         assert n == len(np.loadtxt(path, delimiter=",", comments="#")) - 1
 
 
+SAMPLED_FOLIATE = """command = foliate
+backend = grid
+resolution = 96
+lambda_nodes = 16
+lambdas = 0.12,0.22
+anchor_rings = 2
+anchor_angles = 4
+c = 0.36
+tol = 1e-9
+
+[potential]
+polyrad 1.0 1
+reharm 0.25+0.1j 3
+"""
+
+
+def test_sampled_foliate_leaves_reach_t_max(tmp_path):
+    """On a grid ray of a general weight every leaf, the net's inner ring
+    inside the resolve radius too, is written through its level's map at
+    the ray's t-grid, and no central-fiber point is its anchor."""
+    cfg = parse_config(SAMPLED_FOLIATE)
+    out = tmp_path / "fol"
+    assert run(cfg, out) == 0
+    meta = dict(line.split(" = ", 1) for line in
+                (out / "metadata.txt").read_text().splitlines())
+    assert meta["leaf_steps"] == ",".join([str(cfg.t_count - 1)] * 10)
+    tub = np.loadtxt(out / "tubular.csv", delimiter=",", comments="#")
+    assert np.all((tub[:, 0] != tub[:, 2]) | (tub[:, 1] != tub[:, 3]))
+
+
 def test_main_exit_codes(tmp_path):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(BASE)

@@ -1,8 +1,9 @@
-"""Foliation discs and the tubular map.  The batched leaf tracer is
-checked bitwise against scalar per-leaf references (RK4 on sampled rays,
-the closed form on radial oracle rays), and the vectorized orbit
-read-out of `leaf_boundary` against its per-angle loop; the references
-are kept here."""
+"""Foliation discs and the tubular map.  The batched level read is
+checked bitwise against a scalar per-point reference, radial leaves
+against the scalar closed form, map leaves against the exact leaves of
+disc domains and against the RK4 tracer of the leaf ODE, and the
+vectorized orbit read-out of `leaf_boundary` against its per-angle loop;
+the references are kept here."""
 
 import math
 import random
@@ -15,7 +16,8 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
 from pshlab import geodesic_legendre
-from pshlab.field_grid import build_grid
+from pshlab.field_grid import (bilinear, build_grid, erode_mask,
+                               rounding_noise)
 from pshlab.potential_kit import Potential, Term
 from pshlab.envelope_solver import (extract_equilibrium, grid_envelope,
                                     grid_envelopes, radial_envelope,
@@ -23,9 +25,8 @@ from pshlab.envelope_solver import (extract_equilibrium, grid_envelope,
 from pshlab.geodesic_legendre import (_bin_log_means, assemble_geodesic,
                                       lam_nodes, plateau_threshold,
                                       smooth_hamiltonian)
-from pshlab.foliation_tube import (LEAF_WINDOW, Leaf, LeafExit,
-                                   _RadialProbe, _SplineProbe, _anchor_level,
-                                   _rhs_factory,
+from pshlab.foliation_tube import (Leaf, LeafExit, _GridProbe, _RadialProbe,
+                                   _anchor_level, _level_reader,
                                    build_tubular_map, check_pullback,
                                    disc_area, leaf_boundary, level_anchor,
                                    polar_anchor_net, trace_leaves)
@@ -236,8 +237,44 @@ class _ScalarRadialReads:
         return np.where(inside, pr.flat[ks] - chi + pr.lam[ks] * s, 0.0)
 
 
+class _ReferenceSplineProbe:
+    """Bicubic splines of a window of slice fields, for the RK4 reference:
+    `noise` is their ringing across the free-boundary kinks, measured on
+    the zero plateau next to them; inside `resolve_radius` their log-pole
+    Laplacians are not resolved."""
+
+    def __init__(self, ray, k_window):
+        from scipy.interpolate import RectBivariateSpline
+        grid = ray.spatial_grid
+        ax = grid.axis()
+        self.k_window = list(k_window)
+        self.splines = []
+        self.noise = 0.0
+        for k in self.k_window:
+            fld = ray.results[k].deficit
+            filled = np.where(fld.mask, fld.values, 0.0)
+            i, j = grid.origin_index()
+            if not fld.mask[i, j]:
+                filled[i, j] = (filled[i - 1, j] + filled[i + 1, j]
+                                + filled[i, j - 1] + filled[i, j + 1]) / 4
+            sp = RectBivariateSpline(ax, ax, filled, kx=3, ky=3)
+            self.splines.append(sp)
+            zero = fld.mask & (fld.values == 0.0)
+            near = zero & ~erode_mask(~(fld.mask & ~zero), 2)
+            ci, cj = np.nonzero(near[:-1, :-1] & zero[1:, :-1]
+                                & zero[:-1, 1:] & zero[1:, 1:])
+            ring = max((float(np.max(np.abs(sp.ev(ax[ci] + a, ax[cj] + b))))
+                        for a, b in ((0.5 * grid.h, 0.5 * grid.h),
+                                     (0.5 * grid.h, 0.0),
+                                     (0.0, 0.5 * grid.h))), default=0.0)
+            self.noise = max(self.noise, rounding_noise(np.max(
+                np.abs(fld.values[fld.mask]), initial=0.0)), ring)
+        self.resolve_radius = geodesic_legendre.pole_exclusion_radius(
+            float(ray.lam_grid[self.k_window[-1]]), grid.h)
+
+
 class _ScalarSplineReads:
-    """The spline probe's slice reads at one point."""
+    """The reference spline probe's slice reads at one point."""
 
     def __init__(self, probe):
         self.splines = dict(zip(probe.k_window, probe.splines))
@@ -255,6 +292,19 @@ class _ScalarSplineReads:
         sp = self.splines[k]
         return 0.25 * (sp.ev(x.real, x.imag, dx=2) + sp.ev(x.real, x.imag,
                                                             dy=2))
+
+
+class _ScalarGridReads:
+    """The grid probe's bilinear slice reads at one point."""
+
+    def __init__(self, probe):
+        self.ax, self.values = probe.ax, dict(zip(probe.k_window,
+                                                  probe.values))
+
+    def eval_values(self, ks, x):
+        return np.array([float(bilinear(self.ax, self.values[k],
+                                        [x.real, x.imag], 0.0))
+                         for k in ks])
 
 
 def _reference_rhs_factory(ray, noise, reads, k_window, depth_bins):
@@ -287,10 +337,10 @@ def _reference_rhs_factory(ray, noise, reads, k_window, depth_bins):
             j = min(max(j0, 0), len(D) - 2)
         da, db = D[j] + t, D[j + 1] + t
         q_lam = (D[j + 1] - D[j]) / (mids[j + 1] - mids[j])
-        if not (q_lam < -1e-12):
+        if not (D[j + 1] < D[j]):
             raise LeafExit("degenerate slope curvature along the leaf",
                            location=complex(x))
-        if abs(db - da) > 1e-30:
+        if db - da != 0:
             g1 = (db - da) / (nu[j + 1] - nu[j])
             root = nu[j] - da / g1
             if j + 2 < len(D):
@@ -301,13 +351,13 @@ def _reference_rhs_factory(ray, noise, reads, k_window, depth_bins):
                     f = da + g1 * (root - nu[j]) \
                         + 0.5 * curv * (root - nu[j]) * (root - nu[j + 1])
                     fp = g1 + 0.5 * curv * (2 * root - nu[j] - nu[j + 1])
-                    if abs(fp) < 1e-30:
+                    if fp == 0:
                         break
                     root = root - f / fp
             lam_star = math.exp(root)
         else:
             lam_star = mids[j]
-        lam_star = float(np.clip(lam_star, lam[1] * 1e-3, lam[-1]))
+        lam_star = 0.0 if lam_star < lam[1] * 1e-3 else min(lam_star, lam[-1])
         return lam_star, forced, j, q_lam
 
     def rhs(x, t):
@@ -334,8 +384,10 @@ def _reference_rhs_factory(ray, noise, reads, k_window, depth_bins):
 
 def _reference_trace_leaf(ray, z1, n_steps):
     """One leaf, on a radial oracle ray in closed form with its level read
-    one sample at a time, otherwise by scalar RK4, one right-hand side at
-    a time."""
+    one sample at a time, otherwise by scalar RK4 of the leaf ODE, one
+    right-hand side at a time, until the leaf enters the resolve radius
+    (it must not leave the resolved disc r_max first), with its chart
+    limit extrapolated by the e^{-t} rate."""
     z1 = complex(z1)
     t_max = ray.t_max
     if z1 == 0:
@@ -352,10 +404,12 @@ def _reference_trace_leaf(ray, z1, n_steps):
     else:
         m = len(ray.lam_grid)
         k0 = int(np.searchsorted(ray.lam_grid, _anchor_level(ray, z1)))
-        probe = _SplineProbe(ray, range(max(0, k0 - 8), min(m, k0 + 9)))
+        probe = _ReferenceSplineProbe(ray, range(max(0, k0 - 8),
+                                                 min(m, k0 + 9)))
         reads = _ScalarSplineReads(probe)
         k_window = probe.k_window
         depth = min(int(math.ceil(3.0 * ray.spatial_grid.h / ray.d_lam)), 4)
+        r_max = ray.spatial_grid.radius - 4.0 * ray.spatial_grid.h
     rhs, state = _reference_rhs_factory(ray, probe.noise, reads, k_window,
                                         depth)
     anchor_level, *_ = state(z1, 0.0)
@@ -376,7 +430,7 @@ def _reference_trace_leaf(ray, z1, n_steps):
         for k in range(n_steps):
             if abs(x) < probe.resolve_radius:
                 break
-            assert not abs(x) > probe.r_max
+            assert not abs(x) > r_max
             k1, lam_here, forced = rhs(x, t)
             lam_trace.append(lam_here)
             forced_trace.append(forced)
@@ -400,7 +454,9 @@ def _reference_trace_leaf(ray, z1, n_steps):
         lam_leaf = float(anchor_level)
         drift = float(np.max(np.abs(lam_trace - lam_leaf))) if len(lam_trace) \
             else 0.0
-    if len(ts) > 32:
+    if radial:
+        u_lim = z1
+    elif len(ts) > 32:
         t_end = ts[-1]
         span = max(0.5, 0.1 * t_end)
         j = int(np.searchsorted(ts, t_end - span))
@@ -470,15 +526,6 @@ def test_radial_leaf_anchored_on_the_free_boundary_keeps_its_level():
     assert abs(leaf.u_limit - z1) <= 1e-12 * abs(z1)
 
 
-def test_default_sampled_leaf_takes_the_sampled_steps(perturbed_ray_small,
-                                                      perturbed_anchors):
-    """A leaf on a sampled ray keeps SAMPLED_STEPS = 2048 by default."""
-    z1 = perturbed_anchors[1]
-    _assert_same_leaf(trace_leaves(perturbed_ray_small, [z1])[0],
-                      trace_leaves(perturbed_ray_small, [z1],
-                                   n_steps=2048)[0])
-
-
 def _equilibrium_anchor(results, lam, angle):
     k = int(np.argmin([abs(res.lam - lam) for res in results]))
     poly = extract_equilibrium(results[k])
@@ -517,23 +564,6 @@ def test_level_anchor_reads_the_stored_boundary(perturbed_slices_small):
         level_anchor(0.001, results)
 
 
-def test_batched_perturbed_leaves_match_scalar_reference(perturbed_ray_small,
-                                                         perturbed_anchors):
-    ray = perturbed_ray_small
-    m = len(ray.lam_grid)
-    levels = [int(np.searchsorted(ray.lam_grid, _anchor_level(ray, z)))
-              for z in perturbed_anchors]
-    windows = {(max(0, k - LEAF_WINDOW), min(m, k + LEAF_WINDOW + 1))
-               for k in levels}
-    assert len(windows) == 3
-    leaves = trace_leaves(ray, perturbed_anchors, n_steps=128)
-    # each leaf stops on its own at the resolution horizon
-    assert len({len(leaf.t_samples) for leaf in leaves}) > 1
-    assert all(len(leaf.t_samples) < 129 for leaf in leaves)
-    for leaf, z1 in zip(leaves, perturbed_anchors):
-        _assert_same_leaf(leaf, _reference_trace_leaf(ray, z1, 128))
-
-
 @pytest.fixture(scope="module")
 def complex_monomial_family():
     # a weight whose Hessian has complex monomials, which scalar and vector
@@ -544,33 +574,24 @@ def complex_monomial_family():
         p, lam_nodes(0.36, 12), build_grid(1, 64, 1.0), tol=1e-9), 0.36)
 
 
-def test_complex_monomial_weight_leaves_match_scalar_reference(
-        complex_monomial_family):
-    p, ray = complex_monomial_family
-    anchors = [_equilibrium_anchor(ray.results, lam, angle)
-               for lam, angle in ((0.15, 0.5), (0.2, 2.5), (0.15, 4.0))]
-    for leaf, z1 in zip(trace_leaves(ray, anchors, n_steps=64), anchors):
-        _assert_same_leaf(leaf, _reference_trace_leaf(ray, z1, 64))
-
-
 @pytest.mark.parametrize("case", ["perturbed", "complex"])
 def test_batched_rhs_matches_scalar_rhs(case, perturbed_ray_small, perturbed,
                                         complex_monomial_family):
-    """Right-hand sides at scattered points around a leaf level, one batch
-    against the scalar reference point by point (points where the
+    """Level reads (`state`) at scattered points around a leaf level, one
+    batch against the scalar reference point by point (points where the
     reference finds no bracket, or its slope root overflows, are left
     out)."""
     p, ray = (perturbed, perturbed_ray_small) if case == "perturbed" \
         else complex_monomial_family
-    probe = _SplineProbe(ray, range(0, 9))
-    reads, depth, r_a = _ScalarSplineReads(probe), min(int(math.ceil(
-        3.0 * ray.spatial_grid.h / ray.d_lam)), 4), 0.4
+    probe = _GridProbe(ray, range(0, 9))
+    reads, depth, r_a = _ScalarGridReads(probe), min(int(math.ceil(
+        (3.0 + math.sqrt(2.0)) * ray.spatial_grid.h / ray.d_lam)), 4), 0.4
     rng = np.random.default_rng(3)
     x = r_a * rng.uniform(0.7, 1.2, 300) * np.exp(2j * math.pi
                                                    * rng.random(300))
     t = 0.25 * ray.t_max
     ref = _reference_rhs_factory(ray, probe.noise, reads, probe.k_window,
-                                 depth)[0]
+                                 depth)[1]
     expected = {}
     for xi in x:
         try:
@@ -579,11 +600,9 @@ def test_batched_rhs_matches_scalar_rhs(case, perturbed_ray_small, perturbed,
             pass
     assert len(expected) >= 100
     pts = np.array(list(expected), dtype=complex)
-    dx, lam, forced = _rhs_factory(ray, probe)[0](pts, t, pts)
+    lam, forced = _level_reader(ray, probe)(pts, t, pts)
     for i, xi in enumerate(pts):
-        rdx, rlam, rforced = expected[xi]
-        assert np.array([rdx], complex).tobytes() == dx[i:i + 1].tobytes()
-        assert (rlam, rforced) == (lam[i], forced[i])
+        assert expected[xi][:2] == (lam[i], forced[i])
 
 
 @pytest.mark.parametrize("case", ["quartic", "perturbed"])
@@ -643,24 +662,31 @@ def test_tubular_map_checks_given_leaves(flat_ray_small):
 
 @pytest.fixture(scope="module")
 def flat_ray_rim(flat):
-    # a disc of radius 0.8 with c = 0.8: levels below c reach past the
-    # resolved radius r_max = 0.8 - 4h = 0.7; the top slices have no
-    # interior coincidence node, and the solver says so
+    # a disc of radius 0.8 with c = 0.8: the top slices have no interior
+    # coincidence node, and the solver says so
     grid = build_grid(1, 64, 0.8)
     with pytest.warns(UserWarning, match="empty coincidence set"):
         results = grid_envelopes(flat, lam_nodes(0.8, 16), grid, tol=1e-9)
     return assemble_geodesic(results, 0.8)
 
 
-def test_leaf_past_r_max_exits_naming_its_anchor(flat_ray_rim):
-    inside, past = 0.4 + 0j, 0.71 * np.exp(0.3j)
-    assert abs(past) > flat_ray_rim.spatial_grid.radius \
-        - 4.0 * flat_ray_rim.spatial_grid.h
-    with pytest.raises(LeafExit, match="exited the resolved region") as exc:
-        trace_leaves(flat_ray_rim, [inside, past], n_steps=64)
+def test_leaf_on_a_domain_reaching_the_rim_exits_naming_its_lam():
+    """The slices bracketing the level of the anchor at 0.74 are those at
+    lam 0.12 and 0.16, and the domain at 0.16 covers the grid disc: no
+    map, and the exit names that lam and the anchor.  The anchor at 0.65
+    brackets between 0.08 and 0.12 and is traced."""
+    p = Potential(1, [Term("polyrad", 0.25, (1,)),
+                      Term("reharm", 0.05, (3,))])
+    with pytest.warns(UserWarning, match="empty coincidence set"):
+        results = grid_envelopes(p, lam_nodes(0.24, 6),
+                                 build_grid(1, 128, 0.8), tol=1e-9)
+    ray = assemble_geodesic(results, 0.24)
+    inside, past = 0.65 * np.exp(0.3j), 0.74 * np.exp(0.3j)
+    with pytest.raises(LeafExit, match=r"the domain at lam = 0\.16 is not "
+                       "one closed curve around 0") as exc:
+        trace_leaves(ray, [inside, past], n_steps=64)
     assert exc.value.anchor == complex(past)
-    assert exc.value.location == complex(past)
-    trace_leaves(flat_ray_rim, [inside], n_steps=64)
+    assert trace_leaves(ray, [inside], n_steps=64)[0].anchor_level < 0.12
 
 
 def test_smooth_hamiltonian_rim_roots_do_not_overflow(flat_ray_rim,
@@ -770,13 +796,109 @@ def test_orbit_readout_with_several_crossings_per_ray(perturbed_ray_small,
 
 def test_a_radial_weight_takes_the_closed_forms_on_a_grid_ray(flat):
     """The weight decides, not the backend: on a grid ray of the flat
-    weight the anchor is sqrt(rho*) and the orbit the exact circle."""
+    weight the anchor is sqrt(rho*), the leaf z1 e^{-t/2} with u = z1 and
+    the orbit the exact circle."""
     ray = assemble_geodesic(grid_envelopes(
         flat, lam_nodes(0.8, 16), build_grid(1, 64, 1.0), tol=1e-9), 0.8)
     assert ray.backend == "grid-active-set"
     z1 = level_anchor(0.3, ray.results)
     assert z1 == complex(math.sqrt(flat.level_rho(0.3)))
     leaf = trace_leaves(ray, [z1], n_steps=64)[0]
+    ts = np.linspace(0.0, ray.t_max, 65)
+    assert leaf.ambient.tobytes() == (z1 * np.exp(-0.5 * ts)).tobytes()
+    assert leaf.u_limit == z1
     th = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
     circle = np.stack([z1.real * np.cos(th), z1.real * np.sin(th)], axis=1)
     assert leaf_boundary(leaf).tobytes() == circle.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# map leaves against the exact leaves of disc domains and the RK4 leaves
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def perturbed_ray_256(perturbed):
+    return assemble_geodesic(grid_envelopes(
+        perturbed, lam_nodes(0.36, 72), build_grid(1, 256, 1.0), tol=1e-9),
+        0.36)
+
+
+def test_map_leaves_of_disc_domains_are_the_exact_leaves(perturbed_ray_256):
+    """The builtin perturbed weight's equilibrium sets are the discs
+    |z|^2 < lam, so the leaf of z1 is z1 e^{-t/2} and u = z1.  The map
+    leaves of the three level anchors and of a 5 x 8 net keep within 3e-4
+    of it over [0, t_max] (measured 1.7e-4), and u within 5e-4 of z1
+    (measured 2.6e-4): the polylines' own error, never u = z1 bitwise."""
+    ray = perturbed_ray_256
+    anchors = [level_anchor(lam, ray.results) for lam in (0.1, 0.2, 0.3)]
+    net = polar_anchor_net(np.linspace(0.15, 0.55, 5), 8)
+    for leaf in trace_leaves(ray, anchors + list(net.ravel())):
+        assert leaf.t_samples[-1] == ray.t_max
+        exact = leaf.anchor * np.exp(-0.5 * leaf.t_samples)
+        assert np.max(np.abs(leaf.ambient - exact)) <= 3e-4
+        assert 0 < abs(leaf.u_limit - leaf.anchor) <= 5e-4
+
+
+def test_map_leaf_follows_the_rk4_leaf_on_non_disc_domains():
+    """On |z|^2 + 0.15 Re(z^2)|z|^2, whose sets are not discs, the map leaf
+    keeps to the RK4 leaf of the leaf ODE over the range the RK4 leaf
+    traces (measured 1.6e-4 and 7.7e-4), while the RK4 leaf itself is
+    8.2e-4 and 2.0e-3 away from z1 e^{-t/2}."""
+    p = Potential(1, [Term("polyrad", 1.0, (1,)),
+                      Term("perturb", 0.15, (2, 1))])
+    ray = assemble_geodesic(grid_envelopes(
+        p, lam_nodes(0.36, 72), build_grid(1, 256, 1.0), tol=1e-9), 0.36)
+    for lam, bound in ((0.1, 2e-4), (0.2, 8e-4)):
+        z1 = level_anchor(lam, ray.results)
+        ref = _reference_trace_leaf(ray, z1, 1024)
+        leaf = trace_leaves(ray, [z1], n_steps=1024)[0]
+        m = len(ref.t_samples)
+        assert np.max(np.abs(leaf.t_samples[:m] - ref.t_samples)) < 1e-12
+        assert np.max(np.abs(leaf.ambient[:m] - ref.ambient)) <= bound
+        assert np.max(np.abs(ref.ambient - z1 * np.exp(
+            -0.5 * ref.t_samples))) > 2 * bound
+
+
+# ---------------------------------------------------------------------------
+# the degeneracy tests of the level read, on a family read as given
+# ---------------------------------------------------------------------------
+
+class _FixedProbe:
+    """Every point reads the slice values A on the lam grid 0, 1/4 .. 1."""
+    noise, depth_bins, k_window = 0.0, 0, list(range(5))
+
+    def __init__(self, A):
+        self.A = np.asarray(A, dtype=float)
+
+    def read(self, x):
+        return np.tile(self.A, (len(x), 1))
+
+
+def _read_level(A, t):
+    from types import SimpleNamespace
+    state = _level_reader(SimpleNamespace(lam_grid=np.arange(5) / 4.0),
+                          _FixedProbe(A))
+    x = np.array([0.5 + 0j])
+    return state(x, t, x)
+
+
+def test_level_read_exits_where_the_slope_differences_do_not_fall():
+    """An affine family (slope differences -1, -1, -1, -1) has no crossing
+    to solve for and exits; one ulp of fall in the bracket (D_2 = -1 -
+    2^-51) is read, and its root, 2^51 bin widths below the bracket,
+    reads 0: no level the slices hold."""
+    with pytest.raises(LeafExit, match="degenerate slope curvature"):
+        _read_level([0.0, -0.25, -0.5, -0.75, -1.0], 0.0)
+    lam, forced = _read_level([0.0, -0.25, -0.5, -0.75 - 2.0 ** -53, -1.0],
+                              0.0)
+    assert lam.tolist() == [0.0] and forced.tolist() == [True]
+
+
+def test_level_read_takes_the_bin_midpoint_where_t_absorbs_the_rise():
+    """With no crossing the bracket is the top one; at t = 1024 the fall
+    of 2^-50 between its differences (-1, -1 - 2^-50) rounds away in
+    d + t: the secant has no root, and the midpoint of its bin stands
+    in."""
+    lam, forced = _read_level([0.0, -0.25, -0.5, -0.75, -1.0 - 2.0 ** -52],
+                              1024.0)
+    assert lam.tolist() == [0.625] and forced.tolist() == [False]

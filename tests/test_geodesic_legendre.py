@@ -13,7 +13,7 @@ from pshlab.geodesic_legendre import (GeodesicRay, assemble_geodesic,
                                       hmae_residual, lam_nodes,
                                       legendre_slices, rounding_noise,
                                       smooth_hamiltonian, weak_solution)
-from pshlab.potential_kit import Potential, Term
+from pshlab.potential_kit import Potential, Term, builtin_potential
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +372,19 @@ def test_involution_oracle_property(q, c, m, n, n_t):
     p = Potential(1, [Term("polyrad", 1.0, (1,)), Term("polyrad", q, (2,))])
     ray = assemble_geodesic(
         radial_envelopes(p, lam_nodes(c, m), build_grid(1, n, 1.0)), c, n_t=n_t)
+    assert _roundtrip(ray) <= 1e-8
+
+
+def test_involution_reinhardt_covers_the_pole_side_nodes():
+    """The default t-range reaches 2 beyond ln(c / rho_min), rho_min the
+    least positive |z|^2 on the grid (8.5e-18 on this log-radial grid, not
+    h^2), so the conjugate of a Reinhardt ray reproduces its slices within
+    C3's 1e-8 (measured 2.0e-11; a t-range from h^2 missed them by 11.2)."""
+    grid = build_grid(2, 48, 1.0, "log-radial")
+    ray = assemble_geodesic(radial_envelopes(
+        builtin_potential("reinhardt2"), lam_nodes(0.4, 16), grid), 0.4)
+    rho = grid.rho()
+    assert ray.t_max == math.log(0.4 / rho[rho > 0].min()) + 2.0
     assert _roundtrip(ray) <= 1e-8
 
 

@@ -3,9 +3,9 @@
 of row-major 1-D buffers, no `EnvelopeResult` takes a literal as its
 coincidence tolerance, the CLI solves envelopes by one route, the
 lam-grid of a slice family is written once (`lam_nodes`), the readers
-after the solve take the weight from the family they are given, and no
-module imports scipy at module level, so that the CLI's commands load it
-only where they need it."""
+after the solve take the weight from the family they are given, the
+ray's backend picks no leaf path, and no module imports scipy at module
+level, so that the CLI's commands load it only where they need it."""
 
 import ast
 import os
@@ -163,6 +163,18 @@ def test_readers_take_the_weight_from_the_family():
     assert "foliation_tube.trace_leaf" not in defined
 
 
+def test_backend_picks_no_leaf_path():
+    """`foliation_tube` reads the ray's backend in `_probe_window` alone,
+    which picks the slices that read a leaf's level; the weight picks the
+    leaf's path (the closed form or the level's map)."""
+    tree = ast.parse((SRC / "foliation_tube.py").read_text())
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "backend"}
+    assert readers == {"_probe_window"}
+
+
 def _module_level_imports(path):
     """Top names of the modules `path` imports outside any def or class."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -181,8 +193,8 @@ def test_no_module_level_scipy_import(path):
 
 
 # Runs each command in a fresh interpreter through `cli.main`, then prints
-# the scipy modules loaded: the CLI imports scipy only for the grid-backend
-# leaf splines and the Reinhardt hull, which none of these configs reach.
+# the scipy modules loaded: the CLI imports scipy only for the Reinhardt
+# hull, which none of these configs reach.
 CLI_RUNS = """
 import sys
 from pathlib import Path

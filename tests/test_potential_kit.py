@@ -10,8 +10,7 @@ from pshlab.field_grid import ScalarField, build_grid, c2_norm, ddc_component
 from pshlab.potential_kit import (Potential, Term, builtin_potential,
                                   bump_profile, field_min_density,
                                   glue_to_ball, normalize_chart,
-                                  regularized_max, suggest_glue_parameters,
-                                  validate_strict_psh)
+                                  regularized_max, validate_strict_psh)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +302,6 @@ def test_glue_bitwise_outside_and_psh(flat):
     assert np.array_equal(fld.values[outside], rho[outside])
     hess = glued.hessian(g.nodes())
     assert np.min(hess[g.inside_mask()]) > 0.0
-
-
-def test_glue_suggestion_heuristic():
-    s, w = suggest_glue_parameters(0.9)
-    assert 38.0 * s < 0.45
-    assert 3.0 * math.sqrt(w / s) < 1.0
 
 
 # ---------------------------------------------------------------------------
