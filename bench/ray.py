@@ -22,7 +22,14 @@ region.  On a freshly assembled ray each round times, in this order,
 `ray.u_values()` (the slice stack included), `hamiltonian(ray,
 fd_check=True)` and `legendre_slices(ray, ray.lam_grid)`, and digests
 (SHA-256) u, the argmax, H with its fd gap, and the conjugates, so that
-two trees can be compared for equal bytes.  Results merge into
+two trees can be compared for equal bytes.
+
+Memory is measured after the timed stages, so that tracing costs them
+nothing: on a second fresh ray of each family the same three stages run
+under tracemalloc, and each stage's peak is reported as MB above the
+traced size at its start (`<stage>_peak_mb`).  Then one whole `geodesic`
+command on the geodesic-oracle config runs once untraced and once traced
+(`geodesic_command_peak_mb`, MB above the start).  Results merge into
 BENCH_ray.json under each label (medians, and the samples), with the
 machine they ran on; run all trees on one machine.
 """
@@ -47,7 +54,8 @@ ROUNDS = 5
 STAGES = ("u_values", "hamiltonian", "legendre_slices")
 
 CHILD_CODE = """
-import hashlib, json, sys, time
+import hashlib, json, sys, tempfile, time, tracemalloc
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from pshlab import cli
@@ -99,7 +107,31 @@ for name, (family, kwargs) in families.items():
                            np.float64(H.max_fd_gap).tobytes()),
         "digest_conjugates": digest(*(f.values.tobytes() for f in conj)),
         "max_fd_gap": H.max_fd_gap}
-print(json.dumps(out))
+
+def traced(fn):
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    got = fn()
+    return got, (tracemalloc.get_traced_memory()[1] - base) / 1e6
+
+tracemalloc.start()
+for name, (family, kwargs) in families.items():
+    ray = assemble_geodesic(family, **kwargs)
+    u, out[name]["u_values_peak"] = traced(ray.u_values)
+    H, out[name]["hamiltonian_peak"] = traced(
+        lambda: hamiltonian(ray, fd_check=True))
+    conj, out[name]["legendre_slices_peak"] = traced(
+        lambda: legendre_slices(ray, ray.lam_grid))
+    del ray, u, H, conj
+with tempfile.TemporaryDirectory() as tmp:
+    ini = Path(tmp) / "geodesic.ini"
+    ini.write_text(sys.argv[2])
+    argv = ["geodesic", "--config", str(ini), "--out"]
+    assert cli.main(argv + [str(Path(tmp) / "warm")]) == 0
+    code, peak = traced(lambda: cli.main(argv + [str(Path(tmp) / "out")]))
+    assert code == 0
+tracemalloc.stop()
+print(json.dumps({"rays": out, "geodesic_command_peak": peak}))
 """
 
 DIGESTS = ("digest_u", "digest_argmax", "digest_h", "digest_conjugates")
@@ -118,6 +150,9 @@ def summary(rows: list) -> dict:
     out = {"shape_m_nt_ny_nx": rows[0]["shape"]}
     for stage in STAGES:
         out[f"{stage}_s"] = statistics.median(r[stage] for r in rows)
+    for stage in STAGES:
+        out[f"{stage}_peak_mb"] = statistics.median(r[f"{stage}_peak"]
+                                                    for r in rows)
     out["stages_s"] = statistics.median(sum(r[s] for s in STAGES)
                                         for r in rows)
     for key in DIGESTS:
@@ -152,15 +187,21 @@ def main():
         f"u_values, hamiltonian(fd_check=True) and legendre_slices(ray, "
         f"lam_grid) on the geodesic-oracle ray (seed {SEED}) and the flat "
         f"oracle and perturbed grid 256^2 x 64 x 96 rays, {ROUNDS} rounds "
-        f"alternating the trees, one interpreter per round, medians")
+        f"alternating the trees, one interpreter per round, medians; the "
+        f"same stages' tracemalloc peaks on fresh rays after the timed "
+        f"ones, and the traced peak of one geodesic command on the "
+        f"geodesic-oracle config, in MB above the start")
     runs = report.setdefault("runs", {})
     for label in args.label:
+        peaks = [r["geodesic_command_peak"] for r in rows[label]]
         runs[label] = {
             "machine": {"python": platform.python_version(),
                         "cpus": os.cpu_count(),
                         "platform": platform.platform()},
-            "rays": {name: summary([r[name] for r in rows[label]])
-                     for name in rows[label][0]}}
+            "geodesic_command_peak_mb": statistics.median(peaks),
+            "geodesic_command_peak_mb_samples": peaks,
+            "rays": {name: summary([r["rays"][name] for r in rows[label]])
+                     for name in rows[label][0]["rays"]}}
     ref = runs.get(args.ref, {}).get("rays", {})
     for label in args.label:
         for name, row in runs[label]["rays"].items():
@@ -171,7 +212,11 @@ def main():
                   f"hamiltonian {row['hamiltonian_s']:.3f} s, legendre "
                   f"{row['legendre_slices_s']:.3f} s, all "
                   f"{row['stages_s']:.3f} s, deterministic "
-                  f"{row['deterministic']}")
+                  f"{row['deterministic']}; peaks "
+                  + ", ".join(f"{row[f'{s}_peak_mb']:.1f}" for s in STAGES)
+                  + " MB")
+        print(f"{label} geodesic command: traced peak "
+              f"{runs[label]['geodesic_command_peak_mb']:.2f} MB")
     OUT.write_text(json.dumps(report, indent=1) + "\n")
 
 

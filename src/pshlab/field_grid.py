@@ -30,6 +30,7 @@ evaluation order.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -383,29 +384,32 @@ def bilinear(ax, values, points, fill):
 # serialization: header + row-major CSV, NaN encodes masked-out
 # ---------------------------------------------------------------------------
 
-CSV_BLOCK = 1 << 16
+CSV_BLOCK = 1 << 14
 CSV_CELL = 25   # any `%.17g` of a double fits in 24 characters, then ","
 
 
 def write_csv(path, array, header: str = "") -> None:
     """Write `array` (2-D, or one 1-D row) as CSV after each `header` line
     as a `# ` comment, each value v as `f"{v:.17g}"`: it round-trips every
-    float, nan, inf and -0 included.
+    float, nan, inf and -0 included.  Given an open binary file for `path`,
+    it appends, so one pass can write several files a row block at a time.
 
     Rows go out in blocks of at most `CSV_BLOCK` values (or one wider row),
-    so memory does not grow with the file.  A block formats each distinct
-    value once, keyed by its bit pattern (floats; `%.17g` is a function of
-    the bits, so -0 and 0 stay apart) or by value (ints), into fixed-width
-    `%-24.17g,` cells, gathers them through the block's inverse index (one
-    stable argsort and a mask of where the sorted keys change) and drops
-    the padding.  Ray files repeat values heavily (pixels on one radius
-    are bitwise equal); all-distinct data pays for the sort and the gather
-    on top of the formatting."""
+    so memory does not grow with the file: 2^14 values, one row of a 128^2
+    ray, keep a block's temporaries near 2 MB, below the ray's own arrays.
+    A block formats each distinct value once, keyed by its bit pattern
+    (floats; `%.17g` is a function of the bits, so -0 and 0 stay apart) or
+    by value (ints), into fixed-width `%-24.17g,` cells, gathers them
+    through the block's inverse index (one stable argsort and a mask of
+    where the sorted keys change) and drops the padding.  Ray files repeat
+    values heavily (pixels on one radius are bitwise equal); all-distinct
+    data pays for the sort and the gather on top of the formatting.  The
+    bytes do not depend on the block size."""
     arr = np.atleast_2d(np.asarray(array))
     keys = arr.view(f"u{arr.itemsize}") if arr.dtype.kind == "f" else arr
     rows, cols = arr.shape
     step = max(1, CSV_BLOCK // max(cols, 1))
-    with Path(path).open("wb") as fh:
+    with nullcontext(path) if hasattr(path, "write") else Path(path).open("wb") as fh:
         fh.write("".join(f"# {line}\n" for line in header.splitlines())
                  .encode("utf-8"))
         for r0 in range(0, rows, step):

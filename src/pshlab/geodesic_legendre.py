@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_grid import GridSpec, ScalarField, rounding_noise
+from .field_grid import CSV_BLOCK, GridSpec, ScalarField, rounding_noise
 from .envelope_solver import strict_residual
 
 _NEG_FILL = -1e300
@@ -51,10 +51,10 @@ class GeodesicRay:
     results[k] is the EnvelopeResult at lam_grid[k] of the weight phi
     (`potential`), and slices[k] its deficit field; cutoff c bounds the
     lam-grid from above.  u(x, .) is piecewise linear with breakpoints
-    t_k(x) = (a_k - a_{k+1}) / dlam_k; u and its argmax at any increasing
-    list of t are read off the table of them (`_read`), and on the t-grid
-    kept as (n_t, ny, nx) arrays once asked for, in caches that a ray
-    `dataclasses.replace`d onto another family does not carry.
+    t_k(x) = (a_k - a_{k+1}) / dlam_k; the argmax at any increasing list of
+    t is read off the table of them (`_read`), and u off the argmax.  Only
+    the uint16 argmax on the t-grid is kept (a cache that a ray
+    `dataclasses.replace`d onto another family does not carry).
     """
 
     spatial_grid: GridSpec
@@ -63,7 +63,6 @@ class GeodesicRay:
     results: list
     cutoff: float
     _stack: np.ndarray = field(default=None, repr=False, init=False)
-    _u: np.ndarray = field(default=None, repr=False, init=False)
     _argmax: np.ndarray = field(default=None, repr=False, init=False)
     _smooth_h_cache: ScalarField = field(default=None, repr=False, init=False)
 
@@ -95,20 +94,27 @@ class GeodesicRay:
             self._stack.setflags(write=False)
         return self._stack
 
-    def u_values(self) -> np.ndarray:
-        self._materialize()
-        return self._u
+    def u_values(self) -> np.ndarray:   # derived afresh, not kept
+        arg = self.argmax_index()
+        return self._u_rows(arg.reshape(len(arg), -1),
+                            self.t_grid).reshape(arg.shape)
 
     def argmax_index(self) -> np.ndarray:
-        self._materialize()
+        if self._argmax is None:
+            self._argmax = self._read(self.t_grid).reshape(
+                (len(self.t_grid),) + self.spatial_grid.shape)
         return self._argmax
 
-    def _materialize(self):
-        if self._u is not None:
-            return
-        shape = (len(self.t_grid),) + self.spatial_grid.shape
-        arg, u = self._read(self.t_grid)
-        self._argmax, self._u = arg.reshape(shape), u.reshape(shape)
+    def _u_rows(self, arg, T, cols=slice(None)):
+        """u = a_arg + lam_arg t, (n, P), from the argmax rows `arg` (n, P)
+        of the pixels `cols`, row i at T[i] (one t, or one per pixel)."""
+        A = self.slice_stack().reshape(len(self.lam_grid), -1)[:, cols]
+        u, idx, flat = np.empty(arg.shape), np.arange(A.shape[1]), A.ravel()
+        for i, k in enumerate(arg):
+            k = k.astype(np.intp)
+            u[i] = flat[k * len(idx) + idx]
+            u[i] += self.lam_grid[k] * T[i]
+        return u
 
     def eval_u(self, t):
         """u(., t) for scalar t >= 0, or the (len(t), ny, nx) stack for an
@@ -117,7 +123,8 @@ class GeodesicRay:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if ts[0] < 0 or np.any(np.diff(ts) < 0):
             raise ValueError("t must be nonnegative and increasing")
-        u = self._read(ts)[1].reshape(ts.shape + self.spatial_grid.shape)
+        u = self._u_rows(self._read(ts), ts).reshape(
+            ts.shape + self.spatial_grid.shape)
         return u if np.ndim(t) else u[0]
 
     def mask(self) -> np.ndarray:
@@ -154,9 +161,8 @@ class GeodesicRay:
                                                initial=np.inf))
 
     def _read(self, ts, table=None):
-        """(argmax as uint16, ties to the upper slice; u = a_arg + lam_arg t)
-        at the increasing t values `ts` >= 0, each (len(ts), N); `table` is
-        `_table()`, built here if not given.
+        """The argmax (uint16, ties to the upper slice), (len(ts), N), at the
+        increasing t values `ts` >= 0; `table` is `_table()`, or built here.
 
         Where the breakpoints are nondecreasing the argmax at t is
         #{k : t_k <= t}: a searchsorted of each breakpoint into `ts`, a
@@ -166,8 +172,8 @@ class GeodesicRay:
         other pixels keep the exact per-t max (`_upper_max`)."""
         A = self.slice_stack().reshape(len(self.lam_grid), -1)
         n, N = len(ts), A.shape[1]
-        # kept arrays first: the table, freed after, leaves no hole under them
-        counts, u = np.zeros((n + 1) * N, np.uint16), np.empty((n, N))
+        # kept array first: the table, freed after, leaves no hole under it
+        counts = np.zeros((n + 1) * N, np.uint16)
         t_br, tie, exact, scale = self._table() if table is None else table
         mrg = self._margin(scale, float(ts[-1]))
         cols = np.arange(N)
@@ -179,33 +185,22 @@ class GeodesicRay:
             counts[pos * N + cols] += 1              # pixels are distinct in a row
         del table, t_br, tie                         # free the breakpoints
         arg = counts.reshape(n + 1, N)[:n]
-        flat = A.ravel()
-        for i in range(n):
-            if i:
-                arg[i] += arg[i - 1]
-            k = arg[i].astype(np.intp)
-            u[i] = flat[k * N + cols]
-            u[i] += self.lam_grid[k] * ts[i]
+        for i in range(1, n):
+            arg[i] += arg[i - 1]
         ex = np.flatnonzero(exact)
         if ex.size:
-            arg[:, ex], u[:, ex] = _upper_max(
-                A[:, ex], self.lam_grid, np.broadcast_to(ts[:, None], (n, ex.size)))
-        return arg, u
+            arg[:, ex] = _upper_max(A[:, ex], self.lam_grid,
+                                    np.broadcast_to(ts[:, None], (n, ex.size)))
+        return arg
 
 
 def _upper_max(A, lam, T):
-    """The exact per-t max of a_k + lam_k t over the rows of A (m, P), at
-    the t values T (n, P) of each column: (argmax as uint16, ties to the
-    upper slice; max), each (n, P)."""
-    m, P = A.shape
+    """The exact per-t argmax (uint16, ties to the upper slice), (n, P), of
+    a_k + lam_k t over the rows of A (m, P) at the t values T (n, P)."""
     arg = np.empty(T.shape, np.uint16)
-    u = np.empty(T.shape)
-    cols = np.arange(P)
     for i, t in enumerate(T):
-        vals = A + lam[:, None] * t
-        arg[i] = m - 1 - np.argmax(vals[::-1], axis=0)
-        u[i] = vals[arg[i], cols]
-    return arg, u
+        arg[i] = len(A) - 1 - np.argmax((A + lam[:, None] * t)[::-1], axis=0)
+    return arg
 
 
 def lam_nodes(c: float, m: int) -> list:
@@ -297,7 +292,8 @@ def legendre_slices(ray: GeodesicRay, lams) -> list:
                      t_lo, t_hi)
     T[m] = t_hi
     U = np.empty_like(T)
-    U[[0, m]] = ray._read(np.array([t_lo, t_hi]), table)[1]
+    ends = np.array([t_lo, t_hi])
+    U[[0, m]] = ray._u_rows(ray._read(ends, table), ends)
     U[1:m] = np.maximum(A[:-1] + lam[:-1, None] * T[1:m],
                         A[1:] + lam[1:, None] * T[1:m])
     inner = (t_br > t_lo) & (t_br < t_hi)
@@ -307,7 +303,8 @@ def legendre_slices(ray: GeodesicRay, lams) -> list:
     exact = exact | np.any(inner & (close[:-1] | close[1:]), axis=0)
     ex = np.flatnonzero(exact)
     if ex.size:
-        U[:, ex] = _upper_max(A[:, ex], lam, T[:, ex])[1]
+        U[:, ex] = ray._u_rows(_upper_max(A[:, ex], lam, T[:, ex]),
+                               T[:, ex], ex)
 
     out = []
     base_mask = ray.mask()
@@ -351,22 +348,8 @@ def hamiltonian(ray: GeodesicRay, fd_check: bool = True) -> HamiltonianField:
     H = np.take(ray.lam_grid, arg, out=np.empty(arg.shape))   # intp copy freed above H
     h0 = ScalarField(ray.spatial_grid,
                      np.where(ray.mask(), H[0], 0.0), ray.mask())
-    gap = float("nan")
-    if fd_check:
-        t = ray.t_grid
-        delta = min(1e-3, 0.25 * float(np.min(np.diff(t))))
-        gap = 0.0
-        msk = ray.mask()
-        # one read at t_0 < t_0 + delta < t_1 - delta < ... < t_last
-        ts = np.column_stack((t - delta, t + delta)).ravel()
-        ts[0], ts[-1] = t[0], t[-1]
-        q = ray.eval_u(ts)
-        for i in range(len(t)):
-            step = delta if i in (0, len(t) - 1) else 2 * delta
-            du = (q[2 * i + 1] - q[2 * i]) / step
-            gap = max(gap, float(np.max(np.abs(du - H[i])[msk])))
-    return HamiltonianField(t_grid=ray.t_grid, values=H, h0=h0,
-                            max_fd_gap=gap)
+    return HamiltonianField(t_grid=ray.t_grid, values=H, h0=h0, max_fd_gap=(
+        t_blocks(ray, fd_check=True)[1] if fd_check else float("nan")))
 
 
 def plateau_threshold(noise: float, dl):
@@ -463,7 +446,7 @@ def _slope_crossing(D, lam, t, noise):
         da = Df[ja, sel] + t
         db = Df[jb, sel] + t
         denom = db - da
-        good = np.abs(denom) > 1e-30
+        good = denom != 0   # pure degeneracy: equal differences, no secant
         est = np.where(good, nu[ja] - da * (nu[jb] - nu[ja])
                        / np.where(good, denom, 1.0), np.log(0.5 * (lo + hi)))
         # exp would overflow past ln(float max); clip takes such roots to hi
@@ -478,8 +461,8 @@ def _slope_crossing(D, lam, t, noise):
         if j0 + 2 < nm:
             ks = sel[plateau]
             if ks.size:
-                res[ks] = secant(j0 + 1, j0 + 2, ks,
-                                 max(lam[j0], 1e-300), lam[j0 + 1])
+                # a bracket from lam_0 = 0 needs no floor: only nu is logged
+                res[ks] = secant(j0 + 1, j0 + 2, ks, lam[j0], lam[j0 + 1])
             sm = sel[~plateau]
             if sm.size:
                 res[sm] = secant(max(j0 - 1, 0), j0, sm,
@@ -507,12 +490,18 @@ def weak_solution(ray: GeodesicRay) -> WeakSolution:
     """Phi_w(x,t) = u(x,t) - c t, c the ray's cutoff, on the region where
     the maximizing slope stays below the top lam node; outside that region
     the sup formula is not claimed and the field carries NaN."""
-    u = ray.u_values()
-    claimed = (ray.argmax_index() < len(ray.lam_grid) - 1) & ray.mask()
-    vals = np.subtract(u, ray.cutoff * ray.t_grid[:, None, None], where=claimed,
-                       out=np.full(u.shape, np.nan))   # one stack, not two
+    vals, claimed = weak_rows(ray, slice(None), ray.argmax_index(),
+                              ray.u_values())
     return WeakSolution(t_grid=ray.t_grid, values=vals, claimed=claimed,
                         cutoff=float(ray.cutoff))
+
+
+def weak_rows(ray: GeodesicRay, rows, arg, u):
+    """`weak_solution`'s (values, claimed) at t-grid `rows`, from arg, u."""
+    claimed = (arg < len(ray.lam_grid) - 1) & ray.mask().reshape(arg.shape[1:])
+    ct = (ray.cutoff * ray.t_grid[rows]).reshape((-1,) + (1,) * (u.ndim - 1))
+    return np.subtract(u, ct, where=claimed,
+                       out=np.full(u.shape, np.nan)), claimed
 
 
 def hmae_residual(ray: GeodesicRay) -> dict:
@@ -527,26 +516,61 @@ def hmae_residual(ray: GeodesicRay) -> dict:
     Slice harmonicity off the coincidence set is the fiberwise degeneracy
     of the ray.
     """
+    return {**slice_residuals(ray), "convexity_defect": t_blocks(ray)[0]}
+
+
+def slice_residuals(ray: GeodesicRay) -> dict:
+    """Part (ii) of `hmae_residual`: each slice's residual, and the max."""
     grid = ray.spatial_grid
     if grid.n != 1 or grid.style != "cartesian":
         raise ValueError("residual diagnostics run on n=1 cartesian rays")
-
-    u = ray.u_values()
-    # in place, in the rounding order of u[2:] - 2 u[1:-1] + u[:-2]
-    d2 = -2.0 * u[1:-1]
-    d2 += u[2:]
-    d2 += u[:-2]
-    defect = max(0.0, -float(np.min(d2, where=ray.mask(), initial=np.inf)))
-
     phi_vals = ray.potential.value(grid.nodes())
     rho = grid.rho()
     residuals = [0.0 if lam == 0 else strict_residual(
         phi_vals + fld.masked_fill(np.nan), fld, 0.0,
         rho > pole_exclusion_radius(lam, grid.h) ** 2)
         for lam, fld in zip(ray.lam_grid, ray.slices)]
-    return {"convexity_defect": defect,
-            "slice_residuals": np.asarray(residuals),
+    return {"slice_residuals": np.asarray(residuals),
             "max_slice_residual": float(np.max(residuals)) if residuals else 0.0}
+
+
+def t_blocks(ray: GeodesicRay, fd_check: bool = False, emit=None):
+    """The one block route over the t-grid: row blocks of at most `CSV_BLOCK`
+    values (as `write_csv` groups rows), each handed flat to `emit(rows,
+    argmax, u)`.  Returns `hmae_residual`'s convexity defect (0 if only
+    `fd_check` is asked for) and, with `fd_check`, `hamiltonian`'s fd gap."""
+    t, n, msk = ray.t_grid, len(ray.t_grid), ray.mask().ravel()
+    arg_t, gap = ray.argmax_index().reshape(n, -1), float("nan")
+    if fd_check:
+        delta = min(1e-3, 0.25 * float(np.min(np.diff(t))))
+        # one read at t_0 < t_0 + delta < t_1 - delta < ... < t_last
+        ts = np.column_stack((t - delta, t + delta)).ravel()
+        ts[0], ts[-1] = t[0], t[-1]
+        steps = np.full(n, 2 * delta)
+        steps[[0, -1]] = delta                      # one-sided at the ends
+        arg_q, gap = ray._read(ts), 0.0
+    lows, prev = [np.inf], np.empty((0, msk.size))
+    size = max(1, CSV_BLOCK // msk.size)
+    for i0 in range(0, n, size):
+        rows, fd = slice(i0, i0 + size), slice(2 * i0, 2 * (i0 + size))
+        arg = arg_t[rows]
+        if fd_check:
+            q = ray._u_rows(arg_q[fd], ts[fd])
+            du = (q[1::2] - q[::2]) / steps[rows, None]
+            gap = max(gap, float(np.max(np.abs(du - ray.lam_grid[arg])[:, msk])))
+        if emit is None and fd_check:
+            continue
+        u = ray._u_rows(arg, t[rows])
+        ext = np.concatenate((prev, u))   # u[i0 - 2], u[i0 - 1], the block
+        # in place, in the rounding order of u[2:] - 2 u[1:-1] + u[:-2]
+        d2 = -2.0 * ext[1:-1]
+        d2 += ext[2:]
+        d2 += ext[:-2]
+        lows.append(np.min(d2, where=msk, initial=np.inf))
+        prev = ext[-2:]
+        if emit is not None:
+            emit(rows, arg, u)
+    return max(0.0, -float(np.min(lows))), gap
 
 
 def certified_lambda(results) -> float:

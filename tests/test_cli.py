@@ -1,11 +1,13 @@
 import filecmp
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pshlab.cli import ConfigError, main, parse_config, run
-from pshlab.field_grid import load_field
+from pshlab.cli import ConfigError, _build_ray, main, parse_config, run
+from pshlab.field_grid import load_field, write_csv
+from test_geodesic_legendre import _reference_fd_gap, _reference_materialize
 
 
 BASE = """
@@ -270,19 +272,81 @@ def test_grid_flow_is_the_single_lam_runs_bytewise(tmp_path):
         assert rows[1 + i] == (one / "masses.csv").read_text().splitlines()[1]
 
 
+GEODESIC_RUNS = {
+    "oracle-96": "backend = oracle\nresolution = 96\nlambda_nodes = 16\n"
+                 "t_count = 48\nc = 0.6\n[potential]\nbuiltin flat\n",
+    # rows of 32^2 = 1,024 values: blocks of 16 rows (2^14 values, as the
+    # CSV writer groups them) and a 5-row tail
+    "oracle-32-t37": "backend = oracle\nresolution = 32\nlambda_nodes = 8\n"
+                     "t_count = 37\nc = 0.8\n[potential]\npolyrad 1.0 1\n"
+                     "polyrad 0.5 2\n",
+    "grid-32-t37": "backend = grid\nresolution = 32\nlambda_nodes = 6\n"
+                   "t_count = 37\nc = 0.3\n[potential]\npolyrad 1.0 1\n"
+                   "reharm 0.25+0.1j 3\n",
+}
+
+
 def test_geodesic_command(tmp_path):
-    text = ("command = geodesic\nbackend = oracle\nresolution = 96\n"
-            "lambda_nodes = 16\nt_count = 48\nc = 0.6\n"
-            "[potential]\nbuiltin flat\n")
-    cfg = parse_config(text)
-    out = tmp_path / "geo"
-    assert run(cfg, out) == 0
-    u = np.loadtxt(out / "u.csv", delimiter=",", comments="#")
-    assert u.shape == (48, 96 * 96)
-    assert (out / "slices" / "slice_000.csv").exists()
-    meta = dict(line.split(" = ", 1) for line in
-                (out / "metadata.txt").read_text().splitlines())
-    assert float(meta["slope_consistency_gap"]) <= 0.6 / 16
+    """`geodesic` writes u, H and the truncated pole field in row blocks
+    and folds its t-diagnostics on the way; each file is byte for byte
+    `write_csv` of the whole cube of the m-fold max, and the convexity
+    defect and fd gap are the whole-cube values, at block edges too."""
+    for name, text in GEODESIC_RUNS.items():
+        cfg = parse_config("command = geodesic\n" + text)
+        out, ref = tmp_path / name, tmp_path / f"{name}-ref"
+        ref.mkdir()
+        assert run(cfg, out) == 0
+        ray = _build_ray(cfg)
+        nt, shape = cfg.t_count, ray.spatial_grid.shape
+        u = np.loadtxt(out / "u.csv", delimiter=",", comments="#")
+        assert u.shape == (nt, shape[0] * shape[1])
+        assert (out / "slices" / "slice_000.csv").exists()
+        arg, u = _reference_materialize(ray)
+        claimed = (arg < len(ray.lam_grid) - 1) & ray.mask()
+        cubes = {"u.csv": u, "hamiltonian.csv": ray.lam_grid[arg],
+                 "truncated_pole_field.csv": np.where(
+                     claimed, u - ray.cutoff * ray.t_grid[:, None, None],
+                     np.nan)}
+        for fname, cube in cubes.items():
+            write_csv(ref / fname, cube.reshape(nt, -1))
+            assert (out / fname).read_bytes() == (ref / fname).read_bytes()
+        d2 = -2.0 * u[1:-1]
+        d2 += u[2:]
+        d2 += u[:-2]
+        defect = max(0.0, -float(np.min(d2, where=ray.mask(),
+                                        initial=np.inf)))
+        meta = dict(line.split(" = ", 1) for line in
+                    (out / "metadata.txt").read_text().splitlines())
+        assert meta["convexity_defect"] == f"{defect:.17g}"
+        gap = meta["slope_consistency_gap"]
+        assert gap == f"{_reference_fd_gap(ray):.17g}"
+        assert float(gap) <= ray.d_lam
+
+
+def test_geodesic_memory_grows_by_no_float_cube_in_t(tmp_path):
+    """The rule: `geodesic` allocates no float array of shape (n_t, ny,
+    nx), so its traced peak grows with n_t by its uint16 argmax reads
+    alone (the t-grid's and the fd check's 2 n_t rows: 6 bytes per
+    (t, pixel)) and stays under 12 bytes, 1.5 floats, per added (t, pixel)
+    from t_count 32 to 96 at 128^2.  Keeping one float cube of u, H or the
+    weak solution would add 8."""
+    text = ("command = geodesic\nbackend = oracle\nresolution = 128\n"
+            "lambda_nodes = 16\nc = 0.8\n[potential]\npolyrad 1.0 1\n"
+            "polyrad 0.5 2\n")
+    assert run(parse_config(f"t_count = 32\n{text}"), tmp_path / "warm") == 0
+
+    def peak(n_t):
+        cfg = parse_config(f"t_count = {n_t}\n{text}")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(cfg, tmp_path / f"t{n_t}") == 0
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    growth = (peak(96) - peak(32)) / (64 * 128 * 128)
+    assert growth < 12.0, f"{growth:.1f} bytes per added (t, pixel)"
 
 
 def test_foliate_command(tmp_path):

@@ -4,8 +4,10 @@ of row-major 1-D buffers, no `EnvelopeResult` takes a literal as its
 coincidence tolerance, the CLI solves envelopes by one route, the
 lam-grid of a slice family is written once (`lam_nodes`), the readers
 after the solve take the weight from the family they are given, the
-ray's backend picks no leaf path, and no module imports scipy at module
-level, so that the CLI's commands load it only where they need it."""
+ray's backend picks no leaf path, one CSV formatter writes every file, a
+ray keeps no float cube over its t-grid, and no module imports scipy at
+module level, so that the CLI's commands load it only where they need
+it."""
 
 import ast
 import os
@@ -173,6 +175,40 @@ def test_backend_picks_no_leaf_path():
                for node in ast.walk(fn)
                if isinstance(node, ast.Attribute) and node.attr == "backend"}
     assert readers == {"_probe_window"}
+
+
+def test_one_csv_formatter():
+    """The CSV cell format is written only in `field_grid` (its
+    `write_csv`): every other module writes CSV through it."""
+    hits = [p.name for p in sorted(SRC.glob("*.py"))
+            if "%-24.17g" in p.read_text()]
+    assert hits == ["field_grid.py"]
+
+
+def test_ray_keeps_no_float_cube():
+    """Once every reader has run on a ray, none of its attributes is a
+    float array over the t-grid: u, H and the weak solution are derived
+    from the kept uint16 argmax and never cached on the ray."""
+    import numpy as np
+    from pshlab.envelope_solver import radial_envelopes
+    from pshlab.field_grid import build_grid
+    from pshlab.geodesic_legendre import (
+        assemble_geodesic, hamiltonian, hmae_residual, lam_nodes,
+        legendre_slices, smooth_hamiltonian, weak_solution)
+    from pshlab.potential_kit import builtin_potential
+    ray = assemble_geodesic(radial_envelopes(
+        builtin_potential("quartic"), lam_nodes(0.8, 6),
+        build_grid(1, 32, 1.0)), 0.8, n_t=9)
+    ray.u_values()
+    ray.eval_u(ray.t_grid)
+    for read in (hamiltonian, weak_solution, hmae_residual,
+                 smooth_hamiltonian, lambda r: legendre_slices(r, [0.1])):
+        read(ray)
+    kept = {name: (v.dtype, v.shape) for name, v in vars(ray).items()
+            if isinstance(v, np.ndarray) and v.ndim == 3}
+    assert kept["_argmax"] == (np.uint16, (9, 32, 32))
+    assert [name for name, (dtype, shape) in kept.items()
+            if dtype.kind == "f" and shape[0] == 9] == []
 
 
 def _module_level_imports(path):
